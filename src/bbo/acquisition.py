@@ -70,7 +70,6 @@ class AcquisitionContext:
     eta: float | None = None
     front: np.ndarray | None = None  # (k, m) Pareto objective vectors
     ref_point: np.ndarray | None = None
-    pending: list = field(default_factory=list)  # encoded vectors of open suggestions
 
     def __post_init__(self):
         if self.front is not None:
@@ -274,7 +273,7 @@ _STEP_MIN = 1e-3
 
 
 def _neighbor_configs(
-    space: SearchSpace, config: Configuration, deltas: dict[str, float], rng=None
+    space: SearchSpace, config: Configuration, deltas: dict[str, float]
 ) -> list[Configuration]:
     """Coordinate-wise neighborhood: +-delta on continuous dims, one-exchange
     (adjacent rank / other choice) on discrete dims."""

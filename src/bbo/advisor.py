@@ -4,6 +4,11 @@ An :class:`Advisor` owns the history for one task, picks algorithms from the
 task's characteristics, produces suggestions (single and batch), and ingests
 observations. The selection rule lives in :func:`auto_select` so every
 automatic decision is auditable in one place.
+
+Every suggestion, including each follower of a batch, takes one path: a
+phase gate (evolutionary, initial design, or random when there is no
+surrogate) and otherwise one model-based ask, which picks its models, builds
+a score function over them and maximizes it.
 """
 
 from __future__ import annotations
@@ -230,7 +235,15 @@ class _EAState:
 
 
 class Advisor:
-    """Stateful ask-and-tell suggestion engine for one task."""
+    """Stateful ask-and-tell suggestion engine for one task.
+
+    Each suggestion passes a phase gate and, once the initial design is
+    told, a model-based ask: models (the cached refit, or a constant-liar
+    refit for batch followers of that strategy), then a score (locally
+    penalized around pending points for followers of that strategy), then
+    one acquisition maximization. ``last_ask_info`` describes the latest
+    suggestion.
+    """
 
     def __init__(self, task: TaskSpec):
         self.task = task
@@ -297,7 +310,7 @@ class Advisor:
             raise ValueError("batch size must be >= 1")
         batch = [self.ask()]
         for _ in range(q - 1):
-            config = self._produce_batch_follower()
+            config = self._produce(follower=True)
             self._pending.append(config)
             batch.append(config)
         return batch
@@ -344,7 +357,7 @@ class Advisor:
                     return all_configs[i]
         raise ExhaustedSpaceError("could not sample an unseen configuration")
 
-    def _produce(self) -> Configuration:
+    def _produce(self, follower: bool = False) -> Configuration:
         if self._ea is not None:
             return self._ea_produce()
         if self.num_told < self.task.init_count:
@@ -355,7 +368,7 @@ class Advisor:
         if self.plan.surrogate_kind == NONE:
             self.last_ask_info = {"phase": "random"}
             return self._random_unseen()
-        return self._model_based_ask()
+        return self._model_based_ask(follower)
 
     def _next_init_point(self) -> Optional[Configuration]:
         excluded = self._told_set | set(self._pending)
@@ -364,13 +377,10 @@ class Advisor:
             self._init_served += 1
             if config not in excluded:
                 return config
-        if self.num_told == 0 or len(self.successes()) == 0:
+        if self.num_told == 0 or not self._history.successes():
             # no data to model yet; keep the design going with random points
             return self._random_unseen()
         return None
-
-    def successes(self):
-        return self._history.successes()
 
     def _refit(self) -> None:
         X, Y, C = self._history.training_targets(
@@ -379,13 +389,31 @@ class Advisor:
         if X.shape[0] < 2:
             raise InsufficientDataError("need at least 2 rows to fit surrogates")
         self._refit_count += 1
-        self._objective_models = [
-            self._fit_one(X, Y[:, j], warm_key=("obj", j)) for j in range(Y.shape[1])
-        ]
-        self._constraint_models = [
-            self._fit_one(X, C[:, j], warm_key=("con", j)) for j in range(C.shape[1])
-        ]
+        self._objective_models, self._constraint_models = self._fit_models(X, Y, C, warm=True)
         self._stale = False
+
+    def _constant_liar_models(self) -> tuple[list, list]:
+        """Models refit with every pending point told at the median observed values."""
+        X, Y, C = self._history.training_targets(
+            self.task.space, self._encoding, IMPUTE_WORST
+        )
+        lies = len(self._pending)
+        X = np.vstack([X, encode_matrix(self.task.space, self._pending, self._encoding)])
+        Y = np.vstack([Y, np.tile(np.median(Y, axis=0), (lies, 1))])
+        C = np.vstack([C, np.tile(np.median(C, axis=0), (lies, 1))])
+        return self._fit_models(X, Y, C, warm=False)
+
+    def _fit_models(self, X: np.ndarray, Y: np.ndarray, C: np.ndarray, warm: bool):
+        """One model per objective column, then one per constraint column."""
+        objective_models = [
+            self._fit_one(X, Y[:, j], warm_key=("obj", j) if warm else None)
+            for j in range(Y.shape[1])
+        ]
+        constraint_models = [
+            self._fit_one(X, C[:, j], warm_key=("con", j) if warm else None)
+            for j in range(C.shape[1])
+        ]
+        return objective_models, constraint_models
 
     def _fit_one(self, X: np.ndarray, y: np.ndarray, warm_key=None):
         if self.plan.surrogate_kind == GP:
@@ -405,13 +433,7 @@ class Advisor:
             return model
         return fit_prf(X, y, rng=self._rng)
 
-    def _default_ref_point(self) -> np.ndarray:
-        worst = self._history.success_objectives().max(axis=0)
-        ref = worst + 0.1 * np.abs(worst)
-        ref[worst == 0] += 0.1
-        return ref
-
-    def _build_context(self, pending_encoded: Sequence[np.ndarray] = ()) -> AcquisitionContext:
+    def _build_context(self, objective_models: list, constraint_models: list) -> AcquisitionContext:
         m = self.task.num_objectives
         eta = None
         front = None
@@ -423,7 +445,7 @@ class Advisor:
             ref = (
                 np.asarray(self.task.ref_point, dtype=float)
                 if self.task.ref_point is not None
-                else self._default_ref_point()
+                else self._history.default_ref_point()
             )
             pareto = self._history.pareto_front()
             if pareto:
@@ -432,12 +454,11 @@ class Advisor:
                 pts = pts[inside]
                 front = pts if pts.shape[0] else None
         return AcquisitionContext(
-            objective_models=self._objective_models,
-            constraint_models=self._constraint_models,
+            objective_models=objective_models,
+            constraint_models=constraint_models,
             eta=eta,
             front=front,
             ref_point=ref,
-            pending=list(pending_encoded),
         )
 
     def _score_function(self, ctx: AcquisitionContext):
@@ -471,15 +492,22 @@ class Advisor:
             return _N_CANDIDATES_MO, _N_LOCAL_STARTS_MO
         return _N_CANDIDATES, _N_LOCAL_STARTS
 
-    def _model_based_ask(self) -> Configuration:
+    def _model_based_ask(self, follower: bool) -> Configuration:
+        constant_liar = follower and self.plan.batch_strategy == CONSTANT_LIAR_MEDIAN
         try:
-            if self._stale:
-                self._refit()
+            if constant_liar:
+                models = self._constant_liar_models()
+            else:
+                if self._stale:
+                    self._refit()
+                models = (self._objective_models, self._constraint_models)
         except InsufficientDataError:
             self.last_ask_info = {"phase": "random"}
             return self._random_unseen()
-        ctx = self._build_context()
+        ctx = self._build_context(*models)
         score_fn = self._score_function(ctx)
+        if follower and not constant_liar:
+            score_fn = self._penalized(score_fn, ctx.objective_models[0])
         n_candidates, n_local = self._inner_budgets()
         ranked = maximize_acquisition(
             score_fn,
@@ -500,31 +528,9 @@ class Advisor:
         }
         return config
 
-    def _produce_batch_follower(self) -> Configuration:
-        if self._ea is not None:
-            return self._ea_produce()
-        if self.num_told < self.task.init_count:
-            config = self._next_init_point()
-            if config is not None:
-                return config
-        if self.plan.surrogate_kind == NONE:
-            return self._random_unseen()
-        if self.plan.batch_strategy == LOCAL_PENALIZATION:
-            return self._penalized_ask()
-        return self._constant_liar_ask()
-
-    def _penalized_ask(self) -> Configuration:
-        try:
-            if self._stale:
-                self._refit()
-        except InsufficientDataError:
-            return self._random_unseen()
-        pending_encoded = [
-            to_unit_vector(self.task.space, c, self._encoding) for c in self._pending
-        ]
-        ctx = self._build_context(pending_encoded)
-        base = self._score_function(ctx)
-        model = ctx.objective_models[0]
+    def _penalized(self, base, model):
+        """Local penalization of ``base`` around the pending points."""
+        pending = [to_unit_vector(self.task.space, c, self._encoding) for c in self._pending]
         lipschitz = estimate_lipschitz(
             model, self.task.space.encoded_width(self._encoding), self._rng
         )
@@ -532,64 +538,9 @@ class Advisor:
         best_value = float(observed.min()) if observed is not None else 0.0
 
         def score(X):
-            return local_penalization(
-                base(X), X, pending_encoded, model, lipschitz, best_value
-            )
+            return local_penalization(base(X), X, pending, model, lipschitz, best_value)
 
-        n_candidates, n_local = self._inner_budgets()
-        ranked = maximize_acquisition(
-            score,
-            self.task.space,
-            self._rng,
-            n_candidates=n_candidates,
-            n_local_starts=n_local,
-            encoding=self._encoding,
-            told=self._told,
-            pending=self._pending,
-        )
-        return ranked[0]
-
-    def _constant_liar_ask(self) -> Configuration:
-        try:
-            X, Y, C = self._history.training_targets(
-                self.task.space, self._encoding, IMPUTE_WORST
-            )
-        except InsufficientDataError:
-            return self._random_unseen()
-        lie_obj = np.median(Y, axis=0)
-        lie_con = np.median(C, axis=0) if C.shape[1] else np.empty(0)
-        X_pend = encode_matrix(self.task.space, self._pending, self._encoding)
-        X_aug = np.vstack([X, X_pend])
-        Y_aug = np.vstack([Y, np.tile(lie_obj, (len(self._pending), 1))])
-        C_aug = (
-            np.vstack([C, np.tile(lie_con, (len(self._pending), 1))])
-            if C.shape[1]
-            else np.empty((X_aug.shape[0], 0))
-        )
-        objective_models = [self._fit_one(X_aug, Y_aug[:, j]) for j in range(Y_aug.shape[1])]
-        constraint_models = [self._fit_one(X_aug, C_aug[:, j]) for j in range(C_aug.shape[1])]
-
-        saved = (self._objective_models, self._constraint_models)
-        self._objective_models = objective_models
-        self._constraint_models = constraint_models
-        try:
-            ctx = self._build_context()
-            score_fn = self._score_function(ctx)
-        finally:
-            self._objective_models, self._constraint_models = saved
-
-        n_candidates, n_local = self._inner_budgets()
-        ranked = maximize_acquisition(
-            score_fn,
-            self.task.space,
-            self._rng,
-            n_candidates=n_candidates,
-            n_local_starts=n_local,
-            encoding=self._encoding,
-            told=self._told,
-            pending=self._pending,
-        )
-        return ranked[0]
+        return score
 
     # --- evolutionary mode ---
 

@@ -79,18 +79,8 @@ def compute_constr_reference(grid: int = CONSTR_GRID) -> tuple[tuple, float]:
     feasible = (6.0 - (X2 + 9.0 * X1) <= 0) & (1.0 - (9.0 * X1 - X2) <= 0)
     f1 = X1[feasible]
     f2 = (1.0 + X2[feasible]) / f1
-    front = _pareto_2d(f1, f2)
-    hv = moo.hypervolume(front, CONSTR_REF_POINT)
+    hv = moo.hypervolume(np.column_stack([f1, f2]), CONSTR_REF_POINT)
     return CONSTR_REF_POINT, float(hv)
-
-
-def _pareto_2d(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Non-dominated subset of 2-D points via sort + running minimum."""
-    order = np.lexsort((f2, f1))
-    f1s, f2s = f1[order], f2[order]
-    prev_best = np.concatenate([[np.inf], np.minimum.accumulate(f2s)[:-1]])
-    keep = f2s < prev_best
-    return np.column_stack([f1s[keep], f2s[keep]])
 
 
 def constr_problem() -> BenchmarkProblem:

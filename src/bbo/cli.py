@@ -92,10 +92,8 @@ def load_task_file(path: str) -> tuple[TaskSpec, dict]:
     unknown = set(doc) - _TASK_FIELDS
     if unknown:
         raise SetupError(f"task file {path}: unknown fields {sorted(unknown)}")
-    seed = int(doc.get("seed", 0))
-    space = space_from_dict(doc, seed=seed)
     task = TaskSpec(
-        space=space,
+        space=space_from_dict(doc),
         num_objectives=int(doc.get("num_objectives", 1)),
         num_constraints=int(doc.get("num_constraints", 0)),
         max_runs=int(doc.get("max_runs", 100)),
@@ -104,7 +102,7 @@ def load_task_file(path: str) -> tuple[TaskSpec, dict]:
         init_design=doc.get("init_design", "latin_hypercube"),
         init_count=doc.get("init_count"),
         ref_point=tuple(doc["ref_point"]) if doc.get("ref_point") is not None else None,
-        seed=seed,
+        seed=int(doc.get("seed", 0)),
         task_id=doc.get("task_id", Path(path).stem),
     )
     runtime = {

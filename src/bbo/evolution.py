@@ -3,8 +3,7 @@ single-objective tasks and NSGA-II for multi-objective ones.
 
 Each algorithm is split into a propose step (generate trial genomes) and a
 select step (combine evaluated trials into the next population), so the
-advisor can drive it through ask-and-tell. The ``*_step`` functions compose
-the two with a synchronous evaluate callback.
+advisor can drive it through ask-and-tell.
 
 Constraint handling follows Deb's feasibility rules: feasible beats
 infeasible, lower total violation beats higher, and only then do objectives
@@ -14,7 +13,7 @@ decide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,10 +48,6 @@ class Individual:
             self.objectives = np.asarray(self.objectives, dtype=float)
 
     @property
-    def evaluated(self) -> bool:
-        return self.objectives is not None
-
-    @property
     def feasible(self) -> bool:
         return self.constraint_violation <= 0.0
 
@@ -67,14 +62,6 @@ class Population:
 
     def genomes(self) -> np.ndarray:
         return np.array([ind.genome for ind in self.individuals])
-
-    def best(self) -> Individual:
-        """Best individual under Deb's rules (single-objective)."""
-        best = self.individuals[0]
-        for ind in self.individuals[1:]:
-            if _deb_better_scalar(ind, best):
-                best = ind
-        return best
 
 
 def _deb_better_scalar(a: Individual, b: Individual) -> bool:
@@ -93,20 +80,6 @@ def constrained_dominates(a: Individual, b: Individual) -> bool:
     if not a.feasible:
         return a.constraint_violation < b.constraint_violation
     return moo.dominates(a.objectives, b.objectives)
-
-
-def _evaluate_genomes(genomes: Sequence[np.ndarray], evaluate) -> list[Individual]:
-    out = []
-    for g in genomes:
-        objectives, constraints = evaluate(np.asarray(g, dtype=float))
-        out.append(
-            Individual(
-                genome=g,
-                objectives=np.asarray(objectives, dtype=float),
-                constraint_violation=total_violation(constraints),
-            )
-        )
-    return out
 
 
 # --- differential evolution (rand/1/bin) ---
@@ -144,48 +117,22 @@ def de_select(pop: Population, trial_individuals: Sequence[Individual]) -> Popul
     return Population(survivors, generation=pop.generation + 1)
 
 
-def de_step(
-    pop: Population,
-    F: float,
-    CR: float,
-    evaluate: Callable,
-    rng: np.random.Generator,
-) -> Population:
-    """One DE/rand/1/bin generation over an evaluated population."""
-    if not all(ind.evaluated for ind in pop.individuals):
-        raise ValueError("all individuals must be evaluated before a DE step")
-    trials = de_propose(pop, F, CR, rng)
-    return de_select(pop, _evaluate_genomes(trials, evaluate))
-
-
 # --- NSGA-II ---
 
 
 def _constrained_fronts(individuals: Sequence[Individual]) -> list[list[int]]:
     """Fast non-dominated sort under constrained dominance."""
-    n = len(individuals)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    counts = np.zeros(n, dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if constrained_dominates(individuals[i], individuals[j]):
-                dominated_by[i].append(j)
-                counts[j] += 1
-            elif constrained_dominates(individuals[j], individuals[i]):
-                dominated_by[j].append(i)
-                counts[i] += 1
-    fronts = []
-    current = [i for i in range(n) if counts[i] == 0]
-    while current:
-        fronts.append(sorted(current))
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    nxt.append(j)
-        current = nxt
-    return fronts
+    violation = np.array([ind.constraint_violation for ind in individuals])
+    feasible = violation <= 0.0
+    objectives = np.array([ind.objectives for ind in individuals])
+    # unless both are feasible, the lower violation wins: a feasible point's
+    # violation is <= 0 and an infeasible one's is > 0
+    dom = np.where(
+        feasible[:, None] & feasible[None, :],
+        moo._dominance_matrix(objectives),
+        violation[:, None] < violation[None, :],
+    )
+    return moo._peel_fronts(dom)
 
 
 def _assign_rank_and_crowding(individuals: Sequence[Individual]) -> list[list[int]]:
@@ -284,18 +231,3 @@ def nsga2_select(
             survivors.extend(combined[i] for i in by_crowding[:remaining])
             break
     return Population(survivors, generation=generation)
-
-
-def nsga2_step(
-    pop: Population,
-    evaluate: Callable,
-    rng: np.random.Generator,
-    eta_c: float = SBX_ETA,
-    eta_m: float = MUTATION_ETA,
-) -> Population:
-    """One NSGA-II generation over an evaluated population."""
-    if not all(ind.evaluated for ind in pop.individuals):
-        raise ValueError("all individuals must be evaluated before an NSGA-II step")
-    offspring_genomes = nsga2_propose(pop, rng, eta_c, eta_m)
-    offspring = _evaluate_genomes(offspring_genomes, evaluate)
-    return nsga2_select(pop.individuals, offspring, len(pop), pop.generation + 1)

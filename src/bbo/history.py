@@ -177,6 +177,18 @@ class History:
             return None
         return np.array([o.objectives for o in succ])
 
+    def default_ref_point(self) -> Optional[np.ndarray]:
+        """Reference point for tasks that set none: the worst SUCCESS value per
+        objective plus 10% of its magnitude (0.1 where it is 0), or None
+        before any success."""
+        observed = self.success_objectives()
+        if observed is None:
+            return None
+        worst = observed.max(axis=0)
+        ref = worst + 0.1 * np.abs(worst)
+        ref[worst == 0] += 0.1
+        return ref
+
     def training_targets(
         self,
         space: SearchSpace,

@@ -29,28 +29,30 @@ def non_dominated_sort(points) -> list[list[int]]:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty (n, m) array")
-    n = pts.shape[0]
+    return _peel_fronts(_dominance_matrix(pts))
 
-    # pairwise dominance matrix: dom[i, j] = i dominates j
+
+def _dominance_matrix(pts: np.ndarray) -> np.ndarray:
+    """Pairwise dominance of the rows of an (n, m) array: dom[i, j] = i dominates j."""
     less_eq = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
     less = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
-    dom = less_eq & less
+    return less_eq & less
 
-    n_dominators = dom.sum(axis=0)
-    dominated_by = [np.flatnonzero(dom[i]) for i in range(n)]
 
+def _peel_fronts(dom: np.ndarray) -> list[list[int]]:
+    """Fronts of a strict partial order given as a dominance matrix.
+
+    Each front holds the indices whose dominators all lie in earlier
+    fronts, in ascending order.
+    """
+    counts = dom.sum(axis=0)
     fronts: list[list[int]] = []
-    current = [i for i in range(n) if n_dominators[i] == 0]
-    counts = n_dominators.copy()
-    while current:
-        fronts.append(sorted(current))
-        nxt = []
-        for p in current:
-            for q in dominated_by[p]:
-                counts[q] -= 1
-                if counts[q] == 0:
-                    nxt.append(int(q))
-        current = nxt
+    current = np.flatnonzero(counts == 0)
+    while current.size:
+        fronts.append(current.tolist())
+        counts = counts - dom[current].sum(axis=0)
+        counts[current] = -1  # placed; never selected again
+        current = np.flatnonzero(counts == 0)
     return fronts
 
 
@@ -78,16 +80,23 @@ def crowding_distance(front_points) -> np.ndarray:
 
 
 def _pareto_filter(pts: np.ndarray) -> np.ndarray:
-    """Drop dominated and duplicate rows (keeps the measure unchanged)."""
+    """Drop dominated and duplicate rows (keeps the measure unchanged).
+
+    Survivors keep their input order; of equal rows the earliest survives.
+    """
     n = pts.shape[0]
     if n <= 1:
         return pts
-    le = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)  # le[j, i]: p_j <= p_i
-    lt = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
-    dom = le & lt
-    dominated = dom.any(axis=0)
-    eq = le & le.T
-    earlier_dup = np.triu(eq, k=1).any(axis=0)
+    if pts.shape[1] == 2:
+        # in (f1, f2) order every dominator or earlier duplicate of a row
+        # precedes it, so a row survives iff its f2 beats all earlier f2
+        order = np.lexsort((pts[:, 1], pts[:, 0]))
+        f2 = pts[order, 1]
+        prev_best = np.concatenate([[np.inf], np.minimum.accumulate(f2)[:-1]])
+        return pts[np.sort(order[f2 < prev_best])]
+    dominated = _dominance_matrix(pts).any(axis=0)
+    equal = np.all(pts[:, None, :] == pts[None, :, :], axis=2)
+    earlier_dup = np.triu(equal, k=1).any(axis=0)
     return pts[~(dominated | earlier_dup)]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -61,7 +61,8 @@ def evaluate_safe(
 
     Returns SUCCESS with measured elapsed time on a normal, finite return;
     FAILED when the objective raises or returns non-finite values; TIMEOUT
-    when the deadline elapses (the worker thread is abandoned, not killed).
+    when the deadline elapses (the worker thread is abandoned, not killed)
+    or the objective raises TimeoutError, whose message is then kept.
     """
     start = clock()
     extra: dict[str, str] = {}
@@ -71,18 +72,18 @@ def evaluate_safe(
         else:
             pool = ThreadPoolExecutor(max_workers=1)
             future = pool.submit(objective, config)
-            try:
-                result = future.result(timeout=timeout)
-            finally:
-                # abandon (not join) the worker so a hung objective cannot
-                # block the optimization loop
-                pool.shutdown(wait=False)
-    except (TimeoutError, FuturesTimeoutError):  # distinct classes before 3.11
+            # abandon (not join) the worker so a hung objective cannot
+            # block the optimization loop
+            pool.shutdown(wait=False)
+            if not wait([future], timeout=timeout).done:
+                raise TimeoutError(f"timed out after {timeout} s")
+            result = future.result()
+    except (TimeoutError, FuturesTimeoutError) as exc:  # distinct classes before 3.11
         return Observation(
             config=config,
             trial_state=TrialState.TIMEOUT,
             elapsed_time=clock() - start,
-            extra={"error": f"timed out after {timeout} s"},
+            extra={"error": str(exc) or repr(exc)},
         )
     except KeyboardInterrupt:
         raise

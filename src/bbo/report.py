@@ -263,8 +263,9 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _svg_line_chart(series, width=640, height=280, color="#2b6cb0", title=""):
-    """Step/line chart of (index, value) pairs as a self-contained SVG."""
+def _svg_xy_chart(series, width, height, title, draw) -> str:
+    """Self-contained SVG with title, axes and range labels for (x, y) pairs;
+    ``draw`` renders the data from their pixel coordinates."""
     pad = 46
     if not series:
         return f'<svg width="{width}" height="{height}"><text x="10" y="20">no data</text></svg>'
@@ -283,7 +284,6 @@ def _svg_line_chart(series, width=640, height=280, color="#2b6cb0", title=""):
     def sy(y):
         return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
 
-    points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
     parts = [
         f'<svg width="{width}" height="{height}" xmlns="http://www.w3.org/2000/svg">',
         f'<text x="{pad}" y="18" font-size="13" fill="#2d3748">{html.escape(title)}</text>',
@@ -293,49 +293,29 @@ def _svg_line_chart(series, width=640, height=280, color="#2b6cb0", title=""):
         f'<text x="{width - pad - 20}" y="{height - pad + 16}" font-size="11">{_fmt(x_hi)}</text>',
         f'<text x="4" y="{height - pad}" font-size="11">{_fmt(y_lo)}</text>',
         f'<text x="4" y="{pad}" font-size="11">{_fmt(y_hi)}</text>',
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{points}"/>',
+        draw([(_fmt(sx(x)), _fmt(sy(y))) for x, y in zip(xs, ys)]),
         "</svg>",
     ]
     return "".join(parts)
+
+
+def _svg_line_chart(series, width=640, height=280, color="#2b6cb0", title=""):
+    """Step/line chart of (index, value) pairs as a self-contained SVG."""
+
+    def polyline(pixels):
+        points = " ".join(f"{x},{y}" for x, y in pixels)
+        return f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{points}"/>'
+
+    return _svg_xy_chart(series, width, height, title, polyline)
 
 
 def _svg_scatter(points, width=420, height=340, title=""):
     """Scatter of 2-D objective vectors (first two objectives)."""
-    pad = 46
-    if not points:
-        return f'<svg width="{width}" height="{height}"><text x="10" y="20">no data</text></svg>'
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1
-    if y_hi == y_lo:
-        y_hi = y_lo + 1
 
-    def sx(x):
-        return pad + (x - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+    def dots(pixels):
+        return "".join(f'<circle cx="{x}" cy="{y}" r="3.5" fill="#2f855a"/>' for x, y in pixels)
 
-    def sy(y):
-        return height - pad - (y - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
-
-    dots = "".join(
-        f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3.5" fill="#2f855a"/>'
-        for x, y in zip(xs, ys)
-    )
-    parts = [
-        f'<svg width="{width}" height="{height}" xmlns="http://www.w3.org/2000/svg">',
-        f'<text x="{pad}" y="18" font-size="13" fill="#2d3748">{html.escape(title)}</text>',
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="#a0aec0"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="#a0aec0"/>',
-        f'<text x="{pad}" y="{height - pad + 16}" font-size="11">{_fmt(x_lo)}</text>',
-        f'<text x="{width - pad - 20}" y="{height - pad + 16}" font-size="11">{_fmt(x_hi)}</text>',
-        f'<text x="4" y="{height - pad}" font-size="11">{_fmt(y_lo)}</text>',
-        f'<text x="4" y="{pad}" font-size="11">{_fmt(y_hi)}</text>',
-        dots,
-        "</svg>",
-    ]
-    return "".join(parts)
+    return _svg_xy_chart(points, width, height, title, dots)
 
 
 def _svg_bar_chart(items, width=640, height=240, title=""):
@@ -462,11 +442,7 @@ def default_analyses(
     else:
         ref = ref_point if ref_point is not None else history.ref_point
         if ref is None:
-            worst = history.success_objectives()
-            if worst is not None:
-                w = worst.max(axis=0)
-                ref = w + 0.1 * np.abs(w)
-                ref[w == 0] += 0.1
+            ref = history.default_ref_point()
         if ref is not None:
             analyses["hv"] = hv_over_time(history, ref)
         analyses["pareto"] = [o.objectives for o in history.pareto_front()]

@@ -95,10 +95,6 @@ class ParameterSpec:
             return value in self.levels
         return value in self.choices
 
-    @property
-    def is_discrete(self) -> bool:
-        return self.kind in (INT, ORDINAL, CATEGORICAL)
-
     def n_values(self) -> int | None:
         """Cardinality of the value set, or None for float parameters."""
         if self.kind == INT:
@@ -168,9 +164,9 @@ class Configuration:
 
 
 class SearchSpace:
-    """Ordered collection of parameters with reproducible sampling."""
+    """Ordered collection of parameters."""
 
-    def __init__(self, parameters: Sequence[ParameterSpec], seed: int = 0):
+    def __init__(self, parameters: Sequence[ParameterSpec]):
         parameters = list(parameters)
         if not parameters:
             raise SpaceError("search space needs at least one parameter")
@@ -178,7 +174,6 @@ class SearchSpace:
         if len(set(names)) != len(names):
             raise SpaceError("parameter names must be unique")
         self.parameters: tuple[ParameterSpec, ...] = tuple(parameters)
-        self.seed = int(seed)
         self._by_name = {p.name: p for p in self.parameters}
 
     def __len__(self) -> int:
@@ -197,9 +192,6 @@ class SearchSpace:
     def dimensionality(self) -> int:
         """Parameter count; each categorical counts as one dimension."""
         return len(self.parameters)
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
     def validate(self, config: Configuration) -> None:
         """Raise InvalidConfigurationError unless ``config`` fits this space."""
@@ -398,12 +390,12 @@ def parameter_from_dict(obj: Mapping[str, Any]) -> ParameterSpec:
     )
 
 
-def space_from_dict(obj: Mapping[str, Any], seed: int = 0) -> SearchSpace:
+def space_from_dict(obj: Mapping[str, Any]) -> SearchSpace:
     """Build a SearchSpace from the JSON object {"parameters": [...]}."""
     if "parameters" not in obj:
         raise SpaceError("search-space object needs a 'parameters' list")
     params = [parameter_from_dict(p) for p in obj["parameters"]]
-    return SearchSpace(params, seed=seed)
+    return SearchSpace(params)
 
 
 def space_to_dict(space: SearchSpace) -> dict:

@@ -73,7 +73,6 @@ class GPModel:
         if np.any(np.asarray(lengthscales) <= 0) or signal_var <= 0 or noise_var <= 0:
             raise ValueError("GP hyperparameters must be positive")
         self.X = X
-        self.y_raw = y
         self.y_mean = float(y.mean())
         std = float(y.std())
         self.y_std = std if std > 1e-12 else 1.0
@@ -86,14 +85,6 @@ class GPModel:
         K[np.diag_indices_from(K)] += self.noise_var
         self.L, self.jitter = _chol_with_jitter(K)
         self.alpha = cho_solve((self.L, True), self.y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
 
     @property
     def log_hypers(self) -> np.ndarray:
@@ -111,18 +102,6 @@ class GPModel:
         var = self.signal_var - np.einsum("ij,ij->j", v, v)
         var = np.maximum(var, 0.0)
         return mean * self.y_std + self.y_mean, var * self.y_std**2
-
-    def mean_gradient_fd(self, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-        """Central finite-difference gradient of the predictive mean at x."""
-        x = np.asarray(x, dtype=float)
-        grad = np.empty_like(x)
-        for k in range(x.shape[0]):
-            plus = x.copy()
-            minus = x.copy()
-            plus[k] += h
-            minus[k] -= h
-            grad[k] = (self.predict(plus)[0][0] - self.predict(minus)[0][0]) / (2 * h)
-        return grad
 
 
 def gp_log_marginal_likelihood(
@@ -244,12 +223,6 @@ def fit_gp(
     return GPModel(X, y, ell, sf2, sn2)
 
 
-def gp_predict(model: GPModel, x_encoded: np.ndarray) -> tuple[float, float]:
-    """Posterior (mean, variance) at one encoded point."""
-    mean, var = model.predict(np.atleast_2d(x_encoded))
-    return float(mean[0]), float(var[0])
-
-
 # --- probabilistic random forest ---
 
 
@@ -280,16 +253,10 @@ class PRFModel:
     """Probabilistic random forest: bagged variance-split regression trees
     whose leaves store the mean and variance of their training targets."""
 
-    def __init__(self, trees: list[_Tree], y_min: float, y_max: float):
+    def __init__(self, trees: list[_Tree]):
         if not trees:
             raise ValueError("forest needs at least one tree")
         self.trees = trees
-        self.y_min = y_min
-        self.y_max = y_max
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
 
     def predict(self, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ensemble mean and law-of-total-variance variance per query row."""
@@ -407,10 +374,4 @@ def fit_prf(
     for _ in range(n_trees):
         idx = rng.integers(n, size=n) if bootstrap else np.arange(n)
         trees.append(_grow_tree(X[idx], y[idx], rng, min_samples_leaf, max_features))
-    return PRFModel(trees, float(y.min()), float(y.max()))
-
-
-def prf_predict(model: PRFModel, x_encoded: np.ndarray) -> tuple[float, float]:
-    """Forest (mean, variance) at one encoded point."""
-    mean, var = model.predict(np.atleast_2d(x_encoded))
-    return float(mean[0]), float(var[0])
+    return PRFModel(trees)

@@ -9,9 +9,9 @@ from bbo.history import Observation, TrialState
 from bbo.space import Configuration, ParameterSpec, SearchSpace
 
 
-def float_space(d, seed=0):
+def float_space(d):
     return SearchSpace(
-        [ParameterSpec(f"x{i}", "float", low=0.0, high=1.0) for i in range(d)], seed=seed
+        [ParameterSpec(f"x{i}", "float", low=0.0, high=1.0) for i in range(d)]
     )
 
 
@@ -239,6 +239,29 @@ class TestAskBatch:
             advisor.tell(success(config, [x, 1.0 - x]))
         batch = advisor.ask_batch(2)
         assert len(set(batch)) == 2
+
+
+    def test_local_penalization_follower_describes_itself(self):
+        task = TaskSpec(space=float_space(2), init_count=4, max_runs=40, algorithm="gp", seed=2)
+        advisor = Advisor(task)
+        for _ in range(4):
+            config = advisor.ask()
+            advisor.tell(success(config, *quadratic(config)))
+        batch = advisor.ask_batch(3)
+        assert advisor.plan.batch_strategy == "local_penalization"
+        assert advisor.last_ask_info["phase"] == "model"
+        assert advisor.last_ask_info["config"] == batch[-1]
+
+    def test_constant_liar_follower_describes_itself(self):
+        task = TaskSpec(space=float_space(2), init_count=4, max_runs=40, algorithm="prf", seed=3)
+        advisor = Advisor(task)
+        for _ in range(4):
+            config = advisor.ask()
+            advisor.tell(success(config, *quadratic(config)))
+        batch = advisor.ask_batch(3)
+        assert advisor.plan.batch_strategy == "constant_liar_median"
+        assert advisor.last_ask_info["phase"] == "model"
+        assert advisor.last_ask_info["config"] == batch[-1]
 
 
 class TestEvolutionaryMode:

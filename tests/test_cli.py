@@ -118,6 +118,7 @@ class TestRunCommand:
         assert code == 0
         history = import_json((out / "history.json").read_text())
         assert all(o.trial_state == TrialState.TIMEOUT for o in history.observations)
+        assert all("exceeded 0.3 s" in o.extra["error"] for o in history.observations)
 
     def test_unknown_task_field_rejected(self, tmp_path):
         task = write_task(tmp_path, warm_start=True)

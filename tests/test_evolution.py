@@ -7,10 +7,12 @@ from bbo.errors import PopulationSizeError
 from bbo.evolution import (
     Individual,
     Population,
+    _constrained_fronts,
+    constrained_dominates,
     de_propose,
-    de_step,
+    de_select,
+    nsga2_propose,
     nsga2_select,
-    nsga2_step,
     total_violation,
 )
 from bbo.moo import dominates, hypervolume
@@ -20,14 +22,31 @@ def sphere(genome):
     return [float(np.sum((genome - 0.3) ** 2))], []
 
 
-def make_population(genomes, evaluate):
+def evaluate_all(genomes, evaluate):
     individuals = []
     for g in genomes:
         objectives, constraints = evaluate(np.asarray(g))
         individuals.append(
             Individual(genome=g, objectives=objectives, constraint_violation=total_violation(constraints))
         )
-    return Population(individuals)
+    return individuals
+
+
+def make_population(genomes, evaluate):
+    return Population(evaluate_all(genomes, evaluate))
+
+
+def de_generation(pop, F, CR, evaluate, rng):
+    return de_select(pop, evaluate_all(de_propose(pop, F, CR, rng), evaluate))
+
+
+def nsga2_generation(pop, evaluate, rng):
+    offspring = evaluate_all(nsga2_propose(pop, rng), evaluate)
+    return nsga2_select(pop.individuals, offspring, len(pop), pop.generation + 1)
+
+
+def best_objective(pop):
+    return min(ind.objectives[0] for ind in pop.individuals)
 
 
 class TestDE:
@@ -54,10 +73,10 @@ class TestDE:
     def test_best_never_worsens(self):
         rng = np.random.default_rng(3)
         pop = make_population(rng.uniform(size=(10, 4)), sphere)
-        best = pop.best().objectives[0]
+        best = best_objective(pop)
         for _ in range(20):
-            pop = de_step(pop, 0.5, 0.9, sphere, rng)
-            cur = pop.best().objectives[0]
+            pop = de_generation(pop, 0.5, 0.9, sphere, rng)
+            cur = best_objective(pop)
             assert cur <= best + 1e-15
             best = cur
 
@@ -65,7 +84,7 @@ class TestDE:
         rng = np.random.default_rng(4)
         pop = make_population(rng.uniform(size=(8, 3)), sphere)
         for _ in range(30):
-            pop = de_step(pop, 1.9, 1.0, sphere, rng)
+            pop = de_generation(pop, 1.9, 1.0, sphere, rng)
             g = pop.genomes()
             assert np.all(g >= 0.0) and np.all(g <= 1.0)
 
@@ -86,8 +105,8 @@ class TestDE:
             rng = np.random.default_rng(seed)
             pop = make_population(rng.uniform(size=(20, 2)), sphere)
             for _ in range(100):
-                pop = de_step(pop, 0.5, 0.9, sphere, rng)
-            finals.append(pop.best().objectives[0])
+                pop = de_generation(pop, 0.5, 0.9, sphere, rng)
+            finals.append(best_objective(pop))
         assert np.median(finals) <= 1e-3
 
     def test_feasibility_first_selection(self):
@@ -98,9 +117,10 @@ class TestDE:
         rng = np.random.default_rng(5)
         pop = make_population(rng.uniform(size=(12, 1)), constrained)
         for _ in range(40):
-            pop = de_step(pop, 0.5, 0.9, constrained, rng)
-        best = pop.best()
-        assert best.feasible
+            pop = de_generation(pop, 0.5, 0.9, constrained, rng)
+        feasible = [ind for ind in pop.individuals if ind.feasible]
+        assert feasible
+        best = min(feasible, key=lambda ind: ind.objectives[0])
         assert best.genome[0] <= 0.5 + 1e-12
 
     def test_determinism(self):
@@ -110,7 +130,7 @@ class TestDE:
             rng = np.random.default_rng(42)
             pop = make_population(genomes.copy(), sphere)
             for _ in range(5):
-                pop = de_step(pop, 0.5, 0.9, sphere, rng)
+                pop = de_generation(pop, 0.5, 0.9, sphere, rng)
             runs.append(pop.genomes())
         assert np.array_equal(runs[0], runs[1])
 
@@ -122,11 +142,42 @@ def biobjective(genome):
     return [float(x), float(g * (1.0 - np.sqrt(x / g)))], []
 
 
+def pairwise_fronts(individuals):
+    """Oracle: peel the constrained non-dominated set with pairwise comparisons."""
+    remaining = list(range(len(individuals)))
+    fronts = []
+    while remaining:
+        front = [
+            i
+            for i in remaining
+            if not any(constrained_dominates(individuals[j], individuals[i]) for j in remaining)
+        ]
+        fronts.append(front)
+        remaining = [i for i in remaining if i not in front]
+    return fronts
+
+
 class TestNSGA2:
+    def test_constrained_fronts_match_pairwise_oracle(self):
+        # coarse grids give duplicate objectives and tied violations
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(1, 4))
+            objectives = rng.integers(0, 4, size=(n, m)).astype(float)
+            violations = np.where(
+                rng.uniform(size=n) < 0.5, 0.0, rng.choice([0.5, 1.0, 2.0], size=n)
+            )
+            individuals = [
+                Individual(genome=np.zeros(1), objectives=o, constraint_violation=float(v))
+                for o, v in zip(objectives, violations)
+            ]
+            assert _constrained_fronts(individuals) == pairwise_fronts(individuals)
+
     def test_even_population_required(self):
         pop = make_population(np.random.default_rng(0).uniform(size=(5, 2)), biobjective)
         with pytest.raises(PopulationSizeError):
-            nsga2_step(pop, biobjective, np.random.default_rng(0))
+            nsga2_propose(pop, np.random.default_rng(0))
 
     def test_elitism_parents_survive_dominated_offspring(self):
         parents = [
@@ -170,9 +221,9 @@ class TestNSGA2:
         pop = make_population(rng.uniform(size=(20, 3)), biobjective)
         for _ in range(15):
             prev_front = [
-                ind.objectives for ind in pop.individuals if ind.rank == 0 and ind.evaluated
+                ind.objectives for ind in pop.individuals if ind.rank == 0 and ind.objectives is not None
             ]
-            pop = nsga2_step(pop, biobjective, rng)
+            pop = nsga2_generation(pop, biobjective, rng)
             new_front = [ind.objectives for ind in pop.individuals if ind.rank == 0]
             for new in new_front:
                 assert not any(dominates(p, new) for p in prev_front if prev_front)
@@ -185,7 +236,7 @@ class TestNSGA2:
             rng = np.random.default_rng(seed)
             pop = make_population(rng.uniform(size=(n, 3)), biobjective)
             for _ in range(gens):
-                pop = nsga2_step(pop, biobjective, rng)
+                pop = nsga2_generation(pop, biobjective, rng)
             hv_nsga = hypervolume([ind.objectives for ind in pop.individuals], ref)
 
             rng = np.random.default_rng(seed)
@@ -201,13 +252,11 @@ class TestNSGA2:
         rng = np.random.default_rng(8)
         pop = make_population(rng.uniform(size=(10, 4)), biobjective)
         for _ in range(20):
-            pop = nsga2_step(pop, biobjective, rng)
+            pop = nsga2_generation(pop, biobjective, rng)
             g = pop.genomes()
             assert np.all(g >= 0.0) and np.all(g <= 1.0)
 
     def test_operator_clamp_100k_gene_applications(self):
-        from bbo.evolution import nsga2_propose
-
         rng = np.random.default_rng(9)
         pop = make_population(rng.uniform(size=(50, 10)), biobjective)
         genes = 0
@@ -223,6 +272,6 @@ class TestNSGA2:
             rng = np.random.default_rng(9)
             pop = make_population(genomes.copy(), biobjective)
             for _ in range(5):
-                pop = nsga2_step(pop, biobjective, rng)
+                pop = nsga2_generation(pop, biobjective, rng)
             runs.append(pop.genomes())
         assert np.array_equal(runs[0], runs[1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bbo.moo import (
+    _pareto_filter,
     crowding_distance,
     dominates,
     hypervolume,
@@ -26,6 +27,16 @@ def peel_fronts(points):
         fronts.append(sorted(front))
         remaining = [i for i in remaining if i not in front]
     return fronts
+
+
+def pareto_filter_oracle(pts):
+    """Rows no other row dominates and no earlier row equals, in input order."""
+    keep = [
+        not any(dominates(q, p) for q in pts)
+        and not any(np.array_equal(pts[j], p) for j in range(i))
+        for i, p in enumerate(pts)
+    ]
+    return pts[np.array(keep, dtype=bool)]
 
 
 def mc_hypervolume(points, ref, n_samples, seed=0):
@@ -81,6 +92,26 @@ class TestNonDominatedSort:
             for i in front:
                 for j in front:
                     assert not dominates(pts[i], pts[j])
+
+
+class TestParetoFilter:
+    def test_two_objectives_match_oracle(self):
+        # a coarse integer grid gives duplicates and ties in either coordinate
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            n = int(rng.integers(0, 40))
+            if trial % 2:
+                pts = rng.integers(0, 5, size=(n, 2)).astype(float)
+            else:
+                pts = rng.uniform(size=(n, 2))
+            got = _pareto_filter(pts)
+            assert np.array_equal(got, pareto_filter_oracle(pts))
+
+    def test_three_objectives_match_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            pts = rng.integers(0, 4, size=(int(rng.integers(2, 30)), 3)).astype(float)
+            assert np.array_equal(_pareto_filter(pts), pareto_filter_oracle(pts))
 
 
 class TestCrowdingDistance:

@@ -61,7 +61,16 @@ class TestEvaluateSafe:
         start = time.perf_counter()
         obs = evaluate_safe(slow, Configuration({}), timeout=0.1)
         assert obs.trial_state == TrialState.TIMEOUT
+        assert obs.extra["error"] == "timed out after 0.1 s"
         assert time.perf_counter() - start < 1.5  # did not wait for the sleep
+
+    def test_objective_timeout_keeps_its_message(self):
+        def upstream(config):
+            raise TimeoutError("upstream")
+
+        obs = evaluate_safe(upstream, Configuration({}))
+        assert obs.trial_state == TrialState.TIMEOUT
+        assert obs.extra["error"] == "upstream"
 
     def test_unusable_return_value(self):
         obs = evaluate_safe(lambda c: "not a number", Configuration({}))

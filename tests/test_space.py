@@ -20,8 +20,8 @@ from bbo.space import (
 )
 
 
-def make_space(*specs, seed=0):
-    return SearchSpace(list(specs), seed=seed)
+def make_space(*specs):
+    return SearchSpace(list(specs))
 
 
 class TestParameterSpec:

@@ -9,8 +9,6 @@ from bbo.surrogate import (
     fit_gp,
     fit_prf,
     gp_log_marginal_likelihood,
-    gp_predict,
-    prf_predict,
 )
 
 
@@ -110,8 +108,8 @@ class TestGP:
         rng = np.random.default_rng(6)
         X = rng.uniform(size=(5, 2))
         model = GPModel(X, np.arange(5.0), np.array([0.5, 0.5]), 1.0, 1e-4)
-        mean, var = gp_predict(model, X[0])
-        assert isinstance(mean, float) and var >= 0
+        mean, var = model.predict(X[0])
+        assert mean.shape == var.shape == (1,) and var[0] >= 0
 
 
 class TestPRF:
@@ -173,8 +171,8 @@ class TestPRF:
         rng = np.random.default_rng(5)
         X = rng.uniform(size=(10, 2))
         model = fit_prf(X, X[:, 0], rng=rng)
-        mean, var = prf_predict(model, X[0])
-        assert isinstance(mean, float) and var >= 0
+        mean, var = model.predict(X[0])
+        assert mean.shape == var.shape == (1,) and var[0] >= 0
 
 
 class TestFitSpeed:
