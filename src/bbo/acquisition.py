@@ -2,8 +2,11 @@
 
 Score functions are vectorized: they take one encoded row or an (n, d) batch
 and return a float or an (n,) array. The inner optimizer
-(:func:`maximize_acquisition`) interleaves random candidates, neighborhoods
-of known configurations, and coordinate-wise local search.
+(:func:`maximize_acquisition`) scores random candidates and random
+neighbours of known configurations, then runs coordinate-wise local search.
+It works on code matrices (see :mod:`bbo.space`): candidates are sampled,
+perturbed, snapped, deduplicated and excluded by the bytes of their snapped
+rows, and only the rows it returns are decoded into configurations.
 """
 
 from __future__ import annotations
@@ -22,8 +25,12 @@ from .space import (
     FLOAT,
     Configuration,
     SearchSpace,
-    encode_matrix,
-    sample_random,
+    all_codes,
+    encode_codes,
+    from_codes,
+    sample_codes,
+    snap_codes,
+    to_codes,
 )
 
 
@@ -127,20 +134,9 @@ def _staircase(front: np.ndarray, ref: np.ndarray):
     Returns (x_lo, x_hi, height) arrays of k+1 strips: within strip i a new
     point adds area (x_hi - max(x_lo, y1))+ * (height - y2)+.
     """
-    if front is None or front.shape[0] == 0:
-        return (
-            np.array([-np.inf]),
-            np.array([ref[0]]),
-            np.array([ref[1]]),
-        )
-    pts = front[np.all(front <= ref, axis=1)]
+    # with no point inside the reference box this is the one strip below ref
+    pts = np.empty((0, 2)) if front is None else front[np.all(front <= ref, axis=1)]
     pts = moo._pareto_filter(pts)
-    if pts.shape[0] == 0:
-        return (
-            np.array([-np.inf]),
-            np.array([ref[0]]),
-            np.array([ref[1]]),
-        )
     order = np.argsort(pts[:, 0], kind="stable")
     a = pts[order, 0]
     b = pts[order, 1]
@@ -270,59 +266,55 @@ _ENUMERATION_CAP = 100_000
 _LOCAL_STEPS = 50
 _STEP_INIT = 0.05
 _STEP_MIN = 1e-3
+_N_RETURN = 10
 
 
-def _neighbor_configs(
-    space: SearchSpace, config: Configuration, deltas: dict[str, float]
-) -> list[Configuration]:
-    """Coordinate-wise neighborhood: +-delta on continuous dims, one-exchange
-    (adjacent rank / other choice) on discrete dims."""
-    out = []
-    for spec in space.parameters:
-        value = config.values[spec.name]
+def _unseen(codes: np.ndarray, excluded: set) -> np.ndarray:
+    """First occurrence of each row whose byte key is not in ``excluded``."""
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(codes):
+        first.setdefault(row.tobytes(), i)
+    return codes[[i for key, i in first.items() if key not in excluded]]
+
+
+def _jittered(space: SearchSpace, codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One random neighbour of each row: a Gaussian step on every float, and
+    a move to another value of each discrete parameter with probability
+    1 / #parameters (an adjacent int or ordinal rank, any other choice)."""
+    out = codes.copy()
+    n, p = codes.shape
+    for j, spec in enumerate(space.parameters):
         if spec.kind == FLOAT:
-            u = spec.to_unit(value)
-            for sign in (1.0, -1.0):
-                u2 = min(1.0, max(0.0, u + sign * deltas[spec.name]))
-                if u2 != u:
-                    out.append(Configuration({**config.values, spec.name: spec.from_unit(u2)}))
-        elif spec.kind == CATEGORICAL:
-            for choice in spec.choices:
-                if choice != value:
-                    out.append(Configuration({**config.values, spec.name: choice}))
-        elif spec.kind == "int":
-            for nxt in (int(value) - 1, int(value) + 1):
-                if spec.low <= nxt <= spec.high:
-                    out.append(Configuration({**config.values, spec.name: nxt}))
+            out[:, j] += rng.normal(0.0, _STEP_INIT, size=n)
+            continue
+        move = rng.uniform(size=n) < 1.0 / p
+        if spec.kind == CATEGORICAL:
+            k = spec.n_values()
+            out[:, j] = np.where(move, (out[:, j] + rng.integers(1, k, size=n)) % k, out[:, j])
         else:
-            rank = spec.levels.index(value)
-            for nxt in (rank - 1, rank + 1):
-                if 0 <= nxt < len(spec.levels):
-                    out.append(Configuration({**config.values, spec.name: spec.levels[nxt]}))
-    return out
+            out[:, j] += move * np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+    return snap_codes(space, out)
 
 
-def _perturbed(space: SearchSpace, config: Configuration, rng: np.random.Generator) -> Configuration:
-    """One random neighbor of a configuration (used to seed candidate pools)."""
-    values = dict(config.values)
-    for spec in space.parameters:
+def _neighbours(space: SearchSpace, codes: np.ndarray, deltas: np.ndarray):
+    """Coordinate-wise neighbourhood of each row, snapped, with the index of
+    the row each neighbour came from: +-delta on floats, +-1 on int values
+    and ordinal ranks, every other choice on categoricals."""
+    moved = []
+    for j, spec in enumerate(space.parameters):
         if spec.kind == FLOAT:
-            u = spec.to_unit(values[spec.name])
-            u = min(1.0, max(0.0, u + rng.normal(0.0, _STEP_INIT)))
-            values[spec.name] = spec.from_unit(u)
-        elif rng.uniform() < 1.0 / len(space.parameters):
-            if spec.kind == CATEGORICAL:
-                others = [c for c in spec.choices if c != values[spec.name]]
-                values[spec.name] = others[rng.integers(len(others))]
-            elif spec.kind == "int":
-                step = 1 if rng.uniform() < 0.5 else -1
-                values[spec.name] = int(min(spec.high, max(spec.low, values[spec.name] + step)))
-            else:
-                rank = spec.levels.index(values[spec.name])
-                step = 1 if rng.uniform() < 0.5 else -1
-                rank = min(len(spec.levels) - 1, max(0, rank + step))
-                values[spec.name] = spec.levels[rank]
-    return Configuration(values)
+            columns = [codes[:, j] + deltas, codes[:, j] - deltas]
+        elif spec.kind == CATEGORICAL:
+            columns = [np.full(len(codes), c, dtype=float) for c in range(spec.n_values())]
+        else:
+            columns = [codes[:, j] - 1.0, codes[:, j] + 1.0]
+        for column in columns:
+            moved.append(codes.copy())
+            moved[-1][:, j] = column
+    origin = np.tile(np.arange(len(codes)), len(moved))
+    moved = snap_codes(space, np.vstack(moved))
+    changed = np.any(moved != codes[origin], axis=1)
+    return moved[changed], origin[changed]
 
 
 def maximize_acquisition(
@@ -337,78 +329,72 @@ def maximize_acquisition(
 ) -> list[Configuration]:
     """Maximize a batched score function over the space.
 
-    Scores ``n_candidates`` random samples plus neighborhoods of told and
-    pending configurations, runs coordinate-wise local search from the best
-    ``n_local_starts``, and returns a deduplicated, descending-score list
-    that excludes told and pending configurations.
+    Scores ``n_candidates`` random samples plus two random neighbours of
+    each told and pending configuration (or, when the space has at most
+    ``max(n_candidates, 100000)`` configurations, all of them), runs
+    coordinate-wise local search from the best ``n_local_starts``, and
+    returns up to ten distinct configurations, best first, that are neither
+    told nor pending.
     """
     if n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
-    excluded = set(told) | set(pending)
+    known = list(told) + list(pending)
+    known_codes = to_codes(space, known)
+    excluded = {row.tobytes() for row in known_codes}
+
+    def score(codes: np.ndarray) -> np.ndarray:
+        return np.asarray(score_fn(encode_codes(space, codes, encoding)), dtype=float).ravel()
 
     total = space.n_configurations()
     exhaustive = total is not None and total <= max(n_candidates, _ENUMERATION_CAP)
     if exhaustive:
-        pool = [c for c in space.all_configurations() if c not in excluded]
-        if not pool:
+        pool = _unseen(all_codes(space), excluded)
+        if not len(pool):
             raise ExhaustedSpaceError("all configurations have been suggested")
     else:
-        pool = sample_random(space, n_candidates, rng)
-        for known in list(told) + list(pending):
-            pool.append(_perturbed(space, known, rng))
-            pool.append(_perturbed(space, known, rng))
-        pool = [c for c in pool if c not in excluded]
-        while not pool:  # pathological: resample until an unseen config appears
-            pool = [c for c in sample_random(space, n_candidates, rng) if c not in excluded]
-
-    seen: dict[Configuration, float] = {}
-
-    def score_batch(configs: list[Configuration]) -> np.ndarray:
-        X = encode_matrix(space, configs, encoding)
-        scores = np.asarray(score_fn(X), dtype=float).ravel()
-        for c, s in zip(configs, scores):
-            if c not in seen or s > seen[c]:
-                seen[c] = float(s)
-        return scores
-
-    pool_scores = score_batch(pool)
+        seeds = _jittered(space, np.vstack([known_codes, known_codes]), rng)
+        pool = _unseen(np.vstack([sample_codes(space, n_candidates, rng), seeds]), excluded)
+        while not len(pool):  # pathological: resample until an unseen row appears
+            pool = _unseen(sample_codes(space, n_candidates, rng), excluded)
+    pool_scores = score(pool)
+    found, found_scores = [pool], [pool_scores]
 
     if not exhaustive and n_local_starts > 0:
-        order = np.argsort(-pool_scores, kind="stable")[:n_local_starts]
-        current = [pool[i] for i in order]
-        current_score = [pool_scores[i] for i in order]
-        deltas = [
-            {p.name: _STEP_INIT for p in space.parameters} for _ in current
-        ]
-        active = list(range(len(current)))
+        starts = np.argsort(-pool_scores, kind="stable")[:n_local_starts]
+        current, current_score = pool[starts], pool_scores[starts]
+        # every parameter's step starts at _STEP_INIT and halves together
+        deltas = np.full(len(starts), _STEP_INIT)
+        active = np.arange(len(starts))
         for _ in range(_LOCAL_STEPS):
-            if not active:
+            if not len(active):
                 break
-            batches: list[tuple[int, list[Configuration]]] = []
-            for i in active:
-                neighbors = [
-                    c for c in _neighbor_configs(space, current[i], deltas[i]) if c not in excluded
-                ]
-                batches.append((i, neighbors))
-            flat = [c for _, neighbors in batches for c in neighbors]
-            if flat:
-                flat_scores = score_batch(flat)
-            pos = 0
-            next_active = []
-            for i, neighbors in batches:
-                scores_i = flat_scores[pos : pos + len(neighbors)] if neighbors else []
-                pos += len(neighbors)
-                if len(neighbors) and np.max(scores_i) > current_score[i]:
-                    j = int(np.argmax(scores_i))
-                    current[i] = neighbors[j]
-                    current_score[i] = float(scores_i[j])
-                    next_active.append(i)
-                else:
-                    for name in deltas[i]:
-                        deltas[i][name] *= 0.5
-                    if max(deltas[i].values()) >= _STEP_MIN:
-                        next_active.append(i)
-            active = next_active
+            moved, origin = _neighbours(space, current[active], deltas[active])
+            keep = [row.tobytes() not in excluded for row in moved]
+            moved, origin = moved[keep], origin[keep]
+            scores = score(moved) if len(moved) else np.empty(0)
+            found.append(moved)
+            found_scores.append(scores)
+            # best neighbour of each start, the first generated on ties
+            order = np.lexsort((np.arange(len(scores)), -scores, origin))
+            first = order[np.diff(origin[order], prepend=-1) != 0]
+            best = np.full(len(active), -np.inf)
+            best[origin[first]] = scores[first]
+            improved = best > current_score[active]
+            winners = first[improved[origin[first]]]
+            current[active[origin[winners]]] = moved[winners]
+            current_score[active[improved]] = best[improved]
+            deltas[active[~improved]] *= 0.5
+            active = active[improved | (deltas[active] >= _STEP_MIN)]
 
-    ranked = sorted(seen.items(), key=lambda item: -item[1])
-    return [c for c, _ in ranked if c not in excluded]
+    codes = np.vstack(found)
+    scores = np.concatenate(found_scores)
+    known_set = set(known)
+    ranked: list[Configuration] = []
+    for i in np.argsort(-scores, kind="stable"):
+        if len(ranked) == _N_RETURN:
+            break
+        (config,) = from_codes(space, codes[i : i + 1])
+        space.validate(config)
+        if config not in known_set and config not in ranked:
+            ranked.append(config)
+    return ranked

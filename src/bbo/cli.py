@@ -40,21 +40,25 @@ EXIT_OK = 0
 EXIT_SETUP = 2
 EXIT_IO = 3
 
-_TASK_FIELDS = {
-    "parameters",
-    "task_id",
-    "num_objectives",
-    "num_constraints",
-    "max_runs",
-    "algorithm",
-    "init_design",
-    "init_count",
-    "ref_point",
-    "seed",
-    "batch_size",
-    "parallelism",
-    "timeout",
+
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# task fields with a JSON type: (accepts the value, what it must be)
+_TYPED_FIELDS = {
+    **dict.fromkeys(
+        ("num_objectives", "num_constraints", "max_runs", "batch_size", "seed", "parallelism"),
+        (lambda v: _is_number(v, int), "an integer"),
+    ),
+    "init_count": (lambda v: v is None or _is_number(v, int), "an integer or null"),
+    "timeout": (lambda v: v is None or _is_number(v), "a number or null"),
+    "ref_point": (
+        lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
+        "a list of numbers or null",
+    ),
 }
+_TASK_FIELDS = {"parameters", "task_id", "algorithm", "init_design", *_TYPED_FIELDS}
 
 
 class ProtocolError(RuntimeError):
@@ -92,21 +96,24 @@ def load_task_file(path: str) -> tuple[TaskSpec, dict]:
     unknown = set(doc) - _TASK_FIELDS
     if unknown:
         raise SetupError(f"task file {path}: unknown fields {sorted(unknown)}")
+    for name, (accepts, kind) in _TYPED_FIELDS.items():
+        if name in doc and not accepts(doc[name]):
+            raise SetupError(f"task file {path}: {name} must be {kind}, got {doc[name]!r}")
     task = TaskSpec(
         space=space_from_dict(doc),
-        num_objectives=int(doc.get("num_objectives", 1)),
-        num_constraints=int(doc.get("num_constraints", 0)),
-        max_runs=int(doc.get("max_runs", 100)),
-        batch_size=int(doc.get("batch_size", 1)),
+        num_objectives=doc.get("num_objectives", 1),
+        num_constraints=doc.get("num_constraints", 0),
+        max_runs=doc.get("max_runs", 100),
+        batch_size=doc.get("batch_size", 1),
         algorithm=doc.get("algorithm", "auto"),
         init_design=doc.get("init_design", "latin_hypercube"),
         init_count=doc.get("init_count"),
         ref_point=tuple(doc["ref_point"]) if doc.get("ref_point") is not None else None,
-        seed=int(doc.get("seed", 0)),
+        seed=doc.get("seed", 0),
         task_id=doc.get("task_id", Path(path).stem),
     )
     runtime = {
-        "parallelism": int(doc.get("parallelism", 1)),
+        "parallelism": doc.get("parallelism", 1),
         "timeout": float(doc["timeout"]) if doc.get("timeout") is not None else None,
     }
     return task, runtime

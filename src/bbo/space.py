@@ -5,6 +5,11 @@ Configurations map parameter names to values and can be encoded into the unit
 cube in two ways: ``one_hot`` (categoricals expand to 0/1 blocks, the encoding
 used for GP inputs) and ``index`` (categoricals map to a rank scalar, used for
 forest inputs).
+
+One column-wise codec, with one rule per parameter kind, serves every
+encode, decode and sample through the code matrix: one row per
+configuration, one column per parameter holding a float's unit coordinate,
+an int's value, or an ordinal's or categorical's rank.
 """
 
 from __future__ import annotations
@@ -28,11 +33,6 @@ ONE_HOT = "one_hot"
 INDEX = "index"
 
 _ENCODINGS = (ONE_HOT, INDEX)
-
-
-def _round_half_up(x: float) -> int:
-    # round-half-up on the real line (ties toward +inf), unlike banker's round()
-    return int(math.floor(x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -105,38 +105,6 @@ class ParameterSpec:
             return len(self.choices)
         return None
 
-    # --- unit-interval transforms (scalar parameter <-> [0, 1]) ---
-
-    def to_unit(self, value) -> float:
-        if self.kind in (FLOAT, INT):
-            if self.log_scale:
-                lo, hi = math.log10(self.low), math.log10(self.high)
-                return (math.log10(value) - lo) / (hi - lo)
-            return (float(value) - self.low) / (self.high - self.low)
-        if self.kind == ORDINAL:
-            return self.levels.index(value) / (len(self.levels) - 1)
-        return self.choices.index(value) / (len(self.choices) - 1)
-
-    def from_unit(self, u: float):
-        u = min(1.0, max(0.0, float(u)))
-        if self.kind == FLOAT:
-            if self.log_scale:
-                lo, hi = math.log10(self.low), math.log10(self.high)
-                return min(float(self.high), max(float(self.low), 10.0 ** (lo + u * (hi - lo))))
-            return self.low + u * (self.high - self.low)
-        if self.kind == INT:
-            if self.log_scale:
-                lo, hi = math.log10(self.low), math.log10(self.high)
-                real = 10.0 ** (lo + u * (hi - lo))
-            else:
-                real = self.low + u * (self.high - self.low)
-            return int(min(self.high, max(self.low, _round_half_up(real))))
-        if self.kind == ORDINAL:
-            rank = _round_half_up(u * (len(self.levels) - 1))
-            return self.levels[min(len(self.levels) - 1, max(0, rank))]
-        rank = _round_half_up(u * (len(self.choices) - 1))
-        return self.choices[min(len(self.choices) - 1, max(0, rank))]
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -149,11 +117,6 @@ class Configuration:
 
     def __getitem__(self, name):
         return self.values[name]
-
-    def __eq__(self, other):
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self.values == other.values
 
     def __hash__(self):
         return hash(tuple(sorted((k, v) for k, v in self.values.items())))
@@ -210,160 +173,199 @@ class SearchSpace:
 
     def n_configurations(self) -> int | None:
         """Total number of distinct configurations, or None if any float dim."""
-        total = 1
-        for spec in self.parameters:
-            n = spec.n_values()
-            if n is None:
-                return None
-            total *= n
-        return total
+        sizes = [spec.n_values() for spec in self.parameters]
+        return None if None in sizes else math.prod(sizes)
 
-    def all_configurations(self) -> Iterator[Configuration]:
-        """Enumerate every configuration of an all-discrete space."""
-        if self.n_configurations() is None:
-            raise SpaceError("cannot enumerate a space with float parameters")
-
-        def values_of(spec: ParameterSpec):
-            if spec.kind == INT:
-                return range(int(spec.low), int(spec.high) + 1)
-            if spec.kind == ORDINAL:
-                return spec.levels
-            return spec.choices
-
-        import itertools
-
-        names = [p.name for p in self.parameters]
-        for combo in itertools.product(*(values_of(p) for p in self.parameters)):
-            yield Configuration(dict(zip(names, combo)))
+    def all_configurations(self) -> list[Configuration]:
+        """Every configuration of an all-discrete space, last parameter fastest."""
+        return from_codes(self, all_codes(self))
 
     def encoded_width(self, encoding: str) -> int:
-        _check_encoding(encoding)
-        width = 0
-        for spec in self.parameters:
-            if spec.kind == CATEGORICAL and encoding == ONE_HOT:
-                width += len(spec.choices)
-            else:
-                width += 1
-        return width
+        return sum(width for _, _, width in _layout(self, encoding))
 
 
-def _check_encoding(encoding: str) -> None:
+# Float unit coordinates live on a grid of 2**-40, which a decode to a value
+# and an encode back return exactly wherever a double resolves the range to
+# about 1e-12, so a snapped row is bit-identical to the encoding of the
+# configuration it decodes to.
+_GRID = 2.0**40
+
+
+def _layout(space: SearchSpace, encoding: str) -> list[tuple[ParameterSpec, int, int]]:
+    """(parameter, first column, width) of each block of an encoded row."""
     if encoding not in _ENCODINGS:
         raise EncodingError(f"unknown encoding {encoding!r}; expected one of {_ENCODINGS}")
+    out, start = [], 0
+    for spec in space.parameters:
+        width = len(spec.choices) if spec.kind == CATEGORICAL and encoding == ONE_HOT else 1
+        out.append((spec, start, width))
+        start += width
+    return out
+
+
+def _unit_to_real(spec: ParameterSpec, u: np.ndarray) -> np.ndarray:
+    if spec.log_scale:
+        lo, hi = math.log10(spec.low), math.log10(spec.high)
+        return 10.0 ** (lo + u * (hi - lo))
+    return spec.low + u * (spec.high - spec.low)
+
+
+def _real_to_unit(spec: ParameterSpec, v: np.ndarray) -> np.ndarray:
+    if spec.log_scale:
+        lo, hi = math.log10(spec.low), math.log10(spec.high)
+        return (np.log10(v) - lo) / (hi - lo)
+    return (v - spec.low) / (spec.high - spec.low)
+
+
+def _values(spec: ParameterSpec) -> tuple:
+    return spec.levels if spec.kind == ORDINAL else spec.choices
+
+
+def _code_bounds(spec: ParameterSpec) -> tuple:
+    return (spec.low, spec.high) if spec.kind == INT else (0, spec.n_values() - 1)
+
+
+def snap_codes(space: SearchSpace, codes: np.ndarray) -> np.ndarray:
+    """Clamp each column of a code matrix to its parameter and round it onto
+    the parameter's values: floats to the grid, the rest half-up."""
+    out = np.empty(codes.shape)
+    for j, spec in enumerate(space.parameters):
+        if spec.kind == FLOAT:
+            # + 0.0 turns -0.0 into 0.0, so equal codes have equal bytes
+            out[:, j] = np.rint(np.clip(codes[:, j], 0.0, 1.0) * _GRID) / _GRID + 0.0
+        else:
+            out[:, j] = np.clip(np.floor(codes[:, j] + 0.5), *_code_bounds(spec))
+    return out
+
+
+def encode_codes(space: SearchSpace, codes: np.ndarray, encoding: str = ONE_HOT) -> np.ndarray:
+    """Unit-cube rows of snapped codes: floats as they are, ints linearly or
+    in log10, ranks over (levels - 1) or as one-hot blocks."""
+    X = np.zeros((len(codes), space.encoded_width(encoding)))
+    for j, (spec, start, width) in enumerate(_layout(space, encoding)):
+        col = codes[:, j]
+        if width > 1:
+            X[np.arange(len(codes)), start + col.astype(np.intp)] = 1.0
+        elif spec.kind == FLOAT:
+            X[:, start] = col
+        elif spec.kind == INT:
+            X[:, start] = _real_to_unit(spec, col)
+        else:
+            X[:, start] = col / (spec.n_values() - 1)
+    return X
+
+
+def decode_codes(space: SearchSpace, X: np.ndarray, encoding: str = ONE_HOT) -> np.ndarray:
+    """Snapped codes of unit-cube rows: entries clamp to [0, 1], ints round
+    half-up on their scale, ranks snap to the nearest one, and one-hot
+    blocks take the argmax (lowest index on ties)."""
+    X = np.clip(X, 0.0, 1.0)
+    raw = np.empty((X.shape[0], len(space)))
+    for j, (spec, start, width) in enumerate(_layout(space, encoding)):
+        if width > 1:
+            raw[:, j] = np.argmax(X[:, start : start + width], axis=1)
+        elif spec.kind == FLOAT:
+            raw[:, j] = X[:, start]
+        elif spec.kind == INT:
+            raw[:, j] = _unit_to_real(spec, X[:, start])
+        else:
+            raw[:, j] = X[:, start] * (spec.n_values() - 1)
+    return snap_codes(space, raw)
+
+
+def to_codes(space: SearchSpace, configs: Sequence[Configuration]) -> np.ndarray:
+    """Codes of validated configurations, one row each."""
+    for config in configs:
+        space.validate(config)
+    raw = np.empty((len(configs), len(space)))
+    for j, spec in enumerate(space.parameters):
+        values = [c.values[spec.name] for c in configs]
+        if spec.kind == FLOAT:
+            raw[:, j] = _real_to_unit(spec, np.array(values, dtype=float))
+        elif spec.kind == INT:
+            raw[:, j] = values
+        else:
+            raw[:, j] = [_values(spec).index(v) for v in values]
+    return snap_codes(space, raw)
+
+
+def from_codes(space: SearchSpace, codes: np.ndarray) -> list[Configuration]:
+    """Configurations of snapped codes."""
+    columns = []
+    for j, spec in enumerate(space.parameters):
+        col = codes[:, j]
+        if spec.kind == FLOAT:
+            columns.append(np.clip(_unit_to_real(spec, col), spec.low, spec.high).tolist())
+        elif spec.kind == INT:
+            columns.append(col.astype(np.int64).tolist())
+        else:
+            values = _values(spec)
+            columns.append([values[r] for r in col.astype(np.intp)])
+    names = [p.name for p in space.parameters]
+    return [Configuration(dict(zip(names, row))) for row in zip(*columns)]
+
+
+def sample_codes(space: SearchSpace, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Codes of n draws from the uniform prior: floats uniform on [low, high]
+    (in log10 when log-scaled), ints uniform inclusive (log-scaled ones round
+    a log10-uniform real half-up), ordinals/categoricals uniform."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    U = rng.uniform(size=(n, len(space)))
+    for j, spec in enumerate(space.parameters):
+        if spec.kind == INT and spec.log_scale:
+            U[:, j] = _unit_to_real(spec, U[:, j])
+        elif spec.kind != FLOAT:
+            lo, hi = _code_bounds(spec)
+            U[:, j] = lo + np.floor(U[:, j] * (hi - lo + 1))
+    return snap_codes(space, U)
+
+
+def all_codes(space: SearchSpace) -> np.ndarray:
+    """Codes of every configuration of an all-discrete space, last parameter
+    fastest."""
+    if space.n_configurations() is None:
+        raise SpaceError("cannot enumerate a space with float parameters")
+    ranks = np.indices([spec.n_values() for spec in space.parameters]).reshape(len(space), -1).T
+    return snap_codes(space, ranks + [_code_bounds(spec)[0] for spec in space.parameters])
 
 
 def sample_random(space: SearchSpace, n: int, rng: np.random.Generator) -> list[Configuration]:
-    """Draw n configurations from the uniform prior of the space.
-
-    Floats are uniform on [low, high] (uniform in log10 domain when
-    log-scaled), ints uniform inclusive, ordinals/categoricals uniform over
-    their value sets.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    for _ in range(n):
-        values = {}
-        for spec in space.parameters:
-            if spec.kind == FLOAT:
-                if spec.log_scale:
-                    values[spec.name] = float(
-                        10.0 ** rng.uniform(math.log10(spec.low), math.log10(spec.high))
-                    )
-                else:
-                    values[spec.name] = float(rng.uniform(spec.low, spec.high))
-            elif spec.kind == INT:
-                if spec.log_scale:
-                    real = 10.0 ** rng.uniform(math.log10(spec.low), math.log10(spec.high))
-                    values[spec.name] = int(
-                        min(spec.high, max(spec.low, _round_half_up(real)))
-                    )
-                else:
-                    values[spec.name] = int(rng.integers(int(spec.low), int(spec.high) + 1))
-            elif spec.kind == ORDINAL:
-                values[spec.name] = spec.levels[rng.integers(len(spec.levels))]
-            else:
-                values[spec.name] = spec.choices[rng.integers(len(spec.choices))]
-        out.append(Configuration(values))
-    return out
+    """Draw n configurations from the uniform prior of the space (see
+    :func:`sample_codes`)."""
+    return from_codes(space, sample_codes(space, n, rng))
 
 
 def latin_hypercube(space: SearchSpace, n: int, rng: np.random.Generator) -> list[Configuration]:
     """Latin hypercube design: per float/int dimension the n unit coordinates
     occupy n distinct equal-width strata; ordinals/categoricals are uniform."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    columns: dict[str, list] = {}
-    for spec in space.parameters:
+    codes = sample_codes(space, n, rng)
+    for j, spec in enumerate(space.parameters):
         if spec.kind in (FLOAT, INT):
-            strata = rng.permutation(n)
-            u = (strata + rng.uniform(size=n)) / n
-            columns[spec.name] = [spec.from_unit(v) for v in u]
-        elif spec.kind == ORDINAL:
-            idx = rng.integers(len(spec.levels), size=n)
-            columns[spec.name] = [spec.levels[i] for i in idx]
-        else:
-            idx = rng.integers(len(spec.choices), size=n)
-            columns[spec.name] = [spec.choices[i] for i in idx]
-    return [
-        Configuration({name: columns[name][i] for name in (p.name for p in space.parameters)})
-        for i in range(n)
-    ]
+            u = (rng.permutation(n) + rng.uniform(size=n)) / n
+            codes[:, j] = u if spec.kind == FLOAT else _unit_to_real(spec, u)
+    return from_codes(space, snap_codes(space, codes))
 
 
 def to_unit_vector(space: SearchSpace, config: Configuration, encoding: str = ONE_HOT) -> np.ndarray:
     """Encode a configuration as a vector in the unit cube."""
-    _check_encoding(encoding)
-    space.validate(config)
-    out = np.empty(space.encoded_width(encoding))
-    i = 0
-    for spec in space.parameters:
-        value = config.values[spec.name]
-        if spec.kind == CATEGORICAL and encoding == ONE_HOT:
-            k = len(spec.choices)
-            block = np.zeros(k)
-            block[spec.choices.index(value)] = 1.0
-            out[i : i + k] = block
-            i += k
-        else:
-            out[i] = spec.to_unit(value)
-            i += 1
-    return out
+    return encode_matrix(space, [config], encoding)[0]
 
 
 def from_unit_vector(space: SearchSpace, vector: Sequence[float], encoding: str = ONE_HOT) -> Configuration:
-    """Decode a unit-cube vector back into a configuration.
-
-    Entries are clamped to [0, 1] first; ints round half-up, ordinals snap to
-    the nearest level rank, one-hot blocks decode by argmax (lowest index wins
-    ties).
-    """
-    _check_encoding(encoding)
+    """Decode a unit-cube vector back into a configuration (see :func:`decode_codes`)."""
     vector = np.asarray(vector, dtype=float)
-    expected = space.encoded_width(encoding)
-    if vector.ndim != 1 or vector.shape[0] != expected:
-        raise EncodingError(
-            f"vector length {vector.shape} does not match encoding width {expected}"
-        )
-    values = {}
-    i = 0
-    for spec in space.parameters:
-        if spec.kind == CATEGORICAL and encoding == ONE_HOT:
-            k = len(spec.choices)
-            block = vector[i : i + k]
-            values[spec.name] = spec.choices[int(np.argmax(block))]
-            i += k
-        else:
-            values[spec.name] = spec.from_unit(vector[i])
-            i += 1
-    return Configuration(values)
+    width = space.encoded_width(encoding)
+    if vector.shape != (width,):
+        raise EncodingError(f"vector shape {vector.shape} does not match encoding width {width}")
+    return from_codes(space, decode_codes(space, vector[None, :], encoding))[0]
 
 
 def encode_matrix(
     space: SearchSpace, configs: Sequence[Configuration], encoding: str = ONE_HOT
 ) -> np.ndarray:
     """Stack unit-vector encodings of many configurations into an (n, d) matrix."""
-    return np.array([to_unit_vector(space, c, encoding) for c in configs], dtype=float)
+    return encode_codes(space, to_codes(space, configs), encoding)
 
 
 # --- JSON search-space file format (used by the CLI) ---

@@ -37,9 +37,13 @@ def matern52(
     lengthscales: np.ndarray,
     signal_var: float,
 ) -> np.ndarray:
-    """Matern-5/2 kernel with ARD lengthscales."""
-    d2 = _sq_dists_per_dim(X1, X2) / lengthscales**2
-    r = np.sqrt(np.maximum(d2.sum(axis=2), 0.0))
+    """Matern-5/2 kernel with ARD lengthscales, from ||a||^2 + ||b||^2 - 2 a.b
+    clipped at 0 on inputs scaled and centred on X2's mean (no 3-D tensor)."""
+    centre = X2.mean(axis=0)
+    A = (X1 - centre) / lengthscales
+    B = (X2 - centre) / lengthscales
+    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    r = np.sqrt(np.maximum(d2, 0.0))
     return signal_var * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * np.exp(-SQRT5 * r)
 
 

@@ -14,8 +14,17 @@ from bbo.acquisition import (
     maximize_acquisition,
     probability_of_feasibility,
 )
+from bbo.advisor import Advisor, TaskSpec
 from bbo.errors import ExhaustedSpaceError
-from bbo.space import Configuration, ParameterSpec, SearchSpace
+from bbo.history import Observation, TrialState
+from bbo.space import (
+    Configuration,
+    ParameterSpec,
+    SearchSpace,
+    encode_matrix,
+    from_unit_vector,
+    sample_random,
+)
 
 
 class ConstantModel:
@@ -342,3 +351,69 @@ class TestMaximizeAcquisition:
             pending=pending,
         )
         assert set(result) == {Configuration({"k": i}) for i in range(6, 10)}
+
+    def test_results_unseen_valid_distinct_and_ranked(self):
+        # 400,000 configurations: above the enumeration cap, so candidates are sampled
+        space = SearchSpace(
+            [
+                ParameterSpec("k", "int", low=1, high=1000, log_scale=True),
+                ParameterSpec("c", "categorical", choices=("a", "b", "c", "d")),
+                ParameterSpec("m", "int", low=0, high=99),
+            ]
+        )
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            peak = rng.uniform(size=space.encoded_width("one_hot"))
+
+            def score(X, peak=peak):
+                return -np.sum((np.atleast_2d(X) - peak) ** 2, axis=1)
+
+            # tell or pend the whole neighbourhood of the peak, plus random points
+            top = from_unit_vector(space, peak, "one_hot")
+            near = [
+                Configuration({"k": k, "c": top["c"], "m": m})
+                for k in range(max(1, top["k"] - 6), min(1000, top["k"] + 6) + 1)
+                for m in range(max(0, top["m"] - 6), min(99, top["m"] + 6) + 1)
+            ]
+            told = near[:-20] + sample_random(space, 50, rng)
+            pending = near[-20:]
+            result = maximize_acquisition(
+                score,
+                space,
+                rng,
+                n_candidates=300,
+                n_local_starts=5,
+                told=told,
+                pending=pending,
+            )
+            assert result
+            for config in result:
+                space.validate(config)
+            assert not set(result) & (set(told) | set(pending))
+            assert len(set(result)) == len(result)
+            scores = score(encode_matrix(space, result, "one_hot"))
+            assert np.all(np.diff(scores) <= 0)
+
+    def test_prf_batch_on_mixed_space_is_distinct_and_unseen(self):
+        space = SearchSpace(
+            [
+                ParameterSpec("x", "float", low=0.0, high=1.0),
+                ParameterSpec("k", "int", low=1, high=1000, log_scale=True),
+                ParameterSpec("o", "ordinal", levels=(1, 2, 4)),
+                ParameterSpec("c", "categorical", choices=("a", "b", "c")),
+            ]
+        )
+        task = TaskSpec(space=space, init_count=6, max_runs=40, algorithm="prf", seed=5)
+        advisor = Advisor(task)
+        told = []
+        for _ in range(10):
+            config = advisor.ask()
+            value = (config["x"] - 0.3) ** 2 + abs(np.log10(config["k"]) - 1.0)
+            advisor.tell(Observation(config, [value], None, TrialState.SUCCESS))
+            told.append(config)
+        batch = advisor.ask_batch(4)
+        assert advisor.plan.surrogate_kind == "PRF"
+        assert len(set(batch)) == 4
+        assert not set(batch) & set(told)
+        for config in batch:
+            space.validate(config)

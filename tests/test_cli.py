@@ -125,6 +125,29 @@ class TestRunCommand:
         cmd = write_stub(tmp_path, "obj.py", SUM_STUB)
         assert main(["run", "--task", task, "--cmd", cmd, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_objectives", True),
+            ("num_constraints", 1.5),
+            ("max_runs", "ten"),
+            ("batch_size", "2"),
+            ("seed", None),
+            ("parallelism", "2"),
+            ("init_count", "3"),
+            ("timeout", "1"),
+            ("ref_point", ["a"]),
+        ],
+    )
+    def test_mistyped_task_field_rejected(self, tmp_path, capsys, field, value):
+        task = write_task(tmp_path, **{field: value})
+        cmd = write_stub(tmp_path, "obj.py", SUM_STUB)
+        code = main(["run", "--task", task, "--cmd", cmd, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
     def test_missing_task_file(self, tmp_path):
         cmd = write_stub(tmp_path, "obj.py", SUM_STUB)
         code = main(["run", "--task", str(tmp_path / "nope.json"), "--cmd", cmd])

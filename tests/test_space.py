@@ -10,6 +10,10 @@ from bbo.space import (
     Configuration,
     ParameterSpec,
     SearchSpace,
+    decode_codes,
+    encode_codes,
+    encode_matrix,
+    from_codes,
     from_unit_vector,
     latin_hypercube,
     parameter_from_dict,
@@ -225,6 +229,36 @@ class TestEncodings:
         space = make_space(ParameterSpec("x", "float", low=0.0, high=1.0))
         assert from_unit_vector(space, [1.7], "index")["x"] == 1.0
         assert from_unit_vector(space, [-0.3], "index")["x"] == 0.0
+
+
+class TestCodec:
+    def every_kind(self):
+        return make_space(
+            ParameterSpec("x", "float", low=-2.0, high=3.0),
+            ParameterSpec("lx", "float", low=1e-4, high=10.0, log_scale=True),
+            ParameterSpec("lk", "int", low=1, high=1000, log_scale=True),
+            ParameterSpec("k", "int", low=-3, high=4),
+            ParameterSpec("o", "ordinal", levels=(1, 5, 9)),
+            ParameterSpec("c2", "categorical", choices=("a", "b")),
+            ParameterSpec("c4", "categorical", choices=("p", "q", "r", "s")),
+        )
+
+    @pytest.mark.parametrize("encoding", ["one_hot", "index"])
+    def test_snapped_rows_are_encodings_of_their_configurations(self, encoding):
+        space = self.every_kind()
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-0.1, 1.1, size=(1000, space.encoded_width(encoding)))
+        snapped = encode_codes(space, decode_codes(space, X, encoding), encoding)
+        again = encode_codes(space, decode_codes(space, snapped, encoding), encoding)
+        assert again.tobytes() == snapped.tobytes()
+        configs = from_codes(space, decode_codes(space, snapped, encoding))
+        assert encode_matrix(space, configs, encoding).tobytes() == snapped.tobytes()
+
+    @pytest.mark.parametrize("encoding", ["one_hot", "index"])
+    def test_sampled_configurations_round_trip_exactly(self, encoding):
+        space = self.every_kind()
+        for config in sample_random(space, 1000, np.random.default_rng(17)):
+            assert from_unit_vector(space, to_unit_vector(space, config, encoding), encoding) == config
 
 
 class TestJsonFormat:

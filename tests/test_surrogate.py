@@ -5,10 +5,12 @@ import pytest
 
 from bbo.errors import InsufficientDataError
 from bbo.surrogate import (
+    SQRT5,
     GPModel,
     fit_gp,
     fit_prf,
     gp_log_marginal_likelihood,
+    matern52,
 )
 
 
@@ -24,6 +26,20 @@ def finite_difference_gradient(fn, theta, h=1e-5):
 
 
 class TestGP:
+    def test_matern_matches_per_dimension_form(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            d = int(rng.integers(1, 13))
+            X2 = rng.uniform(size=(30, d))
+            # exact duplicates of training rows, fresh rows, and far-apart rows
+            X1 = np.vstack([X2[:10], rng.uniform(size=(20, d)), X2[:5] + 5.0, -40.0 * X2[:3]])
+            lengthscales = np.exp(rng.uniform(np.log(0.05), np.log(5.0), size=d))
+            signal_var = float(np.exp(rng.uniform(-2.0, 2.0)))
+            r = np.sqrt((((X1[:, None, :] - X2[None, :, :]) / lengthscales) ** 2).sum(axis=2))
+            expected = signal_var * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * np.exp(-SQRT5 * r)
+            got = matern52(X1, X2, lengthscales, signal_var)
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
     def test_constant_targets(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(6, 2))
