@@ -146,19 +146,24 @@ def _staircase(front: np.ndarray, ref: np.ndarray):
     return x_lo, x_hi, height
 
 
-def _hv_improvements_2d(Y: np.ndarray, strips) -> np.ndarray:
-    """Vectorized HV(front + {y}) - HV(front) for rows of Y (m=2).
+def _hv_improvements_2d(y1: np.ndarray, y2: np.ndarray, strips) -> np.ndarray:
+    """Vectorized HV(front + {y}) - HV(front) for points (y1, y2) (m=2), as an
+    array of y1's shape.
 
-    Accumulates strip by strip so memory stays O(rows) even for very large
-    sample batches.
+    Accumulates strip by strip in place, so memory stays O(points) even for
+    very large sample batches.
     """
-    x_lo, x_hi, height = strips
-    y1 = Y[:, 0]
-    y2 = Y[:, 1]
-    total = np.zeros(Y.shape[0])
-    for lo, hi, h in zip(x_lo, x_hi, height):
-        width = np.clip(hi - np.maximum(lo, y1), 0.0, None)
-        total += width * np.clip(h - y2, 0.0, None)
+    total = np.zeros_like(y1)
+    width = np.empty_like(y1)
+    height = np.empty_like(y2)
+    for lo, hi, h in zip(*strips):
+        np.maximum(lo, y1, out=width)
+        np.subtract(hi, width, out=width)
+        np.maximum(width, 0.0, out=width)
+        np.subtract(h, y2, out=height)
+        np.maximum(height, 0.0, out=height)
+        width *= height
+        total += width
     return total
 
 
@@ -194,11 +199,12 @@ def ehvi(
         chunk = max(1, int(4_000_000 // max(mc_samples, 1)))
         for start in range(0, q, chunk):
             end = min(q, start + chunk)
-            # (c, S, m) sample tensor, clipped to the reference point
-            Y = mu[start:end, None, :] + sigma[start:end, None, :] * Z[None, :, :]
-            Y = np.minimum(Y, ref)
-            imp = _hv_improvements_2d(Y.reshape(-1, 2), strips)
-            scores[start:end] = imp.reshape(end - start, mc_samples).mean(axis=1)
+            # per objective, a contiguous (c, S) sample block clipped to the reference point
+            y1, y2 = (
+                np.minimum(mu[start:end, j, None] + sigma[start:end, j, None] * Z[:, j], ref[j])
+                for j in range(2)
+            )
+            scores[start:end] = _hv_improvements_2d(y1, y2, strips).mean(axis=1)
     else:
         front_pts = ctx.front if ctx.front is not None else np.empty((0, m))
         hv_front = moo.hypervolume(front_pts, ref) if front_pts.shape[0] else 0.0

@@ -42,7 +42,7 @@ from .space import (
     sample_random,
     to_unit_vector,
 )
-from .surrogate import fit_gp, fit_prf
+from .surrogate import fit_gp, fit_prf, one_blas_thread
 
 GP = "GP"
 PRF = "PRF"
@@ -368,7 +368,8 @@ class Advisor:
         if self.plan.surrogate_kind == NONE:
             self.last_ask_info = {"phase": "random"}
             return self._random_unseen()
-        return self._model_based_ask(follower)
+        with one_blas_thread():
+            return self._model_based_ask(follower)
 
     def _next_init_point(self) -> Optional[Configuration]:
         excluded = self._told_set | set(self._pending)

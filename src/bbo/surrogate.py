@@ -7,12 +7,18 @@ un-standardizes on prediction.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import optimize
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import InsufficientDataError, NumericError
 
@@ -26,9 +32,108 @@ NOISE_VAR_BOUNDS = (1e-8, 1e-1)
 JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 
-def _sq_dists_per_dim(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Pairwise squared differences per dimension, shape (n1, n2, d)."""
-    return (X1[:, None, :] - X2[None, :, :]) ** 2
+# OpenBLAS thread-count setters and getters, most specific name first: the
+# prefixed ones of numpy's and scipy's wheels, then plain OpenBLAS builds
+_OPENBLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+@lru_cache(maxsize=None)
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS libraries bundled
+    with numpy and scipy; empty when none is found."""
+    controls = []
+    for package in (np, scipy):
+        root = Path(package.__file__).parent
+        paths = [*root.parent.glob(f"{package.__name__}.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+        for path in sorted(paths):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for symbol in _OPENBLAS_THREAD_SYMBOLS:
+                get = getattr(lib, symbol.format("get"), None)
+                set_ = getattr(lib, symbol.format("set"), None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return tuple(controls)
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list = []
+
+
+@contextmanager
+def one_blas_thread():
+    """Cap numpy's and scipy's OpenBLAS to one thread, then restore the
+    caller's counts. Reentrant and thread-safe: the outermost entry of any
+    thread caps, the last exit restores. A no-op without OpenBLAS.
+
+    Small GP matrices gain nothing from BLAS threads, and on a busy machine
+    the threads of several processes oversubscribe the cores. The count is
+    process-wide, so the nesting depth is module state under a lock."""
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+            for set_, _ in _blas_saved:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for set_, count in _blas_saved:
+                    set_(count)
+
+
+def _sq_dists_per_dim(X: np.ndarray) -> np.ndarray:
+    """Pairwise squared differences between the rows of X, dimension-major
+    (d, n, n), so each dimension's matrix is contiguous."""
+    Xt = np.ascontiguousarray(X.T)
+    return (Xt[:, :, None] - Xt[:, None, :]) ** 2
+
+
+def _sum_dims(parts: np.ndarray) -> np.ndarray:
+    """Sum of a (d, n, n) stack over d, added in the order numpy's pairwise
+    summation adds a contiguous last axis, so the result equals the
+    (n, n, d) form's ``sum(axis=2)`` bit for bit."""
+    d = parts.shape[0]
+    if d < 8:
+        return parts.sum(axis=0)
+    if d <= 128:
+        acc = parts[:8].copy()
+        stop = d - d % 8
+        for i in range(8, stop, 8):
+            acc += parts[i : i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for k in range(stop, d):
+            total += parts[k]
+        return total
+    half = d // 2
+    half -= half % 8
+    return _sum_dims(parts[:half]) + _sum_dims(parts[half:])
+
+
+def _check_finite(X: np.ndarray, y: np.ndarray) -> None:
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("GP inputs and targets must be finite")
+
+
+def _lapack_check(name: str, info: int) -> None:
+    """Raise on a LAPACK call's negative info (an illegal argument)."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {name}")
 
 
 def matern52(
@@ -48,13 +153,13 @@ def matern52(
 
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor of K (+ jitter I), escalating jitter geometrically."""
+    """Lower Cholesky factor of K (+ jitter I), escalating jitter geometrically
+    while LAPACK's dpotrf reports a leading minor that is not positive."""
     for jitter in JITTERS:
-        try:
-            L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
+        L, info = lapack.dpotrf(K + jitter * np.eye(K.shape[0]) if jitter else K, lower=1)
+        _lapack_check("dpotrf", info)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            continue
     raise NumericError("kernel matrix is not positive definite even at jitter 1e-4")
 
 
@@ -74,8 +179,9 @@ class GPModel:
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y row counts differ")
-        if np.any(np.asarray(lengthscales) <= 0) or signal_var <= 0 or noise_var <= 0:
+        if not (np.all(np.asarray(lengthscales) > 0) and signal_var > 0 and noise_var > 0):
             raise ValueError("GP hyperparameters must be positive")
+        _check_finite(X, y)
         self.X = X
         self.y_mean = float(y.mean())
         std = float(y.std())
@@ -88,7 +194,8 @@ class GPModel:
         K = matern52(X, X, self.lengthscales, self.signal_var)
         K[np.diag_indices_from(K)] += self.noise_var
         self.L, self.jitter = _chol_with_jitter(K)
-        self.alpha = cho_solve((self.L, True), self.y)
+        self.alpha, info = lapack.dpotrs(self.L, self.y, lower=1)
+        _lapack_check("dpotrs", info)
 
     @property
     def log_hypers(self) -> np.ndarray:
@@ -102,7 +209,8 @@ class GPModel:
         Xq = np.atleast_2d(np.asarray(X_query, dtype=float))
         k_star = matern52(Xq, self.X, self.lengthscales, self.signal_var)
         mean = k_star @ self.alpha
-        v = solve_triangular(self.L, k_star.T, lower=True)
+        v, info = lapack.dtrtrs(self.L, k_star.T, lower=1)
+        _lapack_check("dtrtrs", info)
         var = self.signal_var - np.einsum("ij,ij->j", v, v)
         var = np.maximum(var, 0.0)
         return mean * self.y_std + self.y_mean, var * self.y_std**2
@@ -117,25 +225,29 @@ def gp_log_marginal_likelihood(
     ``log_hypers`` is [log l_1 .. log l_d, log signal_var, log noise_var];
     the gradient is taken with respect to these log quantities.
     """
-    return _lml_and_grad(model.X, model.y, np.asarray(log_hypers, dtype=float))
+    n = model.X.shape[0]
+    return _lml_and_grad(
+        model.y, np.asarray(log_hypers, dtype=float), _sq_dists_per_dim(model.X), np.eye(n)
+    )
 
 
-def _lml_and_grad(X: np.ndarray, y: np.ndarray, log_hypers: np.ndarray, d2=None):
-    n, d = X.shape
+def _lml_and_grad(y: np.ndarray, log_hypers: np.ndarray, d2: np.ndarray, eye: np.ndarray):
+    """LML and its gradient from the (d, n, n) per-dimension squared
+    distances and the n x n identity (GPML Alg. 2.1 through LAPACK)."""
+    d, n = d2.shape[0], d2.shape[1]
     ell = np.exp(log_hypers[:d])
     sf2 = math.exp(log_hypers[d])
     sn2 = math.exp(log_hypers[d + 1])
 
-    if d2 is None:
-        d2 = _sq_dists_per_dim(X, X)  # (n, n, d)
-    scaled = d2 / ell**2
-    r = np.sqrt(np.maximum(scaled.sum(axis=2), 0.0))
+    scaled = d2 / (ell**2)[:, None, None]
+    r = np.sqrt(np.maximum(_sum_dims(scaled), 0.0))
     decay = np.exp(-SQRT5 * r)
     K_f = sf2 * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * decay
-    K = K_f + sn2 * np.eye(n)
+    K = K_f + sn2 * eye
 
     L, jitter = _chol_with_jitter(K)
-    alpha = cho_solve((L, True), y)
+    alpha, info = lapack.dpotrs(L, y, lower=1)
+    _lapack_check("dpotrs", info)
     lml = (
         -0.5 * float(y @ alpha)
         - float(np.log(np.diag(L)).sum())
@@ -143,14 +255,15 @@ def _lml_and_grad(X: np.ndarray, y: np.ndarray, log_hypers: np.ndarray, d2=None)
     )
 
     # dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta)
-    K_inv = cho_solve((L, True), np.eye(n))
+    K_inv, info = lapack.dpotrs(L, eye, lower=1)
+    _lapack_check("dpotrs", info)
     W = np.outer(alpha, alpha) - K_inv
 
     grad = np.empty(d + 2)
     # d K / d log l_k = (5/3) sf2 (1 + sqrt5 r) exp(-sqrt5 r) * (d_k^2 / l_k^2)
     base = (5.0 / 3.0) * sf2 * (1.0 + SQRT5 * r) * decay
     for k in range(d):
-        grad[k] = 0.5 * float(np.sum(W * (base * scaled[:, :, k])))
+        grad[k] = 0.5 * float(np.sum(W * (base * scaled[k])))
     grad[d] = 0.5 * float(np.sum(W * K_f))
     grad[d + 1] = 0.5 * sn2 * float(np.trace(W))
     return lml, grad
@@ -174,8 +287,7 @@ def fit_gp(
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] < 2:
         raise InsufficientDataError("GP fitting needs at least 2 observations")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
+    _check_finite(X, y)
     if rng is None:
         rng = np.random.default_rng(0)
     n, d = X.shape
@@ -183,11 +295,12 @@ def fit_gp(
     y_mean = y.mean()
     y_scale = y.std() if y.std() > 1e-12 else 1.0
     y_std = (y - y_mean) / y_scale
-    d2 = _sq_dists_per_dim(X, X)
+    d2 = _sq_dists_per_dim(X)
+    eye = np.eye(n)
 
     def objective(theta):
         try:
-            lml, grad = _lml_and_grad(X, y_std, theta, d2)
+            lml, grad = _lml_and_grad(y_std, theta, d2, eye)
         except NumericError:
             return 1e25, np.zeros_like(theta)
         return -lml, -grad

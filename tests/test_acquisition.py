@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from bbo import acquisition
 from bbo.acquisition import (
     AcquisitionContext,
     constrained_ei,
@@ -165,6 +166,33 @@ def exact_ehvi_2d(front, ref, mu, sigma):
     return total
 
 
+class TableModel:
+    """Predicts row i's (mean, variance) at the query row holding i."""
+
+    def __init__(self, mean, var):
+        self.mean = mean
+        self.var = var
+
+    def predict(self, X):
+        rows = np.atleast_2d(X)[:, 0].astype(int)
+        return self.mean[rows], self.var[rows]
+
+
+def oracle_ehvi_2d(mu, var, front, ref, mc_samples, rng):
+    """m=2 Monte Carlo EHVI with an (n, S, 2) sample tensor and the strip loop
+    on strided columns, as ``ehvi`` computed it before it drew contiguous
+    per-objective blocks and accumulated in place."""
+    sigma = np.sqrt(np.maximum(var, 0.0))
+    Z = rng.standard_normal((mc_samples, 2))
+    Y = np.minimum(mu[:, None, :] + sigma[:, None, :] * Z[None, :, :], ref).reshape(-1, 2)
+    x_lo, x_hi, height = acquisition._staircase(front, ref)
+    total = np.zeros(Y.shape[0])
+    for lo, hi, h in zip(x_lo, x_hi, height):
+        width = np.clip(hi - np.maximum(lo, Y[:, 0]), 0.0, None)
+        total += width * np.clip(h - Y[:, 1], 0.0, None)
+    return np.maximum(total.reshape(mu.shape[0], mc_samples).mean(axis=1), 0.0)
+
+
 class TestEHVI:
     def test_dominated_mean_zero_variance(self):
         ctx = AcquisitionContext(
@@ -224,6 +252,27 @@ class TestEHVI:
         score = ehvi(np.zeros(3), ctx, mc_samples=32, rng=np.random.default_rng(0))
         # deterministic means: improvement = HV{(.4,.4,.4),(.6,.6,.6)} - HV{(.6,.6,.6)}
         assert score == pytest.approx(0.6**3 - 0.4**3)
+
+    def test_m2_matches_strip_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        ref = np.array([2.0, 3.0])
+        for trial in range(60):
+            if trial % 5 == 0:
+                front = None
+            else:
+                k = int(rng.integers(1, 8))
+                front = rng.uniform([-1.0, -1.0], ref, size=(k, 2))
+                front = np.vstack([front, front[: int(rng.integers(0, k + 1))]])  # duplicates
+            q, mc = int(rng.integers(1, 30)), int(rng.integers(1, 300))
+            # means from well inside to beyond the reference point
+            mu = rng.uniform(-1.5, 3.5, size=(q, 2))
+            var = rng.uniform(0.0, 1.0, size=(q, 2)) * (rng.uniform(size=(q, 2)) < 0.8)
+            models = [TableModel(mu[:, 0], var[:, 0]), TableModel(mu[:, 1], var[:, 1])]
+            ctx = AcquisitionContext(objective_models=models, front=front, ref_point=ref)
+            X = np.arange(q, dtype=float)[:, None]
+            got = ehvi(X, ctx, mc, np.random.default_rng(trial))
+            want = oracle_ehvi_2d(mu, var, ctx.front, ref, mc, np.random.default_rng(trial))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(want.max(), 1e-300))
 
     def test_front_ref_consistency_checked(self):
         with pytest.raises(ValueError):
