@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc
-from scipy.stats import norm
+from scipy.special import erfc, ndtr
 
 from . import moo
 from .errors import ExhaustedSpaceError
@@ -47,7 +46,7 @@ def expected_improvement(mean, variance, eta):
         z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
         ei = np.where(
             sigma > 0,
-            sigma * (z * norm.cdf(z) + norm.pdf(z)),
+            sigma * (z * ndtr(z) + np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)),
             np.maximum(improve, 0.0),
         )
     out = np.maximum(ei, 0.0)
@@ -62,7 +61,7 @@ def probability_of_feasibility(mean, variance):
     with np.errstate(divide="ignore", invalid="ignore"):
         pof = np.where(
             sigma > 0,
-            norm.cdf(-mean / np.where(sigma > 0, sigma, 1.0)),
+            ndtr(-mean / np.where(sigma > 0, sigma, 1.0)),
             (mean <= 0).astype(float),
         )
     return float(pof) if pof.ndim == 0 else pof
@@ -77,6 +76,9 @@ class AcquisitionContext:
     eta: float | None = None
     front: np.ndarray | None = None  # (k, m) Pareto objective vectors
     ref_point: np.ndarray | None = None
+    # (lower, upper) box decomposition of the region the front leaves
+    # undominated below ref_point, built once per context for ehvi
+    boxes: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.front is not None:
@@ -93,6 +95,10 @@ class AcquisitionContext:
                 raise ValueError(
                     "every front point must weakly dominate the reference point"
                 )
+        if self.ref_point is not None:
+            m = self.ref_point.shape[0]
+            front = self.front if self.front is not None else np.empty((0, m))
+            self.boxes = moo.nondominated_boxes(front, self.ref_point)
 
     def predict_objectives(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked per-objective predictions, each (n, m)."""
@@ -128,42 +134,30 @@ def constrained_ei(x_encoded, ctx: AcquisitionContext):
     return float(scores[0]) if np.ndim(x_encoded) == 1 else scores
 
 
-def _staircase(front: np.ndarray, ref: np.ndarray):
-    """Strip decomposition of the non-dominated region for m=2.
+def _hv_improvements(Y: list, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Vectorized HV(front + {y}) - HV(front) for points y whose objective j
+    is the array Y[j], given the front's box decomposition (lower, upper).
 
-    Returns (x_lo, x_hi, height) arrays of k+1 strips: within strip i a new
-    point adds area (x_hi - max(x_lo, y1))+ * (height - y2)+.
+    Accumulates box by box in place, so memory stays O(points) even for very
+    large sample batches. The last objective's lower bound is -inf, so its
+    side is (upper - y)+.
     """
-    # with no point inside the reference box this is the one strip below ref
-    pts = np.empty((0, 2)) if front is None else front[np.all(front <= ref, axis=1)]
-    pts = moo._pareto_filter(pts)
-    order = np.argsort(pts[:, 0], kind="stable")
-    a = pts[order, 0]
-    b = pts[order, 1]
-    x_lo = np.concatenate([[-np.inf], a])
-    x_hi = np.concatenate([a, [ref[0]]])
-    height = np.concatenate([[ref[1]], b])
-    return x_lo, x_hi, height
-
-
-def _hv_improvements_2d(y1: np.ndarray, y2: np.ndarray, strips) -> np.ndarray:
-    """Vectorized HV(front + {y}) - HV(front) for points (y1, y2) (m=2), as an
-    array of y1's shape.
-
-    Accumulates strip by strip in place, so memory stays O(points) even for
-    very large sample batches.
-    """
-    total = np.zeros_like(y1)
-    width = np.empty_like(y1)
-    height = np.empty_like(y2)
-    for lo, hi, h in zip(*strips):
-        np.maximum(lo, y1, out=width)
-        np.subtract(hi, width, out=width)
-        np.maximum(width, 0.0, out=width)
-        np.subtract(h, y2, out=height)
-        np.maximum(height, 0.0, out=height)
-        width *= height
-        total += width
+    m = len(Y)
+    total = np.zeros_like(Y[0])
+    volume = np.empty_like(Y[0])
+    side = np.empty_like(Y[0])
+    for lo, hi in zip(lower, upper):
+        for j in range(m):
+            out = volume if j == 0 else side
+            if j < m - 1:
+                np.maximum(lo[j], Y[j], out=out)
+                np.subtract(hi[j], out, out=out)
+            else:
+                np.subtract(hi[j], Y[j], out=out)
+            np.maximum(out, 0.0, out=out)
+            if j:
+                volume *= side
+        total += volume
     return total
 
 
@@ -178,7 +172,8 @@ def ehvi(
     Draws mc_samples objective vectors from the independent per-objective
     predictive Gaussians at each point (common random numbers across a
     batch), clips them to the reference point, and averages the hypervolume
-    gain over the current front. Deterministic for a given rng state.
+    gain over the current front, scored on the context's box decomposition.
+    Deterministic for a given rng state.
     """
     if ctx.ref_point is None:
         raise ValueError("ehvi needs a reference point")
@@ -194,26 +189,15 @@ def ehvi(
     Z = rng.standard_normal((mc_samples, m))
 
     scores = np.empty(q)
-    if m == 2:
-        strips = _staircase(ctx.front, ref)
-        chunk = max(1, int(4_000_000 // max(mc_samples, 1)))
-        for start in range(0, q, chunk):
-            end = min(q, start + chunk)
-            # per objective, a contiguous (c, S) sample block clipped to the reference point
-            y1, y2 = (
-                np.minimum(mu[start:end, j, None] + sigma[start:end, j, None] * Z[:, j], ref[j])
-                for j in range(2)
-            )
-            scores[start:end] = _hv_improvements_2d(y1, y2, strips).mean(axis=1)
-    else:
-        front_pts = ctx.front if ctx.front is not None else np.empty((0, m))
-        hv_front = moo.hypervolume(front_pts, ref) if front_pts.shape[0] else 0.0
-        for i in range(q):
-            Y = np.minimum(mu[i] + sigma[i] * Z, ref)
-            total = 0.0
-            for y in Y:
-                total += moo.hypervolume(np.vstack([front_pts, y]), ref) - hv_front
-            scores[i] = total / mc_samples
+    chunk = max(1, int(4_000_000 // max(mc_samples, 1)))
+    for start in range(0, q, chunk):
+        end = min(q, start + chunk)
+        # per objective, a contiguous (c, S) sample block clipped to the reference point
+        Y = [
+            np.minimum(mu[start:end, j, None] + sigma[start:end, j, None] * Z[:, j], ref[j])
+            for j in range(m)
+        ]
+        scores[start:end] = _hv_improvements(Y, *ctx.boxes).mean(axis=1)
     scores = np.maximum(scores, 0.0)
     return float(scores[0]) if np.ndim(x_encoded) == 1 else scores
 

@@ -30,7 +30,7 @@ from .acquisition import (
     maximize_acquisition,
 )
 from .errors import ExhaustedSpaceError, InsufficientDataError, SetupError
-from .history import IMPUTE_WORST, History, Observation
+from .history import History, Observation
 from .space import (
     INDEX,
     ONE_HOT,
@@ -384,9 +384,7 @@ class Advisor:
         return None
 
     def _refit(self) -> None:
-        X, Y, C = self._history.training_targets(
-            self.task.space, self._encoding, IMPUTE_WORST
-        )
+        X, Y, C = self._history.training_targets(self.task.space, self._encoding)
         if X.shape[0] < 2:
             raise InsufficientDataError("need at least 2 rows to fit surrogates")
         self._refit_count += 1
@@ -395,9 +393,7 @@ class Advisor:
 
     def _constant_liar_models(self) -> tuple[list, list]:
         """Models refit with every pending point told at the median observed values."""
-        X, Y, C = self._history.training_targets(
-            self.task.space, self._encoding, IMPUTE_WORST
-        )
+        X, Y, C = self._history.training_targets(self.task.space, self._encoding)
         lies = len(self._pending)
         X = np.vstack([X, encode_matrix(self.task.space, self._pending, self._encoding)])
         Y = np.vstack([Y, np.tile(np.median(Y, axis=0), (lies, 1))])

@@ -184,12 +184,7 @@ def _polynomial_mutation(genome: np.ndarray, eta: float, prob: float, rng) -> np
     return np.clip(out, 0.0, 1.0)
 
 
-def nsga2_propose(
-    pop: Population,
-    rng: np.random.Generator,
-    eta_c: float = SBX_ETA,
-    eta_m: float = MUTATION_ETA,
-) -> list[np.ndarray]:
+def nsga2_propose(pop: Population, rng: np.random.Generator) -> list[np.ndarray]:
     """N offspring genomes via binary tournaments, SBX, polynomial mutation."""
     n = len(pop)
     if n % 2 != 0:
@@ -206,11 +201,11 @@ def nsga2_propose(
             i, j = rng.integers(n), rng.integers(n)
             parents.append(_tournament(pop.individuals[i], pop.individuals[j]))
         if rng.uniform() < SBX_PROB:
-            c1, c2 = _sbx_pair(parents[0].genome, parents[1].genome, eta_c, rng)
+            c1, c2 = _sbx_pair(parents[0].genome, parents[1].genome, SBX_ETA, rng)
         else:
             c1, c2 = parents[0].genome.copy(), parents[1].genome.copy()
-        offspring.append(_polynomial_mutation(c1, eta_m, mutation_prob, rng))
-        offspring.append(_polynomial_mutation(c2, eta_m, mutation_prob, rng))
+        offspring.append(_polynomial_mutation(c1, MUTATION_ETA, mutation_prob, rng))
+        offspring.append(_polynomial_mutation(c2, MUTATION_ETA, mutation_prob, rng))
     return offspring[:n]
 
 

@@ -23,9 +23,6 @@ from .errors import (
 )
 from .space import Configuration, SearchSpace, encode_matrix
 
-DROP = "drop"
-IMPUTE_WORST = "impute_worst"
-
 
 class TrialState(enum.Enum):
     SUCCESS = "SUCCESS"
@@ -190,28 +187,20 @@ class History:
         return ref
 
     def training_targets(
-        self,
-        space: SearchSpace,
-        encoding: str,
-        failure_strategy: str = IMPUTE_WORST,
+        self, space: SearchSpace, encoding: str
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Surrogate training data: (X, objective targets, constraint targets).
 
-        SUCCESS rows keep their true values. With ``drop``, failed rows are
-        omitted; with ``impute_worst`` their objectives become the worst
-        observed value plus one observed standard deviation and their
-        constraints are imputed as violated (+1).
+        Every observation is a row. SUCCESS rows keep their true values;
+        failed rows get the worst observed objective values plus one observed
+        standard deviation, and constraints imputed as violated (+1).
 
         Returns X (n, d), Y (n, m), C (n, p); C has zero columns when the
         task is unconstrained.
         """
-        if failure_strategy not in (DROP, IMPUTE_WORST):
-            raise ValueError(f"unknown failure strategy {failure_strategy!r}")
         successes = self.successes()
         if not successes:
             raise InsufficientDataError("no SUCCESS observations to train on")
-
-        rows = successes if failure_strategy == DROP else list(self.observations)
 
         obj_values = np.array([o.objectives for o in successes], dtype=float)
         worst = obj_values.max(axis=0)
@@ -221,6 +210,7 @@ class History:
             spread = np.zeros(self.num_objectives)
         imputed_obj = worst + spread
 
+        rows = self.observations
         X = encode_matrix(space, [o.config for o in rows], encoding)
         Y = np.empty((len(rows), self.num_objectives))
         C = np.empty((len(rows), self.num_constraints))

@@ -1,7 +1,9 @@
 """Multi-objective mathematics: dominance, sorting, crowding, hypervolume.
 
 Minimization convention throughout. Hypervolume is exact: a sweep for two
-objectives and dimension-recursive slicing for three or more.
+objectives and dimension-recursive slicing for three or more. The region a
+front leaves undominated splits into disjoint boxes the same recursive way,
+which expected hypervolume improvement scores against.
 """
 
 from __future__ import annotations
@@ -130,6 +132,32 @@ def _hv_recursive(pts: np.ndarray, ref: np.ndarray) -> float:
         slab = _pareto_filter(pts[: i + 1, :-1])
         total += height * _hv_recursive(slab, ref[:-1])
     return float(total)
+
+
+def nondominated_boxes(pts: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint boxes (lower, upper), each (b, m), that tile the part of
+    {z <= ref} no row of pts weakly dominates, so a new point y adds
+    hypervolume sum over boxes of prod_j (upper_j - max(lower_j, y_j))+.
+
+    Slices on the first objective: the slab between consecutive front
+    values of f1 times the boxes of the (m-1)-objective front of the points
+    left of it. At m=1 the one box is (-inf, min] (or (-inf, ref] with no
+    points), so the last objective's lower bound is always -inf.
+    """
+    if ref.shape[0] == 1:
+        upper = pts[:, 0].min() if pts.shape[0] else ref[0]
+        return np.array([[-np.inf]]), np.array([[upper]])
+    pts = _pareto_filter(pts)
+    order = np.argsort(pts[:, 0], kind="stable")
+    edges = np.concatenate([[-np.inf], pts[order, 0], [ref[0]]])
+    lowers, uppers = [], []
+    for i in range(len(edges) - 1):
+        if edges[i + 1] <= edges[i]:
+            continue  # empty slab: tied f1 values or a point on the reference
+        sub_lower, sub_upper = nondominated_boxes(pts[order[:i], 1:], ref[1:])
+        lowers.append(np.column_stack([np.full(len(sub_lower), edges[i]), sub_lower]))
+        uppers.append(np.column_stack([np.full(len(sub_upper), edges[i + 1]), sub_upper]))
+    return np.vstack(lowers), np.vstack(uppers)
 
 
 def hypervolume(points, ref_point, force_recursive: bool = False) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from . import moo
 from .errors import HistoryParseError, InsufficientDataError, WrongTaskTypeError
 from .history import History, Observation, TrialState
-from .space import Configuration, SearchSpace, encode_matrix
+from .space import Configuration
 from .surrogate import fit_prf
 
 SCHEMA_VERSION = "1"
@@ -64,6 +64,10 @@ def hv_over_time(history: History, ref_point: Sequence[float]) -> list[tuple[int
 # --- parameter importance (Monte Carlo permutation Shapley on a forest) ---
 
 
+_N_BACKGROUND = 32  # background rows the hybrids start from
+_N_EXPLICANDS = 64  # rows whose Shapley values are averaged
+
+
 @dataclass
 class ImportanceResult:
     """Per-parameter mean |Shapley| plus per-explicand efficiency diagnostics."""
@@ -73,19 +77,13 @@ class ImportanceResult:
     row_tolerances: np.ndarray  # 3 Monte Carlo standard errors per explicand
 
 
-def _design_matrix(
-    history: History, space: Optional[SearchSpace]
-) -> tuple[np.ndarray, list[str]]:
+def _design_matrix(history: History) -> tuple[np.ndarray, list[str]]:
     """One encoded column per parameter for all SUCCESS observations.
 
-    Without a space, bounds and categories are inferred from the observed
-    values; constant columns encode to zero.
+    Bounds and categories are inferred from the observed values; constant
+    columns encode to zero.
     """
-    rows = history.successes()
-    configs = [o.config for o in rows]
-    if space is not None:
-        return encode_matrix(space, configs, "index"), [p.name for p in space.parameters]
-
+    configs = [o.config for o in history.successes()]
     names = list(configs[0].values.keys())
     X = np.zeros((len(configs), len(names)))
     for j, name in enumerate(names):
@@ -108,15 +106,12 @@ def importance_shapley(
     history: History,
     n_permutations: int = 256,
     rng: Optional[np.random.Generator] = None,
-    space: Optional[SearchSpace] = None,
-    objective_index: int = 0,
-    n_background: int = 32,
-    n_explicands: int = 64,
 ) -> ImportanceResult:
     """Per-parameter importance as mean |Shapley value| of a forest surrogate.
 
-    Fits a random forest to the history, then estimates Shapley values by
-    permutation sampling: each sample walks a random feature permutation,
+    Fits a random forest to the history's first objective, then estimates
+    Shapley values of up to 64 rows by permutation sampling against up to
+    32 background rows: each sample walks a random feature permutation,
     filling features from the explicand one at a time against a random
     background row, so the per-row values telescope and satisfy the
     efficiency property up to Monte Carlo error in the baseline.
@@ -126,18 +121,18 @@ def importance_shapley(
     successes = history.successes()
     if not successes:
         raise InsufficientDataError("importance needs SUCCESS observations")
-    X, names = _design_matrix(history, space)
+    X, names = _design_matrix(history)
     d = len(names)
     if len(successes) < 2 * d:
         raise InsufficientDataError(
             f"importance needs at least {2 * d} SUCCESS observations, have {len(successes)}"
         )
-    y = np.array([o.objectives[objective_index] for o in successes])
+    y = np.array([o.objectives[0] for o in successes])
     model = fit_prf(X, y, rng=rng)
 
     n = X.shape[0]
-    bg_idx = rng.permutation(n)[: min(n_background, n)]
-    ex_idx = rng.permutation(n)[: min(n_explicands, n)]
+    bg_idx = rng.permutation(n)[:_N_BACKGROUND]
+    ex_idx = rng.permutation(n)[:_N_EXPLICANDS]
     background = X[bg_idx]
     bg_pred, _ = model.predict(background)
     baseline = float(bg_pred.mean())
@@ -430,11 +425,7 @@ def render_html(history: History, analyses: Optional[dict] = None) -> str:
     return doc
 
 
-def default_analyses(
-    history: History,
-    ref_point: Optional[Sequence[float]] = None,
-    importance_rng_seed: int = 0,
-) -> dict:
+def default_analyses(history: History, ref_point: Optional[Sequence[float]] = None) -> dict:
     """Compute the standard analysis bundle for a history's task type."""
     analyses: dict = {}
     if history.num_objectives == 1:
@@ -447,9 +438,7 @@ def default_analyses(
             analyses["hv"] = hv_over_time(history, ref)
         analyses["pareto"] = [o.objectives for o in history.pareto_front()]
     try:
-        result = importance_shapley(
-            history, rng=np.random.default_rng(importance_rng_seed)
-        )
+        result = importance_shapley(history, rng=np.random.default_rng(0))
         analyses["importance"] = result.per_parameter
     except InsufficientDataError:
         pass

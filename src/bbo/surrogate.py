@@ -30,6 +30,8 @@ SIGNAL_VAR_BOUNDS = (1e-3, 1e3)
 NOISE_VAR_BOUNDS = (1e-8, 1e-1)
 
 JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+_LBFGS_MAXITER = 60  # iterations per hyperparameter start
+_FEATURE_FRACTION = 0.8  # share of features each forest split considers
 
 
 # OpenBLAS thread-count setters and getters, most specific name first: the
@@ -275,7 +277,6 @@ def fit_gp(
     restarts: int = 2,
     rng: np.random.Generator | None = None,
     extra_inits: tuple = (),
-    maxiter: int = 60,
 ) -> GPModel:
     """Fit GP hyperparameters by maximizing the log marginal likelihood.
 
@@ -326,7 +327,7 @@ def fit_gp(
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": maxiter, "ftol": 1e-8, "gtol": 1e-4},
+            options={"maxiter": _LBFGS_MAXITER, "ftol": 1e-8, "gtol": 1e-4},
         )
         if res.fun < best_val:
             best_val = res.fun
@@ -468,13 +469,12 @@ def fit_prf(
     n_trees: int = 10,
     rng: np.random.Generator | None = None,
     min_samples_leaf: int = 3,
-    feature_fraction: float = 0.8,
     bootstrap: bool = True,
 ) -> PRFModel:
     """Fit a probabilistic random forest.
 
     Each tree grows on a bootstrap resample; splits minimize the weighted
-    child variance over a random subset of ceil(d * feature_fraction)
+    child variance over a random subset of ceil(d * _FEATURE_FRACTION)
     features and all distinct-value midpoint thresholds.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -486,7 +486,7 @@ def fit_prf(
     if rng is None:
         rng = np.random.default_rng(0)
     n, d = X.shape
-    max_features = max(1, math.ceil(d * feature_fraction))
+    max_features = max(1, math.ceil(d * _FEATURE_FRACTION))
     trees = []
     for _ in range(n_trees):
         idx = rng.integers(n, size=n) if bootstrap else np.arange(n)

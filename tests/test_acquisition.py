@@ -1,10 +1,16 @@
 """Tests for acquisition functions and the inner optimizer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from bbo import acquisition
+import bbo
+from bbo import moo
 from bbo.acquisition import (
     AcquisitionContext,
     constrained_ei,
@@ -44,6 +50,22 @@ def mc_ei(mean, sigma, eta, n_samples=10**6, seed=0):
     rng = np.random.default_rng(seed)
     draws = rng.normal(mean, sigma, size=n_samples)
     return np.maximum(eta - draws, 0.0).mean()
+
+
+def test_import_bbo_leaves_scipy_stats_unloaded():
+    # EI and PoF take ndtr from scipy.special; importing scipy.stats would
+    # roughly double the time `import bbo` takes
+    src = str(Path(bbo.__file__).resolve().parents[1])
+    code = "import sys, bbo; print(sorted(k for k in sys.modules if k.startswith('scipy.stats')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestExpectedImprovement:
@@ -178,14 +200,29 @@ class TableModel:
         return self.mean[rows], self.var[rows]
 
 
+def staircase(front, ref):
+    """Strip decomposition of the region a 2-D front leaves undominated below
+    ref: (x_lo, x_hi, height) of k+1 strips, within strip i a new point adds
+    area (x_hi - max(x_lo, y1))+ * (height - y2)+."""
+    pts = np.empty((0, 2)) if front is None else front[np.all(front <= ref, axis=1)]
+    pts = moo._pareto_filter(pts)
+    order = np.argsort(pts[:, 0], kind="stable")
+    a = pts[order, 0]
+    b = pts[order, 1]
+    x_lo = np.concatenate([[-np.inf], a])
+    x_hi = np.concatenate([a, [ref[0]]])
+    height = np.concatenate([[ref[1]], b])
+    return x_lo, x_hi, height
+
+
 def oracle_ehvi_2d(mu, var, front, ref, mc_samples, rng):
     """m=2 Monte Carlo EHVI with an (n, S, 2) sample tensor and the strip loop
     on strided columns, as ``ehvi`` computed it before it drew contiguous
-    per-objective blocks and accumulated in place."""
+    per-objective blocks and scored a box decomposition in place."""
     sigma = np.sqrt(np.maximum(var, 0.0))
     Z = rng.standard_normal((mc_samples, 2))
     Y = np.minimum(mu[:, None, :] + sigma[:, None, :] * Z[None, :, :], ref).reshape(-1, 2)
-    x_lo, x_hi, height = acquisition._staircase(front, ref)
+    x_lo, x_hi, height = staircase(front, ref)
     total = np.zeros(Y.shape[0])
     for lo, hi, h in zip(x_lo, x_hi, height):
         width = np.clip(hi - np.maximum(lo, Y[:, 0]), 0.0, None)
@@ -273,6 +310,47 @@ class TestEHVI:
             got = ehvi(X, ctx, mc, np.random.default_rng(trial))
             want = oracle_ehvi_2d(mu, var, ctx.front, ref, mc, np.random.default_rng(trial))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(want.max(), 1e-300))
+
+    def test_m2_boxes_are_the_strips(self):
+        # same strips in the same order, so m=2 scores keep every bit
+        rng = np.random.default_rng(7)
+        ref = np.array([2.0, 3.0])
+        for k in range(12):
+            front = np.round(rng.uniform([-1.0, -1.0], ref, size=(k, 2)), 1)
+            if k > 2:
+                front[0, 0] = ref[0]  # on the reference boundary: an empty strip
+            lower, upper = moo.nondominated_boxes(front, ref)
+            x_lo, x_hi, height = staircase(front, ref)
+            keep = x_hi > x_lo
+            assert np.array_equal(lower[:, 0], x_lo[keep])
+            assert np.array_equal(upper[:, 0], x_hi[keep])
+            assert np.array_equal(upper[:, 1], height[keep])
+            assert np.all(lower[:, 1] == -np.inf)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_improvements_match_exact_hypervolume(self, m):
+        # zero variance: every sample is the mean clipped to ref, so ehvi is
+        # HV(front + {y}) - HV(front) exactly
+        rng = np.random.default_rng(100 + m)
+        ref = np.full(m, 1.0)
+        for trial in range(40):
+            k = int(rng.integers(0, 9)) if trial % 8 else 0  # every 8th front is empty
+            front = rng.uniform(size=(k, m))
+            if trial % 2:
+                front = np.round(front, 1)  # shared coordinates
+            if k:
+                front = np.vstack([front, front[: int(rng.integers(0, k + 1))]])  # duplicates
+                front[0, int(rng.integers(m))] = 1.0  # a point on the reference boundary
+                front = front[np.any(front < ref, axis=1)]
+            q = 25
+            mu = rng.uniform(-0.2, 1.2, size=(q, m))
+            mu[: q // 2] = np.round(mu[: q // 2], 1)  # means on box edges
+            models = [TableModel(mu[:, j], np.zeros(q)) for j in range(m)]
+            ctx = AcquisitionContext(objective_models=models, front=front, ref_point=ref)
+            got = ehvi(np.arange(q, dtype=float)[:, None], ctx, 3, np.random.default_rng(trial))
+            base = moo.hypervolume(front, ref)
+            want = [moo.hypervolume(np.vstack([front, np.minimum(y, ref)]), ref) - base for y in mu]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_front_ref_consistency_checked(self):
         with pytest.raises(ValueError):

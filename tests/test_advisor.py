@@ -1,9 +1,13 @@
 """Tests for algorithm auto-selection and the ask-and-tell advisor."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
-from bbo.advisor import Advisor, AlgorithmPlan, TaskSpec, auto_select
+from bbo import moo
+from bbo.advisor import EHVI, Advisor, AlgorithmPlan, TaskSpec, auto_select
 from bbo.errors import ObservationShapeError, SetupError
 from bbo.history import Observation, TrialState
 from bbo.space import Configuration, ParameterSpec, SearchSpace
@@ -18,6 +22,24 @@ def float_space(d):
 def quadratic(config):
     values = np.array([v for v in config.values.values()])
     return [float(np.sum((values - 0.5) ** 2))], []
+
+
+def dtlz2(config):
+    """Three-objective DTLZ2 (Deb et al. 2005): the first two parameters
+    place a point on the unit sphere's positive orthant, the rest scale it
+    out by 1 + g."""
+    m = 3
+    x = list(config.values.values())
+    g = sum((v - 0.5) ** 2 for v in x[m - 1 :])
+    objectives = []
+    for i in range(m):
+        f = 1.0 + g
+        for v in x[: m - 1 - i]:
+            f *= math.cos(v * math.pi / 2)
+        if i:
+            f *= math.sin(x[m - 1 - i] * math.pi / 2)
+        objectives.append(f)
+    return objectives
 
 
 def success(config, objectives, constraints=None):
@@ -198,6 +220,26 @@ class TestAskTell:
             seen.append(config)
             advisor.tell(success(config, [0.0]))
         assert len(seen) == 8  # the whole 4 x 2 space, each exactly once
+
+
+class TestThreeObjectives:
+    def test_dtlz2_ehvi_asks_are_bounded(self):
+        ref = (2.0, 2.0, 2.0)
+        task = TaskSpec(
+            space=float_space(4), num_objectives=3, max_runs=30, ref_point=ref, seed=3
+        )
+        advisor = Advisor(task)
+        assert advisor.plan.acquisition_kind == EHVI
+        ask_s = []
+        for _ in range(task.max_runs):
+            start = time.perf_counter()
+            config = advisor.ask()
+            ask_s.append(time.perf_counter() - start)
+            advisor.tell(success(config, dtlz2(config)))
+        assert max(ask_s) < 10.0, f"slowest ask took {max(ask_s):.1f} s"
+        objectives = np.array([o.objectives for o in advisor.get_history().observations])
+        initial = moo.hypervolume(objectives[: task.init_count], ref)
+        assert moo.hypervolume(objectives, ref) > initial
 
 
 class TestAskBatch:

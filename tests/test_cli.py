@@ -50,6 +50,20 @@ SLEEP_STUB = """
 """
 
 
+DTLZ2_STUB = """
+    import json, math, sys
+    request = json.loads(sys.stdin.readline())
+    a, b, c = (float(request["config"][k]) for k in ("a", "b", "c"))
+    r = 1.0 + (c - 0.5) ** 2
+    f = [
+        r * math.cos(a * math.pi / 2) * math.cos(b * math.pi / 2),
+        r * math.cos(a * math.pi / 2) * math.sin(b * math.pi / 2),
+        r * math.sin(a * math.pi / 2),
+    ]
+    print(json.dumps({"objectives": f}))
+"""
+
+
 def write_task(tmp_path, **overrides):
     doc = {
         "parameters": [
@@ -119,6 +133,22 @@ class TestRunCommand:
         history = import_json((out / "history.json").read_text())
         assert all(o.trial_state == TrialState.TIMEOUT for o in history.observations)
         assert all("exceeded 0.3 s" in o.extra["error"] for o in history.observations)
+
+    def test_three_objective_gp_run_and_report(self, tmp_path):
+        parameters = [
+            {"name": name, "type": "float", "low": 0.0, "high": 1.0} for name in "abc"
+        ]
+        task = write_task(
+            tmp_path, parameters=parameters, num_objectives=3, max_runs=14, algorithm="gp"
+        )
+        cmd = write_stub(tmp_path, "obj.py", DTLZ2_STUB)
+        out = tmp_path / "out"
+        assert main(["run", "--task", task, "--cmd", cmd, "--out", str(out)]) == 0
+        history = import_json((out / "history.json").read_text())
+        assert len(history) == 14
+        assert all(o.trial_state == TrialState.SUCCESS for o in history.observations)
+        text = (out / "report.html").read_text()
+        assert "Pareto front" in text and "Hypervolume" in text
 
     def test_unknown_task_field_rejected(self, tmp_path):
         task = write_task(tmp_path, warm_start=True)

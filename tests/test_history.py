@@ -143,23 +143,13 @@ class TestParetoFront:
 
 
 class TestTrainingTargets:
-    def test_drop_keeps_exact_values(self):
-        space = space_1d()
-        h = History("t", num_objectives=1)
-        for x, y in [(0.1, 1.0), (0.5, 2.0), (0.9, 3.0)]:
-            h.record(obs(x, [y]))
-        X, Y, C = h.training_targets(space, "index", "drop")
-        assert X.shape == (3, 1)
-        assert list(Y[:, 0]) == [1.0, 2.0, 3.0]
-        assert C.shape == (3, 0)
-
     def test_impute_worst_arithmetic(self):
         space = space_1d()
         h = History("t", num_objectives=1)
         h.record(obs(0.1, [1.0]))
         h.record(obs(0.5, [3.0]))
         h.record(obs(0.9, None, state=TrialState.FAILED))
-        X, Y, _ = h.training_targets(space, "index", "impute_worst")
+        X, Y, _ = h.training_targets(space, "index")
         assert Y.shape == (3, 1)
         assert Y[2, 0] == pytest.approx(3.0 + math.sqrt(2.0))  # worst + sample std
 
@@ -168,7 +158,7 @@ class TestTrainingTargets:
         h = History("t", num_objectives=1, num_constraints=2)
         h.record(obs(0.1, [1.0], constraints=[-1.0, -0.5]))
         h.record(obs(0.9, None, state=TrialState.TIMEOUT))
-        _, _, C = h.training_targets(space, "index", "impute_worst")
+        _, _, C = h.training_targets(space, "index")
         assert list(C[1]) == [1.0, 1.0]
 
     def test_only_failures_is_an_error(self):
@@ -176,7 +166,7 @@ class TestTrainingTargets:
         h = History("t", num_objectives=1)
         h.record(obs(0.9, None, state=TrialState.FAILED))
         with pytest.raises(InsufficientDataError):
-            h.training_targets(space, "index", "impute_worst")
+            h.training_targets(space, "index")
 
 
 class TestSnapshot:

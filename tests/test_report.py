@@ -141,7 +141,7 @@ class TestImportanceShapley:
         from bbo.report import _design_matrix
         from bbo.surrogate import fit_prf
 
-        X, names = _design_matrix(h, None)
+        X, names = _design_matrix(h)
         y = np.array([o.objectives[0] for o in h.successes()])
         model = fit_prf(X, y, rng=np.random.default_rng(3))
         phis = np.zeros(2)
