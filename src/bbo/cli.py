@@ -24,6 +24,7 @@ import itertools
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -133,24 +134,33 @@ def subprocess_objective(command: str, timeout: float | None = None):
         env = dict(os.environ, BBO_TRIAL_INDEX=str(trial_index))
         request = json.dumps({"config": dict(config.values)}) + "\n"
         try:
-            proc = subprocess.run(
+            # a session of its own, so that killing its process group on a
+            # timeout or an interrupt also kills the processes it started
+            proc = subprocess.Popen(
                 argv,
-                input=request,
-                capture_output=True,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
-                timeout=timeout,
                 env=env,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired:
-            raise TimeoutError(f"objective process exceeded {timeout} s") from None
         except OSError as exc:
             raise ProtocolError(f"cannot spawn objective process: {exc}") from None
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(request, timeout=timeout)
+            except subprocess.TimeoutExpired:
+                raise TimeoutError(f"objective process exceeded {timeout} s") from None
+            finally:
+                if proc.returncode is None:  # still running; leaving the block reaps it
+                    os.killpg(proc.pid, signal.SIGKILL)
         if proc.returncode != 0:
             raise ProtocolError(
                 f"objective process exited with status {proc.returncode}: "
-                f"{proc.stderr.strip()[:200]}"
+                f"{stderr.strip()[:200]}"
             )
-        line = proc.stdout.strip().splitlines()
+        line = stdout.strip().splitlines()
         if not line:
             raise ProtocolError("objective process produced no output")
         try:

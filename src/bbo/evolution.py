@@ -156,20 +156,22 @@ def _tournament(a: Individual, b: Individual) -> Individual:
     return a
 
 
-def _sbx_pair(p1: np.ndarray, p2: np.ndarray, eta: float, rng) -> tuple[np.ndarray, np.ndarray]:
+def _sbx_pair(p1: np.ndarray, p2: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     d = p1.shape[0]
+    exponent = 1 / (SBX_ETA + 1)
     c1, c2 = p1.copy(), p2.copy()
     for k in range(d):
         if rng.uniform() > 0.5:
             continue
         u = rng.uniform()
-        beta = (2 * u) ** (1 / (eta + 1)) if u <= 0.5 else (1 / (2 * (1 - u))) ** (1 / (eta + 1))
+        beta = (2 * u) ** exponent if u <= 0.5 else (1 / (2 * (1 - u))) ** exponent
         c1[k] = 0.5 * ((1 + beta) * p1[k] + (1 - beta) * p2[k])
         c2[k] = 0.5 * ((1 - beta) * p1[k] + (1 + beta) * p2[k])
     return np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
 
 
-def _polynomial_mutation(genome: np.ndarray, eta: float, prob: float, rng) -> np.ndarray:
+def _polynomial_mutation(genome: np.ndarray, prob: float, rng) -> np.ndarray:
+    eta1 = MUTATION_ETA + 1
     out = genome.copy()
     for k in range(out.shape[0]):
         if rng.uniform() >= prob:
@@ -177,9 +179,9 @@ def _polynomial_mutation(genome: np.ndarray, eta: float, prob: float, rng) -> np
         x = out[k]
         u = rng.uniform()
         if u < 0.5:
-            delta = (2 * u + (1 - 2 * u) * (1 - x) ** (eta + 1)) ** (1 / (eta + 1)) - 1
+            delta = (2 * u + (1 - 2 * u) * (1 - x) ** eta1) ** (1 / eta1) - 1
         else:
-            delta = 1 - (2 * (1 - u) + (2 * u - 1) * x ** (eta + 1)) ** (1 / (eta + 1))
+            delta = 1 - (2 * (1 - u) + (2 * u - 1) * x**eta1) ** (1 / eta1)
         out[k] = x + delta
     return np.clip(out, 0.0, 1.0)
 
@@ -201,11 +203,11 @@ def nsga2_propose(pop: Population, rng: np.random.Generator) -> list[np.ndarray]
             i, j = rng.integers(n), rng.integers(n)
             parents.append(_tournament(pop.individuals[i], pop.individuals[j]))
         if rng.uniform() < SBX_PROB:
-            c1, c2 = _sbx_pair(parents[0].genome, parents[1].genome, SBX_ETA, rng)
+            c1, c2 = _sbx_pair(parents[0].genome, parents[1].genome, rng)
         else:
             c1, c2 = parents[0].genome.copy(), parents[1].genome.copy()
-        offspring.append(_polynomial_mutation(c1, MUTATION_ETA, mutation_prob, rng))
-        offspring.append(_polynomial_mutation(c2, MUTATION_ETA, mutation_prob, rng))
+        offspring.append(_polynomial_mutation(c1, mutation_prob, rng))
+        offspring.append(_polynomial_mutation(c2, mutation_prob, rng))
     return offspring[:n]
 
 

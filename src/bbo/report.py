@@ -425,13 +425,13 @@ def render_html(history: History, analyses: Optional[dict] = None) -> str:
     return doc
 
 
-def default_analyses(history: History, ref_point: Optional[Sequence[float]] = None) -> dict:
+def default_analyses(history: History) -> dict:
     """Compute the standard analysis bundle for a history's task type."""
     analyses: dict = {}
     if history.num_objectives == 1:
         analyses["convergence"] = convergence_curve(history)
     else:
-        ref = ref_point if ref_point is not None else history.ref_point
+        ref = history.ref_point
         if ref is None:
             ref = history.default_ref_point()
         if ref is not None:

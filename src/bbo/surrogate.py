@@ -256,9 +256,12 @@ def _lml_and_grad(y: np.ndarray, log_hypers: np.ndarray, d2: np.ndarray, eye: np
         - 0.5 * n * math.log(2.0 * math.pi)
     )
 
-    # dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta)
-    K_inv, info = lapack.dpotrs(L, eye, lower=1)
-    _lapack_check("dpotrs", info)
+    # dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta); dpotri gives
+    # K^-1's lower triangle over L's storage, the upper one is L's zeros
+    K_inv, info = lapack.dpotri(L, lower=1, overwrite_c=1)
+    _lapack_check("dpotri", info)
+    K_inv += K_inv.T
+    K_inv[np.diag_indices(n)] *= 0.5
     W = np.outer(alpha, alpha) - K_inv
 
     grad = np.empty(d + 2)
@@ -280,9 +283,12 @@ def fit_gp(
 ) -> GPModel:
     """Fit GP hyperparameters by maximizing the log marginal likelihood.
 
-    Multi-start L-BFGS over log hyperparameters: one default initialization,
-    ``restarts`` random ones drawn from the bounded log-space, plus any
-    ``extra_inits`` (e.g. warm starts from a previous fit).
+    L-BFGS over log hyperparameters from each start, keeping the best:
+    first the ``extra_inits`` (e.g. a previous fit's hyperparameters), then
+    the fixed default ``[log 0.5 .., log 1, log 1e-3]``, then ``restarts``
+    random starts drawn from the bounded log-space. The default start is
+    added only when ``restarts > 0`` or no ``extra_inits`` are given, so
+    ``restarts=0, extra_inits=(warm,)`` runs the warm start alone.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -310,9 +316,9 @@ def fit_gp(
     hi = np.log(np.array([LENGTHSCALE_BOUNDS[1]] * d + [SIGNAL_VAR_BOUNDS[1], NOISE_VAR_BOUNDS[1]]))
     bounds = list(zip(lo, hi))
 
-    default = np.log(np.concatenate([np.full(d, 0.5), [1.0, 1e-3]]))
     inits = [np.clip(np.asarray(t, dtype=float), lo, hi) for t in extra_inits]
-    inits.append(default)
+    if restarts > 0 or not inits:
+        inits.append(np.log(np.concatenate([np.full(d, 0.5), [1.0, 1e-3]])))
     for _ in range(max(0, restarts)):
         ell0 = rng.uniform(np.log(0.05), np.log(2.0), size=d)
         sf0 = rng.uniform(np.log(0.5), np.log(2.0))

@@ -222,6 +222,33 @@ class TestAskTell:
         assert len(seen) == 8  # the whole 4 x 2 space, each exactly once
 
 
+class TestRefitSchedule:
+    def test_first_and_every_tenth_refit_are_deep(self, monkeypatch):
+        from bbo import advisor as advisor_module
+
+        fits = []
+        fit_gp = advisor_module.fit_gp
+
+        # restarts is read as a keyword, as the benchmark's tracer reads it
+        def recording(X, y, **kwargs):
+            fits.append((kwargs["restarts"], len(kwargs["extra_inits"])))
+            return fit_gp(X, y, **kwargs)
+
+        monkeypatch.setattr(advisor_module, "fit_gp", recording)
+        task = TaskSpec(space=float_space(2), init_count=3, max_runs=15, algorithm="gp", seed=4)
+        advisor = Advisor(task)
+        for _ in range(task.max_runs):
+            config = advisor.ask()
+            advisor.tell(success(config, *quadratic(config)))
+        assert len(fits) >= 11
+        # deep: warm + default + 2 random starts (none warm on the first);
+        # the others run the warm start alone
+        assert fits[0] == (2, 0)
+        assert fits[1] == (0, 1)
+        assert fits[10] == (2, 1)
+        assert [restarts for restarts, _ in fits[:11]] == [2] + [0] * 9 + [2]
+
+
 class TestThreeObjectives:
     def test_dtlz2_ehvi_asks_are_bounded(self):
         ref = (2.0, 2.0, 2.0)

@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import signal
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -62,6 +65,21 @@ DTLZ2_STUB = """
     ]
     print(json.dumps({"objectives": f}))
 """
+
+
+def process_alive(pid):
+    """True while pid runs; a zombie waiting for a reaper counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc
+        return True
 
 
 def write_task(tmp_path, **overrides):
@@ -133,6 +151,28 @@ class TestRunCommand:
         history = import_json((out / "history.json").read_text())
         assert all(o.trial_state == TrialState.TIMEOUT for o in history.observations)
         assert all("exceeded 0.3 s" in o.extra["error"] for o in history.observations)
+
+    def test_timeout_kills_the_objectives_children(self, tmp_path):
+        task = write_task(tmp_path, max_runs=1)
+        pid_file = tmp_path / "child.pid"
+        cmd = f"sh -c 'sleep 30 & echo $! > \"{pid_file}\"; wait'"
+        out = tmp_path / "out"
+        try:
+            code = main(
+                ["run", "--task", task, "--cmd", cmd, "--out", str(out), "--timeout", "0.3"]
+            )
+            assert code == 0
+            history = import_json((out / "history.json").read_text())
+            assert history.observations[0].trial_state == TrialState.TIMEOUT
+            pid = int(pid_file.read_text())
+            deadline = time.monotonic() + 2.0
+            while process_alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not process_alive(pid), "the objective's background child outlived the timeout"
+        finally:  # never leave the sleep behind, even when the check fails
+            text = pid_file.read_text().strip() if pid_file.exists() else ""
+            if text and process_alive(int(text)):
+                os.kill(int(text), signal.SIGKILL)
 
     def test_three_objective_gp_run_and_report(self, tmp_path):
         parameters = [

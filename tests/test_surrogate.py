@@ -136,6 +136,52 @@ class TestGP:
         assert mean.shape == var.shape == (1,) and var[0] >= 0
 
 
+class TestStartRule:
+    """Which L-BFGS starts fit_gp runs, counted at optimize.minimize."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        calls = []
+        minimize = surrogate.optimize.minimize
+
+        def counting(fun, x0, *args, **kwargs):
+            calls.append(np.array(x0, copy=True))
+            return minimize(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(surrogate.optimize, "minimize", counting)
+        return calls
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(31)
+        X = rng.uniform(size=(12, 2))
+        return X, np.sin(6 * X[:, 0]) + X[:, 1]
+
+    DEFAULT = np.log([0.5, 0.5, 1.0, 1e-3])
+    WARM = np.log([0.3, 0.8, 1.5, 1e-4])
+
+    def test_warm_start_alone(self, starts):
+        fit_gp(*self.problem(), restarts=0, extra_inits=(self.WARM,))
+        assert len(starts) == 1
+        np.testing.assert_array_equal(starts[0], self.WARM)
+
+    def test_default_start_without_warm_one(self, starts):
+        fit_gp(*self.problem(), restarts=0)
+        assert len(starts) == 1
+        np.testing.assert_array_equal(starts[0], self.DEFAULT)
+
+    def test_deep_fit_adds_default_and_random_starts(self, starts):
+        fit_gp(*self.problem(), restarts=2)
+        assert len(starts) == 3
+        np.testing.assert_array_equal(starts[0], self.DEFAULT)
+
+    def test_deep_warm_fit_keeps_every_start(self, starts):
+        fit_gp(*self.problem(), restarts=2, extra_inits=(self.WARM,))
+        assert len(starts) == 4
+        np.testing.assert_array_equal(starts[0], self.WARM)
+        np.testing.assert_array_equal(starts[1], self.DEFAULT)
+
+
 class TestPRF:
     def test_constant_targets(self):
         rng = np.random.default_rng(0)
