@@ -152,20 +152,7 @@ class History:
         if self.num_objectives < 2:
             raise WrongTaskTypeError("pareto_front is defined for multi-objective tasks")
         feas = self.feasible_successes()
-        if not feas:
-            return []
-        pts = np.array([o.objectives for o in feas])
-        front_idx = moo.non_dominated_sort(pts)[0]
-        # front indices come sorted, so the first holder of each vector is earliest
-        out = []
-        seen_vectors: set[tuple] = set()
-        for i in front_idx:
-            key = tuple(pts[i])
-            if key in seen_vectors:
-                continue
-            seen_vectors.add(key)
-            out.append(feas[i])
-        return out
+        return [feas[i] for i in moo._pareto_filter(np.array([o.objectives for o in feas]))]
 
     def success_objectives(self) -> Optional[np.ndarray]:
         """Matrix of SUCCESS objective vectors in tell order (None if empty)."""

@@ -1,9 +1,10 @@
 """Multi-objective mathematics: dominance, sorting, crowding, hypervolume.
 
-Minimization convention throughout. Hypervolume is exact: a sweep for two
-objectives and dimension-recursive slicing for three or more. The region a
-front leaves undominated splits into disjoint boxes the same recursive way,
-which expected hypervolume improvement scores against.
+Minimization convention throughout. The region a front leaves undominated
+splits into disjoint boxes by slicing one objective at a time; expected
+hypervolume improvement scores against these boxes, and exact hypervolume at
+three or more objectives is the volume they leave of the box from the ideal
+point to the reference point. Two objectives use a sweep.
 """
 
 from __future__ import annotations
@@ -82,24 +83,22 @@ def crowding_distance(front_points) -> np.ndarray:
 
 
 def _pareto_filter(pts: np.ndarray) -> np.ndarray:
-    """Drop dominated and duplicate rows (keeps the measure unchanged).
-
-    Survivors keep their input order; of equal rows the earliest survives.
-    """
+    """Ascending indices of the rows that are neither dominated nor equal to
+    an earlier row (dropping the others keeps the measure unchanged)."""
     n = pts.shape[0]
     if n <= 1:
-        return pts
+        return np.arange(n)
     if pts.shape[1] == 2:
         # in (f1, f2) order every dominator or earlier duplicate of a row
         # precedes it, so a row survives iff its f2 beats all earlier f2
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         f2 = pts[order, 1]
         prev_best = np.concatenate([[np.inf], np.minimum.accumulate(f2)[:-1]])
-        return pts[np.sort(order[f2 < prev_best])]
+        return np.sort(order[f2 < prev_best])
     dominated = _dominance_matrix(pts).any(axis=0)
     equal = np.all(pts[:, None, :] == pts[None, :, :], axis=2)
     earlier_dup = np.triu(equal, k=1).any(axis=0)
-    return pts[~(dominated | earlier_dup)]
+    return np.flatnonzero(~(dominated | earlier_dup))
 
 
 def _hv_sweep_2d(pts: np.ndarray, ref: np.ndarray) -> float:
@@ -110,27 +109,6 @@ def _hv_sweep_2d(pts: np.ndarray, ref: np.ndarray) -> float:
         if b < cur:
             total += (ref[0] - a) * (cur - b)
             cur = b
-    return float(total)
-
-
-def _hv_recursive(pts: np.ndarray, ref: np.ndarray) -> float:
-    """Exact hypervolume by slicing on the last objective."""
-    m = ref.shape[0]
-    if pts.shape[0] == 0:
-        return 0.0
-    if m == 1:
-        return float(ref[0] - pts[:, 0].min())
-    order = np.argsort(pts[:, -1], kind="stable")
-    pts = pts[order]
-    total = 0.0
-    n = pts.shape[0]
-    for i in range(n):
-        upper = pts[i + 1, -1] if i + 1 < n else ref[-1]
-        height = upper - pts[i, -1]
-        if height <= 0:
-            continue
-        slab = _pareto_filter(pts[: i + 1, :-1])
-        total += height * _hv_recursive(slab, ref[:-1])
     return float(total)
 
 
@@ -147,7 +125,7 @@ def nondominated_boxes(pts: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np
     if ref.shape[0] == 1:
         upper = pts[:, 0].min() if pts.shape[0] else ref[0]
         return np.array([[-np.inf]]), np.array([[upper]])
-    pts = _pareto_filter(pts)
+    pts = pts[_pareto_filter(pts)]
     order = np.argsort(pts[:, 0], kind="stable")
     edges = np.concatenate([[-np.inf], pts[order, 0], [ref[0]]])
     lowers, uppers = [], []
@@ -160,27 +138,41 @@ def nondominated_boxes(pts: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np
     return np.vstack(lowers), np.vstack(uppers)
 
 
-def hypervolume(points, ref_point, force_recursive: bool = False) -> float:
+def _hv_boxes(pts: np.ndarray, ref: np.ndarray) -> float:
+    """Hypervolume of points within ref: the box [ideal, ref] less the
+    nondominated_boxes cut off below at the ideal point. Every upper bound is
+    a front value or ref, so no cut box has a negative side."""
+    ideal = pts.min(axis=0)
+    lower, upper = nondominated_boxes(pts, ref)
+    undominated = (upper - np.maximum(lower, ideal)).prod(axis=1).sum()
+    return float(np.prod(ref - ideal) - undominated)
+
+
+def hypervolume(points, ref_point) -> float:
     """Lebesgue measure of the union of boxes [p_i, ref_point].
 
-    Points with any component beyond the reference point are filtered out
-    first. ``force_recursive`` routes m=2 input through the recursive path
-    (consistency checks only).
+    ``points`` is an (n, m) array, or one point of length m, with m the
+    length of ``ref_point``. Points with any component beyond the reference
+    point are filtered out first. Two objectives use a sweep; three or more
+    subtract the undominated boxes that expected hypervolume improvement
+    scores against from the box between the ideal and the reference point.
     """
     ref = np.asarray(ref_point, dtype=float)
     if ref.ndim != 1 or ref.shape[0] < 2:
         raise ValueError("ref_point must be a vector of length >= 2")
-    pts = np.asarray(points, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         return 0.0
-    pts = pts.reshape(-1, ref.shape[0])
+    if pts.ndim != 2 or pts.shape[1] != ref.shape[0]:
+        raise ValueError(
+            f"points of shape {pts.shape} do not match a ref_point of length {ref.shape[0]}"
+        )
     pts = pts[np.all(pts <= ref, axis=1)]
     if pts.shape[0] == 0:
         return 0.0
-    pts = _pareto_filter(pts)
-    if ref.shape[0] == 2 and not force_recursive:
-        return _hv_sweep_2d(pts, ref)
-    return _hv_recursive(pts, ref)
+    if ref.shape[0] == 2:
+        return _hv_sweep_2d(pts[_pareto_filter(pts)], ref)
+    return _hv_boxes(pts, ref)  # nondominated_boxes filters the front itself
 
 
 def hypervolume_difference(points, ref_point, optimal_hv: float) -> float:

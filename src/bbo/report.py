@@ -111,11 +111,15 @@ def importance_shapley(
 
     Fits a random forest to the history's first objective, then estimates
     Shapley values of up to 64 rows by permutation sampling against up to
-    32 background rows: each sample walks a random feature permutation,
-    filling features from the explicand one at a time against a random
-    background row, so the per-row values telescope and satisfy the
-    efficiency property up to Monte Carlo error in the baseline.
+    32 background rows. Each of ``n_permutations`` (at least 2) samples
+    draws a feature permutation and a background row; its hybrid k holds
+    the background row with the first k permuted features taken from the
+    explicand, and the gaps between consecutive hybrids' predictions are the
+    features' marginal contributions. The per-row values telescope, so they
+    satisfy the efficiency property up to Monte Carlo error in the baseline.
     """
+    if n_permutations < 2:
+        raise ValueError(f"n_permutations must be >= 2, got {n_permutations}")
     if rng is None:
         rng = np.random.default_rng(0)
     successes = history.successes()
@@ -137,31 +141,26 @@ def importance_shapley(
     bg_pred, _ = model.predict(background)
     baseline = float(bg_pred.mean())
 
+    positions = np.arange(d)
+    steps = np.arange(d + 1)[None, :, None]
     phi = np.zeros((len(ex_idx), d))
     residuals = np.empty(len(ex_idx))
     tolerances = np.empty(len(ex_idx))
     for row, i in enumerate(ex_idx):
-        x = X[i]
-        # hybrid rows: position k holds the background with the first k
-        # permuted features replaced by the explicand's values
-        hybrids = np.empty((n_permutations, d + 1, d))
-        perms = np.empty((n_permutations, d), dtype=int)
+        # rank[s, f]: position of feature f in sample s's permutation
+        rank = np.empty((n_permutations, d), dtype=int)
+        z_idx = np.empty(n_permutations, dtype=int)
         for s in range(n_permutations):
-            perm = rng.permutation(d)
-            z = background[rng.integers(background.shape[0])]
-            perms[s] = perm
-            current = z.copy()
-            hybrids[s, 0] = current
-            for k, feature in enumerate(perm):
-                current = current.copy()
-                current[feature] = x[feature]
-                hybrids[s, k + 1] = current
+            rank[s, rng.permutation(d)] = positions
+            z_idx[s] = rng.integers(background.shape[0])
+        hybrids = np.where(rank[:, None, :] < steps, X[i], background[z_idx][:, None, :])
         preds, _ = model.predict(hybrids.reshape(-1, d))
         preds = preds.reshape(n_permutations, d + 1)
-        marginals = np.diff(preds, axis=1)  # (s, k): adding feature perm[s, k]
-        for s in range(n_permutations):
-            phi[row, perms[s]] += marginals[s]
-        phi[row] /= n_permutations
+        # marginal of feature f in sample s: the step that added it
+        marginals = np.take_along_axis(np.diff(preds, axis=1), rank, axis=1)
+        # cumsum adds sample by sample, the order of the per-sample
+        # reference loop in tests/test_report.py, so the bits match it
+        phi[row] = np.cumsum(marginals, axis=0)[-1] / n_permutations
 
         f_x = preds[:, -1].mean()  # equals model prediction at x for every sample
         z_preds = preds[:, 0]
@@ -214,12 +213,21 @@ def import_json(text: str) -> History:
     for key in ("task_id", "num_objectives", "num_constraints", "observations"):
         if key not in doc:
             raise HistoryParseError("missing required field", field=key)
-    history = History(
-        task_id=doc["task_id"],
-        num_objectives=doc["num_objectives"],
-        num_constraints=doc["num_constraints"],
-        ref_point=doc.get("ref_point"),
-    )
+    for key, least in (("num_objectives", 1), ("num_constraints", 0)):
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise HistoryParseError(f"must be an integer >= {least}, got {value!r}", field=key)
+    if not isinstance(doc["observations"], list):
+        raise HistoryParseError("must be a list", field="observations")
+    try:
+        history = History(
+            task_id=doc["task_id"],
+            num_objectives=doc["num_objectives"],
+            num_constraints=doc["num_constraints"],
+            ref_point=doc.get("ref_point"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise HistoryParseError(f"bad reference point: {exc}", field="ref_point") from None
     for i, entry in enumerate(doc["observations"]):
         try:
             state = TrialState(entry["trial_state"])
@@ -231,11 +239,11 @@ def import_json(text: str) -> History:
                 elapsed_time=entry.get("elapsed_time", 0.0),
                 extra=dict(entry.get("extra", {})),
             )
+            history.record(obs)
         except (KeyError, TypeError, ValueError) as exc:
             raise HistoryParseError(
                 f"bad observation: {exc}", field=f"observations[{i}]"
             ) from None
-        history.record(obs)
     return history
 
 

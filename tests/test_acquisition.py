@@ -32,6 +32,7 @@ from bbo.space import (
     from_unit_vector,
     sample_random,
 )
+from test_moo import inclusion_exclusion_hv
 
 
 class ConstantModel:
@@ -205,7 +206,7 @@ def staircase(front, ref):
     ref: (x_lo, x_hi, height) of k+1 strips, within strip i a new point adds
     area (x_hi - max(x_lo, y1))+ * (height - y2)+."""
     pts = np.empty((0, 2)) if front is None else front[np.all(front <= ref, axis=1)]
-    pts = moo._pareto_filter(pts)
+    pts = pts[moo._pareto_filter(pts)]
     order = np.argsort(pts[:, 0], kind="stable")
     a = pts[order, 0]
     b = pts[order, 1]
@@ -348,8 +349,11 @@ class TestEHVI:
             models = [TableModel(mu[:, j], np.zeros(q)) for j in range(m)]
             ctx = AcquisitionContext(objective_models=models, front=front, ref_point=ref)
             got = ehvi(np.arange(q, dtype=float)[:, None], ctx, 3, np.random.default_rng(trial))
-            base = moo.hypervolume(front, ref)
-            want = [moo.hypervolume(np.vstack([front, np.minimum(y, ref)]), ref) - base for y in mu]
+            base = inclusion_exclusion_hv(front, ref)
+            want = [
+                inclusion_exclusion_hv(np.vstack([front, np.minimum(y, ref)]), ref) - base
+                for y in mu
+            ]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_front_ref_consistency_checked(self):

@@ -71,7 +71,8 @@ class TestConstrReference:
         feasible = (6.0 - (X2 + 9.0 * X1) <= 0) & (1.0 - (9.0 * X1 - X2) <= 0)
         f1 = X1[feasible]
         f2 = (1.0 + X2[feasible]) / f1
-        front = _pareto_filter(np.column_stack([f1, f2]))
+        pts = np.column_stack([f1, f2])
+        front = pts[_pareto_filter(pts)]
         front = front[np.argsort(front[:, 0])]
         # staircase test: the lowest front f2 among points with f1 <= a must be <= b
         idx = np.searchsorted(front[:, 0], f1, side="right") - 1

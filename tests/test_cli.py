@@ -266,6 +266,17 @@ class TestReportCommand:
         assert main(["report", str(src), "-o", str(out)]) == 2
         assert not out.exists()
 
+    def test_malformed_history_exits_2(self, tmp_path, capsys):
+        src = self.make_history_file(tmp_path, num_objectives=2)
+        doc = json.loads(src.read_text())
+        doc["observations"][0]["objectives"] = [0.0, 1.0, 2.0]
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "report.html"
+        assert main(["report", str(src), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "observations[0]" in err
+        assert not out.exists()
+
     def test_idempotent(self, tmp_path):
         src = self.make_history_file(tmp_path)
         out = tmp_path / "report.html"

@@ -142,6 +142,29 @@ class TestParetoFront:
             assert any(dominates(f, o.objectives) or f == o.objectives for f in front)
 
 
+    def test_three_objectives_with_duplicates_and_infeasible_rows(self):
+        # three objectives take the Pareto filter's dominance-matrix branch
+        rng = np.random.default_rng(17)
+        h = History("t", num_objectives=3, num_constraints=1)
+        h.record(obs(0.0, (-1.0, -1.0, -1.0), (1.0,)))  # would dominate every row
+        for i in range(1, 80):
+            if i % 9 == 0:
+                h.record(obs(i / 80, None, state=TrialState.FAILED))
+            else:
+                objectives = tuple(rng.integers(0, 3, size=3).astype(float))  # duplicates
+                h.record(obs(i / 80, objectives, (float(rng.uniform(-1.0, 0.5)),)))
+        feas = h.feasible_successes()
+        expected = [
+            o
+            for k, o in enumerate(feas)
+            if not any(dominates(p.objectives, o.objectives) for p in feas)
+            and all(p.objectives != o.objectives for p in feas[:k])
+        ]
+        got = h.pareto_front()
+        assert 1 < len(got) < len(set(o.objectives for o in feas))
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+
 class TestTrainingTargets:
     def test_impute_worst_arithmetic(self):
         space = space_1d()

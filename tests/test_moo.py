@@ -1,9 +1,12 @@
 """Tests for dominance, sorting, crowding, and hypervolume."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bbo.moo import (
+    _hv_boxes,
     _pareto_filter,
     crowding_distance,
     dominates,
@@ -30,13 +33,30 @@ def peel_fronts(points):
 
 
 def pareto_filter_oracle(pts):
-    """Rows no other row dominates and no earlier row equals, in input order."""
+    """Indices of the rows no other row dominates and no earlier row equals."""
     keep = [
         not any(dominates(q, p) for q in pts)
         and not any(np.array_equal(pts[j], p) for j in range(i))
         for i, p in enumerate(pts)
     ]
-    return pts[np.array(keep, dtype=bool)]
+    return np.flatnonzero(np.array(keep, dtype=bool))
+
+
+def inclusion_exclusion_hv(points, ref):
+    """Exact oracle: the sum over nonempty subsets S of the front of
+    (-1)^(|S|+1) prod_j (ref_j - max_{p in S} p_j), over at most 10 points."""
+    ref = np.asarray(ref, dtype=float)
+    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, ref.shape[0]), axis=0)
+    pts = pts[np.all(pts <= ref, axis=1)]
+    # rows are distinct, so a row weakly dominated only by itself is on the front
+    weakly = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
+    pts = pts[weakly.sum(axis=0) == 1]
+    n = pts.shape[0]
+    assert n <= 10, "inclusion-exclusion takes 2^n terms"
+    masks = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)  # one row per S
+    corners = np.where(masks[:, :, None], pts[None, :, :], -np.inf).max(axis=1, initial=-np.inf)
+    signs = np.where(masks.sum(axis=1) % 2 == 1, 1.0, -1.0)
+    return math.fsum(signs * np.prod(ref - corners, axis=1))
 
 
 def mc_hypervolume(points, ref, n_samples, seed=0):
@@ -104,8 +124,7 @@ class TestParetoFilter:
                 pts = rng.integers(0, 5, size=(n, 2)).astype(float)
             else:
                 pts = rng.uniform(size=(n, 2))
-            got = _pareto_filter(pts)
-            assert np.array_equal(got, pareto_filter_oracle(pts))
+            assert np.array_equal(_pareto_filter(pts), pareto_filter_oracle(pts))
 
     def test_three_objectives_match_oracle(self):
         rng = np.random.default_rng(12)
@@ -162,14 +181,35 @@ class TestHypervolume:
             perm = rng.permutation(12)
             assert hypervolume(pts[perm], ref) == pytest.approx(base, rel=1e-12)
 
-    def test_sweep_matches_recursive_m2(self):
+    def test_sweep_matches_boxes_m2(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             pts = rng.uniform(size=(rng.integers(1, 15), 2))
             ref = np.full(2, 1.3)
-            a = hypervolume(pts, ref)
-            b = hypervolume(pts, ref, force_recursive=True)
-            assert abs(a - b) <= 1e-12
+            assert abs(hypervolume(pts, ref) - _hv_boxes(pts, ref)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_matches_inclusion_exclusion(self, m):
+        rng = np.random.default_rng(20 + m)
+        ref = np.full(m, 1.0)
+        for trial in range(160):
+            k = int(rng.integers(1, 11))
+            if trial % 4 < 2:
+                front = rng.uniform(-0.2, 1.2, size=(k, m))
+            else:  # on a plane: mutually non-dominated
+                front = rng.dirichlet(np.ones(m), size=k) * 1.4 - 0.2
+            if trial % 2:
+                front = np.round(front, 1)  # ties in every coordinate
+            front = np.vstack([front, front[: int(rng.integers(0, k + 1))]])  # duplicates
+            front = front[rng.permutation(len(front))]
+            assert abs(hypervolume(front, ref) - inclusion_exclusion_hv(front, ref)) <= 1e-12
+
+    def test_width_must_match_ref_point(self):
+        with pytest.raises(ValueError):
+            hypervolume([(0, 0), (1, 1), (2, 2)], (3, 3, 3))
+        with pytest.raises(ValueError):
+            hypervolume([(0, 0, 0)], (1, 1))
+        assert hypervolume((0, 0, 0), (1, 1, 1)) == pytest.approx(1.0)  # one flat point
 
     def test_matches_monte_carlo_3d(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 """Tests for analysis series, Shapley importance, HTML and JSON artifacts."""
 
+import json
 from html.parser import HTMLParser
 
 import numpy as np
@@ -9,6 +10,7 @@ from bbo.errors import HistoryParseError, InsufficientDataError, WrongTaskTypeEr
 from bbo.history import History, Observation, TrialState
 from bbo.moo import hypervolume
 from bbo.report import (
+    _design_matrix,
     convergence_curve,
     default_analyses,
     export_json,
@@ -18,6 +20,7 @@ from bbo.report import (
     render_html,
 )
 from bbo.space import Configuration
+from bbo.surrogate import fit_prf
 
 
 def obs(values, objectives, constraints=None, state=TrialState.SUCCESS, extra=None):
@@ -107,6 +110,43 @@ class TestHvOverTime:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def shapley_reference(history, n_permutations, rng):
+    """importance_shapley with one hybrid row and one accumulation per
+    sample and feature: the same draws in the same order, so the same bits."""
+    X, names = _design_matrix(history)
+    d = len(names)
+    model = fit_prf(X, np.array([o.objectives[0] for o in history.successes()]), rng=rng)
+    n = X.shape[0]
+    background = X[rng.permutation(n)[:32]]
+    ex_idx = rng.permutation(n)[:64]
+    baseline = float(model.predict(background)[0].mean())
+    phi = np.zeros((len(ex_idx), d))
+    residuals = np.empty(len(ex_idx))
+    tolerances = np.empty(len(ex_idx))
+    for row, i in enumerate(ex_idx):
+        x = X[i]
+        hybrids = np.empty((n_permutations, d + 1, d))
+        perms = np.empty((n_permutations, d), dtype=int)
+        for s in range(n_permutations):
+            perm = rng.permutation(d)
+            z = background[rng.integers(background.shape[0])]
+            perms[s] = perm
+            current = z.copy()
+            hybrids[s, 0] = current
+            for k, feature in enumerate(perm):
+                current = current.copy()
+                current[feature] = x[feature]
+                hybrids[s, k + 1] = current
+        preds = model.predict(hybrids.reshape(-1, d))[0].reshape(n_permutations, d + 1)
+        marginals = np.diff(preds, axis=1)
+        for s in range(n_permutations):
+            phi[row, perms[s]] += marginals[s]
+        phi[row] /= n_permutations
+        residuals[row] = abs(phi[row].sum() - (preds[:, -1].mean() - baseline))
+        tolerances[row] = 3.0 * (preds[:, 0].std(ddof=1) / np.sqrt(n_permutations) + 1e-12)
+    return np.abs(phi).mean(axis=0), residuals, tolerances
+
+
 class TestImportanceShapley:
     def make_history(self, fn, n=60, seed=0):
         rng = np.random.default_rng(seed)
@@ -171,6 +211,49 @@ class TestImportanceShapley:
         with pytest.raises(InsufficientDataError):
             importance_shapley(h, rng=np.random.default_rng(0))
 
+    def test_fewer_than_two_permutations_rejected(self):
+        h = self.make_history(lambda a, b: float(a))
+        for n_permutations in (0, 1):
+            with pytest.raises(ValueError):
+                importance_shapley(h, n_permutations=n_permutations)
+
+    def mixed_history(self, n, seed):
+        # float, int, categorical and boolean columns, a constant column and failures
+        rng = np.random.default_rng(seed)
+        h = History("t", num_objectives=1)
+        for i in range(n):
+            config = {
+                "lr": float(rng.uniform()),
+                "depth": int(rng.integers(1, 9)),
+                "opt": ("adam", "sgd", "rmsprop")[int(rng.integers(3))],
+                "bias": bool(rng.integers(2)),
+                "width": 64,
+            }
+            if i % 7 == 3:
+                h.record(obs(config, None, state=TrialState.FAILED))
+            else:
+                y = config["lr"] * config["depth"] + (config["opt"] == "sgd") + 0.1 * rng.normal()
+                h.record(obs(config, [float(y)]))
+        return h
+
+    @pytest.mark.parametrize(
+        "case, n_permutations",
+        [("two-floats", 64), ("mixed-40", 2), ("mixed-120", 37), ("mixed-15", 16)],
+    )
+    def test_matches_per_sample_reference(self, case, n_permutations):
+        if case == "two-floats":
+            h = self.make_history(lambda a, b: float(a + 0.3 * b + a * b), n=80, seed=4)
+        else:
+            n = int(case.split("-")[1])
+            h = self.mixed_history(n, seed=n)
+        result = importance_shapley(h, n_permutations, np.random.default_rng(9))
+        importance, residuals, tolerances = shapley_reference(
+            h, n_permutations, np.random.default_rng(9)
+        )
+        assert np.array_equal(list(result.per_parameter.values()), importance)
+        assert np.array_equal(result.row_residuals, residuals)
+        assert np.array_equal(result.row_tolerances, tolerances)
+
 
 class TestJsonRoundTrip:
     def mixed_history(self):
@@ -228,6 +311,35 @@ class TestJsonRoundTrip:
         with pytest.raises(HistoryParseError) as err:
             import_json('{"version": "1", "task_id": "x"}')
         assert "num_objectives" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_objectives", 0),
+            ("num_objectives", "x"),
+            ("num_objectives", True),
+            ("num_constraints", -1),
+            ("num_constraints", 1.5),
+            ("ref_point", [5.0]),
+            ("ref_point", ["a", "b"]),
+            ("ref_point", 5),
+            ("observations", {"0": {}}),
+            ("observations", 3),
+        ],
+    )
+    def test_malformed_field_is_parse_error(self, field, value):
+        doc = json.loads(export_json(self.mixed_history()))
+        doc[field] = value
+        with pytest.raises(HistoryParseError) as err:
+            import_json(json.dumps(doc))
+        assert err.value.field == field
+
+    def test_observation_of_the_wrong_width_is_parse_error(self):
+        doc = json.loads(export_json(self.mixed_history()))
+        doc["observations"][3]["objectives"] = [0.0, 1.0, 2.0]
+        with pytest.raises(HistoryParseError) as err:
+            import_json(json.dumps(doc))
+        assert err.value.field == "observations[3]"
 
 
 class _StrictChecker(HTMLParser):
