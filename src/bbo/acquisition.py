@@ -1,7 +1,10 @@
 """Acquisition functions and their inner optimization over the search space.
 
 Score functions are vectorized: they take one encoded row or an (n, d) batch
-and return a float or an (n,) array. The inner optimizer
+and return a float or an (n,) array. The advisor scores a candidate by its
+improvement (:func:`expected_improvement` for one objective, :func:`ehvi`
+for several) times :meth:`AcquisitionContext.feasibility_product`, the
+product of the constraints' probabilities of feasibility. The inner optimizer
 (:func:`maximize_acquisition`) scores random candidates and random
 neighbours of known configurations, then runs coordinate-wise local search.
 It works on code matrices (see :mod:`bbo.space`): candidates are sampled,
@@ -118,22 +121,6 @@ class AcquisitionContext:
         return pof
 
 
-def constrained_ei(x_encoded, ctx: AcquisitionContext):
-    """EI times the product of per-constraint feasibility probabilities.
-
-    Before any feasible point exists (ctx.eta is None), the score is the
-    feasibility product alone, so the search hunts for a feasible region.
-    """
-    X = np.atleast_2d(np.asarray(x_encoded, dtype=float))
-    pof = ctx.feasibility_product(X)
-    if ctx.eta is None:
-        scores = pof
-    else:
-        mu, var = ctx.objective_models[0].predict(X)
-        scores = expected_improvement(mu, var, ctx.eta) * pof
-    return float(scores[0]) if np.ndim(x_encoded) == 1 else scores
-
-
 def _hv_improvements(Y: list, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Vectorized HV(front + {y}) - HV(front) for points y whose objective j
     is the array Y[j], given the front's box decomposition (lower, upper).
@@ -202,25 +189,23 @@ def ehvi(
     return float(scores[0]) if np.ndim(x_encoded) == 1 else scores
 
 
-def estimate_lipschitz(
-    model,
-    dim: int,
-    rng: np.random.Generator,
-    n_points: int = 500,
-    step: float = 1e-3,
-) -> float:
-    """Max finite-difference gradient norm of the model mean over random
-    unit-cube points, floored at 1e-3."""
-    X = rng.uniform(size=(n_points, dim))
-    grad_sq = np.zeros(n_points)
+_LIPSCHITZ_POINTS = 500
+_LIPSCHITZ_STEP = 1e-3
+
+
+def estimate_lipschitz(model, dim: int, rng: np.random.Generator) -> float:
+    """Max central-difference gradient norm of the model mean over 500
+    random unit-cube points, floored at 1e-3."""
+    X = rng.uniform(size=(_LIPSCHITZ_POINTS, dim))
+    grad_sq = np.zeros(_LIPSCHITZ_POINTS)
     for k in range(dim):
         plus = X.copy()
         minus = X.copy()
-        plus[:, k] += step
-        minus[:, k] -= step
+        plus[:, k] += _LIPSCHITZ_STEP
+        minus[:, k] -= _LIPSCHITZ_STEP
         mu_p, _ = model.predict(plus)
         mu_m, _ = model.predict(minus)
-        grad_sq += ((mu_p - mu_m) / (2 * step)) ** 2
+        grad_sq += ((mu_p - mu_m) / (2 * _LIPSCHITZ_STEP)) ** 2
     return max(float(np.sqrt(grad_sq).max()), 1e-3)
 
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import evolution
 from .acquisition import (
     AcquisitionContext,
-    constrained_ei,
     ehvi,
     estimate_lipschitz,
     expected_improvement,
@@ -169,7 +168,6 @@ class _EAState:
 
     def __init__(self, task: TaskSpec, kind: str, rng: np.random.Generator):
         self.kind = kind
-        self.space = task.space
         self.rng = rng
         if kind == DE:
             self.pop_size = max(4, min(20, task.max_runs // 2))
@@ -180,19 +178,9 @@ class _EAState:
         # slots keep trial order stable even when tells arrive out of order
         self.queue: list[tuple[int, np.ndarray]] = []
         self.open: dict[Configuration, tuple[int, np.ndarray]] = {}
-        self.collected: dict[int, evolution.Individual] = {}
+        # slot -> (genome, objectives, total violation)
+        self.collected: dict[int, tuple] = {}
         self.num_objectives = task.num_objectives
-
-    def set_queue(self, genomes: Sequence[np.ndarray]) -> None:
-        self.queue = list(enumerate(genomes))
-
-    def config_of(self, genome: np.ndarray) -> Configuration:
-        return from_unit_vector(self.space, genome, INDEX)
-
-    def next_slot(self) -> Optional[tuple[int, np.ndarray]]:
-        if self.queue:
-            return self.queue.pop(0)
-        return None
 
     def receive(self, config: Configuration, obs: Observation) -> None:
         entry = self.open.pop(config, None)
@@ -200,38 +188,30 @@ class _EAState:
             return
         slot, genome = entry
         if obs.is_success:
-            objectives = np.asarray(obs.objectives, dtype=float)
             violation = evolution.total_violation(obs.constraints)
+            self.collected[slot] = (genome, obs.objectives, violation)
         else:
-            objectives = np.full(self.num_objectives, _FAILED_SENTINEL)
-            violation = _FAILED_SENTINEL
-        self.collected[slot] = evolution.Individual(
-            genome=genome, objectives=objectives, constraint_violation=violation
-        )
+            failed = (_FAILED_SENTINEL,) * self.num_objectives
+            self.collected[slot] = (genome, failed, _FAILED_SENTINEL)
 
     def generation_complete(self) -> bool:
         return not self.queue and not self.open and len(self.collected) == self.pop_size
 
     def advance(self) -> None:
         """Fold the collected evaluations into the next set of trial genomes."""
-        ordered = [self.collected[i] for i in range(self.pop_size)]
-        if self.parents is None:
-            self.parents = evolution.Population(ordered, generation=0)
-        elif self.kind == DE:
-            self.parents = evolution.de_select(self.parents, ordered)
-        else:
-            self.parents = evolution.nsga2_select(
-                self.parents.individuals,
-                ordered,
-                self.pop_size,
-                self.parents.generation + 1,
-            )
-        self.collected = {}
+        columns = zip(*(self.collected.pop(i) for i in range(self.pop_size)))
+        # the initial design is generation 0; selection numbers the rest
+        pop = evolution.Population(*map(np.array, columns), generation=0)
         if self.kind == DE:
-            genomes = evolution.de_propose(self.parents, evolution.DE_F, evolution.DE_CR, self.rng)
+            if self.parents is not None:
+                pop = evolution.de_select(self.parents, pop)
+            genomes = evolution.de_propose(pop, evolution.DE_F, evolution.DE_CR, self.rng)
         else:
-            genomes = evolution.nsga2_propose(self.parents, self.rng)
-        self.set_queue(genomes)
+            if self.parents is not None:
+                pop = evolution.nsga2_select(self.parents, pop)
+            genomes = evolution.nsga2_propose(pop, self.rng)
+        self.parents = pop
+        self.queue = list(enumerate(genomes))
 
 
 class Advisor:
@@ -269,7 +249,8 @@ class Advisor:
         if task.algorithm == "ea":
             self._ea = _EAState(task, self.plan.fallback, self._rng)
             self._init_points = self._initial_design(self._ea.pop_size)
-            self._ea.set_queue([to_unit_vector(task.space, c, INDEX) for c in self._init_points])
+            genomes = [to_unit_vector(task.space, c, INDEX) for c in self._init_points]
+            self._ea.queue = list(enumerate(genomes))
         else:
             self._ea = None
             self._init_points = self._initial_design(task.init_count)
@@ -319,6 +300,7 @@ class Advisor:
 
     def tell(self, obs: Observation, external: bool = False) -> None:
         """Ingest one observation; surrogates refit lazily at the next ask."""
+        self.task.space.validate(obs.config)
         known = obs.config in self._pending
         if not known and not external:
             warnings.warn(
@@ -462,30 +444,29 @@ class Advisor:
         )
 
     def _score_function(self, ctx: AcquisitionContext):
-        kind = self.plan.acquisition_kind
-        if kind == EI:
-            model = ctx.objective_models[0]
-            eta = ctx.eta
+        """The improvement (EI for one objective, EHVI for several) times the
+        product of the constraints' probabilities of feasibility. With one
+        objective and no feasible point yet, the improvement is 1, so the
+        score is that product alone."""
+        if self.task.num_objectives > 1:
+            # freeze the Monte Carlo seed for this ask so every batch of
+            # candidates is scored with common random numbers
+            mc_seed = int(self._rng.integers(2**63))
 
-            def score(X):
-                mu, var = model.predict(X)
-                return expected_improvement(mu, var, eta)
+            def improvement(X):
+                return ehvi(X, ctx, _EHVI_MC_SAMPLES, np.random.default_rng(mc_seed))
 
-            return score
-        if kind == EIC:
-            return lambda X: constrained_ei(X, ctx)
-        # EHVI / EHVI_C: freeze the Monte Carlo seed for this ask so every
-        # batch of candidates is scored with common random numbers
-        mc_seed = int(self._rng.integers(2**63))
+        elif ctx.eta is not None:
 
-        def score(X):
-            values = ehvi(X, ctx, _EHVI_MC_SAMPLES, np.random.default_rng(mc_seed))
-            values = np.atleast_1d(values)
-            if kind == EHVI_C:
-                values = values * ctx.feasibility_product(X)
-            return values
+            def improvement(X):
+                mu, var = ctx.objective_models[0].predict(X)
+                return expected_improvement(mu, var, ctx.eta)
 
-        return score
+        else:
+            return ctx.feasibility_product
+        if not ctx.constraint_models:
+            return improvement
+        return lambda X: improvement(X) * ctx.feasibility_product(X)
 
     def _inner_budgets(self) -> tuple[int, int]:
         if self.task.num_objectives > 1:
@@ -548,13 +529,12 @@ class Advisor:
         ea = self._ea
         if ea.generation_complete():
             ea.advance()
-        slot = ea.next_slot()
-        if slot is None:
+        if not ea.queue:
             # generation still in flight; bridge with a random unseen config
             self.last_ask_info = {"phase": "random"}
             return self._random_unseen()
-        slot_index, genome = slot
-        config = ea.config_of(genome)
+        slot_index, genome = ea.queue.pop(0)
+        config = from_unit_vector(self.task.space, genome, INDEX)
         excluded = self._told_set | set(self._pending)
         if config in excluded:
             config = self._random_unseen()

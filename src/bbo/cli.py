@@ -29,21 +29,19 @@ import subprocess
 import sys
 import tempfile
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 from . import bench, report
 from .advisor import TaskSpec
 from .errors import BBOError, HistoryParseError, SetupError, SpaceError
 from .optimizer import run
+from .report import _is_number
 from .space import Configuration, space_from_dict
 
 EXIT_OK = 0
 EXIT_SETUP = 2
 EXIT_IO = 3
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 # task fields with a JSON type: (accepts the value, what it must be)
@@ -100,19 +98,11 @@ def load_task_file(path: str) -> tuple[TaskSpec, dict]:
     for name, (accepts, kind) in _TYPED_FIELDS.items():
         if name in doc and not accepts(doc[name]):
             raise SetupError(f"task file {path}: {name} must be {kind}, got {doc[name]!r}")
-    task = TaskSpec(
-        space=space_from_dict(doc),
-        num_objectives=doc.get("num_objectives", 1),
-        num_constraints=doc.get("num_constraints", 0),
-        max_runs=doc.get("max_runs", 100),
-        batch_size=doc.get("batch_size", 1),
-        algorithm=doc.get("algorithm", "auto"),
-        init_design=doc.get("init_design", "latin_hypercube"),
-        init_count=doc.get("init_count"),
-        ref_point=tuple(doc["ref_point"]) if doc.get("ref_point") is not None else None,
-        seed=doc.get("seed", 0),
-        task_id=doc.get("task_id", Path(path).stem),
-    )
+    spec = {field.name: doc[field.name] for field in fields(TaskSpec) if field.name in doc}
+    if spec.get("ref_point") is not None:
+        spec["ref_point"] = tuple(spec["ref_point"])
+    spec.setdefault("task_id", Path(path).stem)
+    task = TaskSpec(space=space_from_dict(doc), **spec)
     runtime = {
         "parallelism": doc.get("parallelism", 1),
         "timeout": float(doc["timeout"]) if doc.get("timeout") is not None else None,

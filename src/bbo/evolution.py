@@ -3,17 +3,17 @@ single-objective tasks and NSGA-II for multi-objective ones.
 
 Each algorithm is split into a propose step (generate trial genomes) and a
 select step (combine evaluated trials into the next population), so the
-advisor can drive it through ask-and-tell.
+advisor can drive it through ask-and-tell. A population is a tuple of
+arrays, one row per individual.
 
-Constraint handling follows Deb's feasibility rules: feasible beats
-infeasible, lower total violation beats higher, and only then do objectives
-decide.
+Constraints enter through Deb's feasibility rule, written once in
+:func:`_deb_dominates`: feasible beats infeasible, lower total violation
+beats higher, and only then do objectives decide, by Pareto dominance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,70 +34,46 @@ def total_violation(constraints) -> float:
     return float(np.sum(np.maximum(np.asarray(constraints, dtype=float), 0.0)))
 
 
-@dataclass
-class Individual:
-    genome: np.ndarray
-    objectives: np.ndarray | None = None
-    constraint_violation: float = 0.0
-    rank: int = 0
-    crowding: float = 0.0
-
-    def __post_init__(self):
-        self.genome = np.clip(np.asarray(self.genome, dtype=float), 0.0, 1.0)
-        if self.objectives is not None:
-            self.objectives = np.asarray(self.objectives, dtype=float)
-
-    @property
-    def feasible(self) -> bool:
-        return self.constraint_violation <= 0.0
+class Population(NamedTuple):
+    genomes: np.ndarray  # (n, d) rows in the unit cube
+    objectives: np.ndarray  # (n, m)
+    violations: np.ndarray  # (n,) total violation, 0 iff feasible
+    generation: int
 
 
-@dataclass
-class Population:
-    individuals: list[Individual]
-    generation: int = 0
-
-    def __len__(self) -> int:
-        return len(self.individuals)
-
-    def genomes(self) -> np.ndarray:
-        return np.array([ind.genome for ind in self.individuals])
+def _deb_dominates(obj_a, viol_a, obj_b, viol_b) -> np.ndarray:
+    """Deb's feasibility rule, broadcasting over rows: a beats b when both
+    are feasible and a Pareto-dominates b, or otherwise when a's violation
+    is lower (a feasible violation is 0, an infeasible one positive)."""
+    both_feasible = (viol_a <= 0.0) & (viol_b <= 0.0)
+    return np.where(both_feasible, moo._pareto_dominates(obj_a, obj_b), viol_a < viol_b)
 
 
-def _deb_better_scalar(a: Individual, b: Individual) -> bool:
-    """Strictly better under feasibility-first rules, scalar objectives."""
-    if a.feasible != b.feasible:
-        return a.feasible
-    if not a.feasible:
-        return a.constraint_violation < b.constraint_violation
-    return float(a.objectives[0]) < float(b.objectives[0])
+def _stack(pop: Population, offspring: Population) -> Population:
+    """The rows of pop over those of offspring, one generation on."""
+    columns = (np.concatenate(pair) for pair in zip(pop[:3], offspring[:3]))
+    return Population(*columns, pop.generation + 1)
 
 
-def constrained_dominates(a: Individual, b: Individual) -> bool:
-    """Deb's constrained-dominance relation for multi-objective selection."""
-    if a.feasible != b.feasible:
-        return a.feasible
-    if not a.feasible:
-        return a.constraint_violation < b.constraint_violation
-    return moo.dominates(a.objectives, b.objectives)
+def _take(pop: Population, rows) -> Population:
+    return Population(pop.genomes[rows], pop.objectives[rows], pop.violations[rows], pop.generation)
 
 
 # --- differential evolution (rand/1/bin) ---
 
 
-def de_propose(pop: Population, F: float, CR: float, rng: np.random.Generator) -> list[np.ndarray]:
+def de_propose(pop: Population, F: float, CR: float, rng: np.random.Generator) -> np.ndarray:
     """One trial vector per individual: v = x_r1 + F (x_r2 - x_r3), clamped
     to the unit cube, then binomial crossover with a forced gene."""
-    n = len(pop)
+    genomes = pop.genomes
+    n, d = genomes.shape
     if n < 4:
         raise PopulationSizeError("differential evolution needs a population of at least 4")
     if not (0 < F <= 2):
         raise ValueError("F must lie in (0, 2]")
     if not (0 <= CR <= 1):
         raise ValueError("CR must lie in [0, 1]")
-    genomes = pop.genomes()
-    d = genomes.shape[1]
-    trials = []
+    trials = np.empty_like(genomes)
     for i in range(n):
         partners = [j for j in range(n) if j != i]
         r1, r2, r3 = rng.choice(partners, size=3, replace=False)
@@ -105,55 +81,37 @@ def de_propose(pop: Population, F: float, CR: float, rng: np.random.Generator) -
         j_rand = rng.integers(d)
         cross = rng.uniform(size=d) < CR
         cross[j_rand] = True
-        trials.append(np.where(cross, mutant, genomes[i]))
+        trials[i] = np.where(cross, mutant, genomes[i])
     return trials
 
 
-def de_select(pop: Population, trial_individuals: Sequence[Individual]) -> Population:
+def de_select(pop: Population, trials: Population) -> Population:
     """Greedy one-to-one selection; the trial wins ties."""
-    survivors = []
-    for parent, trial in zip(pop.individuals, trial_individuals):
-        survivors.append(parent if _deb_better_scalar(parent, trial) else trial)
-    return Population(survivors, generation=pop.generation + 1)
+    keep = _deb_dominates(pop.objectives, pop.violations, trials.objectives, trials.violations)
+    n = len(keep)
+    return _take(_stack(pop, trials), np.where(keep, np.arange(n), np.arange(n) + n))
 
 
 # --- NSGA-II ---
 
 
-def _constrained_fronts(individuals: Sequence[Individual]) -> list[list[int]]:
-    """Fast non-dominated sort under constrained dominance."""
-    violation = np.array([ind.constraint_violation for ind in individuals])
-    feasible = violation <= 0.0
-    objectives = np.array([ind.objectives for ind in individuals])
-    # unless both are feasible, the lower violation wins: a feasible point's
-    # violation is <= 0 and an infeasible one's is > 0
-    dom = np.where(
-        feasible[:, None] & feasible[None, :],
-        moo._dominance_matrix(objectives),
-        violation[:, None] < violation[None, :],
-    )
-    return moo._peel_fronts(dom)
+def _fronts_and_crowding(pop: Population) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
+    """Deb's rule between every pair of rows (dom[i, j]: i beats j), the
+    fronts it peels, and each row's crowding distance within its front."""
+    obj, viol = pop.objectives, pop.violations
+    dom = _deb_dominates(obj[:, None], viol[:, None], obj[None], viol[None])
+    fronts = moo._peel_fronts(dom)
+    crowding = np.empty(len(viol))
+    for front in fronts:
+        crowding[front] = moo.crowding_distance(obj[front])
+    return dom, fronts, crowding
 
 
-def _assign_rank_and_crowding(individuals: Sequence[Individual]) -> list[list[int]]:
-    fronts = _constrained_fronts(individuals)
-    for rank, front in enumerate(fronts):
-        pts = np.array([individuals[i].objectives for i in front])
-        crowd = moo.crowding_distance(pts)
-        for i, c in zip(front, crowd):
-            individuals[i].rank = rank
-            individuals[i].crowding = float(c)
-    return fronts
-
-
-def _tournament(a: Individual, b: Individual) -> Individual:
-    if constrained_dominates(a, b):
-        return a
-    if constrained_dominates(b, a):
-        return b
-    if a.crowding != b.crowding:
-        return a if a.crowding > b.crowding else b
-    return a
+def _tournament(dom: np.ndarray, crowding: np.ndarray, i: int, j: int) -> int:
+    """Binary tournament: Deb's rule, then the larger crowding distance, then i."""
+    if dom[j, i] or (not dom[i, j] and crowding[j] > crowding[i]):
+        return j
+    return i
 
 
 def _sbx_pair(p1: np.ndarray, p2: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -186,45 +144,37 @@ def _polynomial_mutation(genome: np.ndarray, prob: float, rng) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def nsga2_propose(pop: Population, rng: np.random.Generator) -> list[np.ndarray]:
+def nsga2_propose(pop: Population, rng: np.random.Generator) -> np.ndarray:
     """N offspring genomes via binary tournaments, SBX, polynomial mutation."""
-    n = len(pop)
+    n, d = pop.genomes.shape
     if n % 2 != 0:
         raise PopulationSizeError("NSGA-II needs an even population size")
     if n < 4:
         raise PopulationSizeError("NSGA-II needs a population of at least 4")
-    _assign_rank_and_crowding(pop.individuals)
-    d = pop.individuals[0].genome.shape[0]
+    dom, _, crowding = _fronts_and_crowding(pop)
     mutation_prob = 1.0 / d
     offspring: list[np.ndarray] = []
     while len(offspring) < n:
-        parents = []
-        for _ in range(2):
-            i, j = rng.integers(n), rng.integers(n)
-            parents.append(_tournament(pop.individuals[i], pop.individuals[j]))
-        if rng.uniform() < SBX_PROB:
-            c1, c2 = _sbx_pair(parents[0].genome, parents[1].genome, rng)
-        else:
-            c1, c2 = parents[0].genome.copy(), parents[1].genome.copy()
+        p1, p2 = pop.genomes[
+            [_tournament(dom, crowding, rng.integers(n), rng.integers(n)) for _ in range(2)]
+        ]
+        c1, c2 = _sbx_pair(p1, p2, rng) if rng.uniform() < SBX_PROB else (p1, p2)
         offspring.append(_polynomial_mutation(c1, mutation_prob, rng))
         offspring.append(_polynomial_mutation(c2, mutation_prob, rng))
-    return offspring[:n]
+    return np.array(offspring)
 
 
-def nsga2_select(
-    parents: Sequence[Individual], offspring: Sequence[Individual], n: int, generation: int
-) -> Population:
+def nsga2_select(parents: Population, offspring: Population) -> Population:
     """Environmental selection over parents + offspring: fill whole fronts,
     then truncate the split front by descending crowding distance."""
-    combined = list(parents) + list(offspring)
-    fronts = _assign_rank_and_crowding(combined)
-    survivors: list[Individual] = []
+    n = len(parents.genomes)
+    combined = _stack(parents, offspring)
+    _, fronts, crowding = _fronts_and_crowding(combined)
+    survivors: list[int] = []
     for front in fronts:
-        if len(survivors) + len(front) <= n:
-            survivors.extend(combined[i] for i in front)
-        else:
-            remaining = n - len(survivors)
-            by_crowding = sorted(front, key=lambda i: -combined[i].crowding)
-            survivors.extend(combined[i] for i in by_crowding[:remaining])
+        if len(survivors) + len(front) > n:
+            by_crowding = np.argsort(-crowding[front], kind="stable")
+            survivors.extend(np.asarray(front)[by_crowding[: n - len(survivors)]])
             break
-    return Population(survivors, generation=generation)
+        survivors.extend(front)
+    return _take(combined, survivors)

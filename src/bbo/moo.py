@@ -20,7 +20,13 @@ def dominates(a, b) -> bool:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"objective vectors differ in length: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
+    return bool(_pareto_dominates(a, b))
+
+
+def _pareto_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pareto dominance over the last axis, broadcasting the others: a <= b
+    in every objective and a < b in at least one."""
+    return np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
 
 
 def non_dominated_sort(points) -> list[list[int]]:
@@ -37,9 +43,7 @@ def non_dominated_sort(points) -> list[list[int]]:
 
 def _dominance_matrix(pts: np.ndarray) -> np.ndarray:
     """Pairwise dominance of the rows of an (n, m) array: dom[i, j] = i dominates j."""
-    less_eq = np.all(pts[:, None, :] <= pts[None, :, :], axis=2)
-    less = np.any(pts[:, None, :] < pts[None, :, :], axis=2)
-    return less_eq & less
+    return _pareto_dominates(pts[:, None, :], pts[None, :, :])
 
 
 def _peel_fronts(dom: np.ndarray) -> list[list[int]]:

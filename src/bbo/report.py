@@ -197,6 +197,38 @@ def export_json(history: History) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=True)
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_observation(entry, names: Optional[set], where: str) -> None:
+    """Raise HistoryParseError unless entry's config is an object with
+    scalar values (and the keys ``names``, when given) and its objectives
+    and constraints are null or lists of numbers."""
+    if not isinstance(entry, dict):
+        raise HistoryParseError("must be an object", field=where)
+    config = entry.get("config")
+    if not isinstance(config, dict):
+        raise HistoryParseError("must be an object", field=f"{where}.config")
+    if names is not None and set(config) != names:
+        raise HistoryParseError(
+            f"must name the parameters {sorted(names)}, got {sorted(config)}",
+            field=f"{where}.config",
+        )
+    for name, value in config.items():
+        if not isinstance(value, (str, int, float)):
+            raise HistoryParseError(
+                f"{name!r} must be a string, number or boolean, got {value!r}",
+                field=f"{where}.config",
+            )
+    for key in ("objectives", "constraints"):
+        values = entry.get(key)
+        if values is not None and not (isinstance(values, list) and all(map(_is_number, values))):
+            raise HistoryParseError(
+                f"must be null or a list of numbers, got {values!r}", field=f"{where}.{key}"
+            )
+
+
 def import_json(text: str) -> History:
     """Parse the canonical JSON document back into a History."""
     try:
@@ -215,8 +247,10 @@ def import_json(text: str) -> History:
             raise HistoryParseError("missing required field", field=key)
     for key, least in (("num_objectives", 1), ("num_constraints", 0)):
         value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        if not _is_number(value, int) or value < least:
             raise HistoryParseError(f"must be an integer >= {least}, got {value!r}", field=key)
+    if not isinstance(doc["task_id"], str):
+        raise HistoryParseError(f"must be a string, got {doc['task_id']!r}", field="task_id")
     if not isinstance(doc["observations"], list):
         raise HistoryParseError("must be a list", field="observations")
     try:
@@ -228,7 +262,10 @@ def import_json(text: str) -> History:
         )
     except (TypeError, ValueError) as exc:
         raise HistoryParseError(f"bad reference point: {exc}", field="ref_point") from None
+    names = None
     for i, entry in enumerate(doc["observations"]):
+        _check_observation(entry, names, f"observations[{i}]")
+        names = set(entry["config"])
         try:
             state = TrialState(entry["trial_state"])
             obs = Observation(

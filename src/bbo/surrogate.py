@@ -32,6 +32,8 @@ NOISE_VAR_BOUNDS = (1e-8, 1e-1)
 JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 _LBFGS_MAXITER = 60  # iterations per hyperparameter start
 _FEATURE_FRACTION = 0.8  # share of features each forest split considers
+_N_TREES = 10
+_MIN_SAMPLES_LEAF = 3
 
 
 # OpenBLAS thread-count setters and getters, most specific name first: the
@@ -469,32 +471,24 @@ def _grow_tree(
     )
 
 
-def fit_prf(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_trees: int = 10,
-    rng: np.random.Generator | None = None,
-    min_samples_leaf: int = 3,
-    bootstrap: bool = True,
-) -> PRFModel:
-    """Fit a probabilistic random forest.
+def fit_prf(X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None) -> PRFModel:
+    """Fit a probabilistic random forest of _N_TREES trees.
 
-    Each tree grows on a bootstrap resample; splits minimize the weighted
-    child variance over a random subset of ceil(d * _FEATURE_FRACTION)
-    features and all distinct-value midpoint thresholds.
+    Each tree grows on a bootstrap resample down to leaves of at least
+    _MIN_SAMPLES_LEAF rows; splits minimize the weighted child variance over
+    a random subset of ceil(d * _FEATURE_FRACTION) features and all
+    distinct-value midpoint thresholds.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] < 2:
         raise InsufficientDataError("forest fitting needs at least 2 observations")
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
     n, d = X.shape
     max_features = max(1, math.ceil(d * _FEATURE_FRACTION))
     trees = []
-    for _ in range(n_trees):
-        idx = rng.integers(n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow_tree(X[idx], y[idx], rng, min_samples_leaf, max_features))
+    for _ in range(_N_TREES):
+        idx = rng.integers(n, size=n)
+        trees.append(_grow_tree(X[idx], y[idx], rng, _MIN_SAMPLES_LEAF, max_features))
     return PRFModel(trees)

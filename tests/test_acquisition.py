@@ -13,7 +13,6 @@ import bbo
 from bbo import moo
 from bbo.acquisition import (
     AcquisitionContext,
-    constrained_ei,
     ehvi,
     estimate_lipschitz,
     expected_improvement,
@@ -106,7 +105,17 @@ class TestProbabilityOfFeasibility:
         assert probability_of_feasibility(1.0, 0.0) == 0.0
 
 
+def advisor_score(ctx, x):
+    """The advisor's score under ctx at one encoded row, for a one-objective
+    task with one constraint per constraint model."""
+    space = SearchSpace([ParameterSpec("x", "float", low=0.0, high=1.0)])
+    advisor = Advisor(TaskSpec(space, num_constraints=len(ctx.constraint_models)))
+    return float(advisor._score_function(ctx)(np.atleast_2d(x))[0])
+
+
 class TestConstrainedEI:
+    """EI times the product of the constraints' probabilities of feasibility."""
+
     def test_pof_to_one_limit(self):
         ctx = AcquisitionContext(
             objective_models=[ConstantModel(0.0, 1.0)],
@@ -114,7 +123,7 @@ class TestConstrainedEI:
             eta=0.5,
         )
         plain = expected_improvement(0.0, 1.0, 0.5)
-        score = constrained_ei(np.zeros(2), ctx)
+        score = advisor_score(ctx, np.zeros(2))
         assert 0.999 * plain <= score <= plain
 
     def test_pof_to_zero_limit(self):
@@ -124,7 +133,7 @@ class TestConstrainedEI:
             eta=0.5,
         )
         plain = expected_improvement(0.0, 1.0, 0.5)
-        assert constrained_ei(np.zeros(2), ctx) <= 1e-12 * plain
+        assert advisor_score(ctx, np.zeros(2)) <= 1e-12 * plain
 
     def test_product_arithmetic(self):
         # choose constraint predictions with PoF exactly 0.5 each
@@ -134,7 +143,7 @@ class TestConstrainedEI:
             eta=0.5,
         )
         ei = expected_improvement(0.0, 1.0, 0.5)
-        assert constrained_ei(np.zeros(1), ctx) == pytest.approx(ei * 0.25)
+        assert advisor_score(ctx, np.zeros(1)) == pytest.approx(ei * 0.25)
 
     def test_feasibility_search_mode(self):
         ctx = AcquisitionContext(
@@ -142,7 +151,7 @@ class TestConstrainedEI:
             constraint_models=[ConstantModel(-1.0, 1.0)],
             eta=None,
         )
-        assert constrained_ei(np.zeros(1), ctx) == pytest.approx(
+        assert advisor_score(ctx, np.zeros(1)) == pytest.approx(
             probability_of_feasibility(-1.0, 1.0)
         )
 
@@ -156,7 +165,7 @@ class TestConstrainedEI:
                 constraint_models=[ConstantModel(cmu, cvar)],
                 eta=eta,
             )
-            assert constrained_ei(np.zeros(1), ctx) <= expected_improvement(mu, var, eta) + 1e-12
+            assert advisor_score(ctx, np.zeros(1)) <= expected_improvement(mu, var, eta) + 1e-12
 
 
 def exact_ehvi_2d(front, ref, mu, sigma):
@@ -397,7 +406,7 @@ class TestLocalPenalization:
 
     def test_lipschitz_floor(self):
         model = ConstantModel(1.0, 0.5)  # flat mean, zero gradient
-        L = estimate_lipschitz(model, 2, np.random.default_rng(0), n_points=50)
+        L = estimate_lipschitz(model, 2, np.random.default_rng(0))
         assert L == pytest.approx(1e-3)
 
 

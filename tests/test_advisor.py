@@ -8,7 +8,7 @@ import pytest
 
 from bbo import moo
 from bbo.advisor import EHVI, Advisor, AlgorithmPlan, TaskSpec, auto_select
-from bbo.errors import ObservationShapeError, SetupError
+from bbo.errors import InvalidConfigurationError, ObservationShapeError, SetupError
 from bbo.history import Observation, TrialState
 from bbo.space import Configuration, ParameterSpec, SearchSpace
 
@@ -160,6 +160,25 @@ class TestAskTell:
         alien = Configuration({"x0": 0.5, "x1": 0.5})
         advisor.tell(success(alien, [1.0]), external=True)
         assert advisor.num_told == 1
+
+    def test_out_of_space_tell_is_rejected_before_any_state_changes(self):
+        space = SearchSpace([ParameterSpec("x", "float", low=0.0, high=1.0)])
+        task = TaskSpec(space=space, init_count=2, max_runs=20, algorithm="gp", seed=1)
+        advisor = Advisor(task)
+        advisor.tell(success(Configuration({"x": 0.25}), [1.0]), external=True)
+        advisor.tell(success(Configuration({"x": 0.75}), [0.5]), external=True)
+        pending = advisor.ask()
+        for alien in ({"x": 5.0}, {"y": 0.5}, {"x": 0.5, "y": 0.5}):
+            with pytest.raises(InvalidConfigurationError):
+                advisor.tell(success(Configuration(alien), [0.0]), external=True)
+        assert advisor.num_told == 2 and advisor.num_pending == 1
+        advisor.tell(success(pending, [0.7]))
+        for _ in range(3):
+            config = advisor.ask()
+            assert advisor.last_ask_info["phase"] == "model"
+            space.validate(config)
+            advisor.tell(success(config, [0.7]))
+        assert advisor.num_told == 6
 
     def test_history_snapshot_isolation(self):
         task = TaskSpec(space=float_space(2), init_count=2, max_runs=40)

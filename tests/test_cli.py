@@ -277,6 +277,17 @@ class TestReportCommand:
         assert err.startswith("error:") and "observations[0]" in err
         assert not out.exists()
 
+    def test_configs_naming_different_parameters_exit_2(self, tmp_path, capsys):
+        src = self.make_history_file(tmp_path)
+        doc = json.loads(src.read_text())
+        doc["observations"][1]["config"] = {"renamed": 0.5}
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "report.html"
+        assert main(["report", str(src), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "observations[1].config" in err
+        assert not out.exists()
+
     def test_idempotent(self, tmp_path):
         src = self.make_history_file(tmp_path)
         out = tmp_path / "report.html"

@@ -334,6 +334,39 @@ class TestJsonRoundTrip:
             import_json(json.dumps(doc))
         assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        "index, key, value, field",
+        [
+            (5, "config", {"lr": 0.5, "opt": "adam"}, "observations[5].config"),
+            (5, "config", {"lr": 0.5, "opt": "adam", "k": 1, "extra": 2}, "observations[5].config"),
+            (0, "config", {"lr": [0.5], "opt": "adam", "k": 1}, "observations[0].config"),
+            (2, "config", {"lr": 0.5, "opt": None, "k": 1}, "observations[2].config"),
+            (2, "config", ["lr", "opt", "k"], "observations[2].config"),
+            (1, "objectives", ["1.5", 0.0], "observations[1].objectives"),
+            (1, "objectives", [True, 0.0], "observations[1].objectives"),
+            (1, "objectives", 1.5, "observations[1].objectives"),
+            (1, "constraints", ["0.5"], "observations[1].constraints"),
+            (3, None, [], "observations[3]"),
+        ],
+    )
+    def test_bad_observation_is_parse_error(self, index, key, value, field):
+        doc = json.loads(export_json(self.mixed_history()))
+        if key is None:
+            doc["observations"][index] = value
+        else:
+            doc["observations"][index][key] = value
+        with pytest.raises(HistoryParseError) as err:
+            import_json(json.dumps(doc))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("value", [{"name": "demo"}, 7, None, ["demo"]])
+    def test_task_id_must_be_a_string(self, value):
+        doc = json.loads(export_json(self.mixed_history()))
+        doc["task_id"] = value
+        with pytest.raises(HistoryParseError) as err:
+            import_json(json.dumps(doc))
+        assert err.value.field == "task_id"
+
     def test_observation_of_the_wrong_width_is_parse_error(self):
         doc = json.loads(export_json(self.mixed_history()))
         doc["observations"][3]["objectives"] = [0.0, 1.0, 2.0]

@@ -14,6 +14,7 @@ from bbo.surrogate import (
     JITTERS,
     SQRT5,
     GPModel,
+    _grow_tree,
     fit_gp,
     fit_prf,
     gp_log_marginal_likelihood,
@@ -204,7 +205,7 @@ class TestPRF:
         rng = np.random.default_rng(2)
         X = rng.uniform(size=(30, 2))
         y = np.sin(5 * X[:, 0]) + X[:, 1]
-        model = fit_prf(X, y, n_trees=7, rng=rng)
+        model = fit_prf(X, y, rng=rng)
         queries = rng.uniform(size=(50, 2))
         _, var = model.predict(queries)
         means = np.array([t.predict(queries)[0] for t in model.trees])
@@ -226,10 +227,9 @@ class TestPRF:
         rng = np.random.default_rng(4)
         X = rng.uniform(size=(20, 2))
         y = np.arange(20.0)  # all distinct
-        model = fit_prf(
-            X, y, n_trees=1, rng=rng, min_samples_leaf=1, bootstrap=False
-        )
-        mean, var = model.predict(X)
+        # one tree on the unresampled rows, split down to single-row leaves
+        tree = _grow_tree(X, y, rng, min_samples_leaf=1, max_features=2)
+        mean, var = tree.predict(X)
         assert np.allclose(mean, y)
         assert np.all(var <= 1e-12 + 1e-15)
 
