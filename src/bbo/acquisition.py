@@ -7,15 +7,16 @@ for several) times :meth:`AcquisitionContext.feasibility_product`, the
 product of the constraints' probabilities of feasibility. The inner optimizer
 (:func:`maximize_acquisition`) scores random candidates and random
 neighbours of known configurations, then runs coordinate-wise local search.
-It works on code matrices (see :mod:`bbo.space`): candidates are sampled,
-perturbed, snapped, deduplicated and excluded by the bytes of their snapped
-rows, and only the rows it returns are decoded into configurations.
+It works on code matrices only (see :mod:`bbo.space`): the known
+configurations arrive as snapped code rows, candidates are sampled,
+perturbed, snapped, deduplicated and excluded by the bytes of their rows,
+and the one best row is returned for the caller to decode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import erfc, ndtr
@@ -25,14 +26,11 @@ from .errors import ExhaustedSpaceError
 from .space import (
     CATEGORICAL,
     FLOAT,
-    Configuration,
     SearchSpace,
     all_codes,
     encode_codes,
-    from_codes,
     sample_codes,
     snap_codes,
-    to_codes,
 )
 
 
@@ -212,17 +210,17 @@ def estimate_lipschitz(model, dim: int, rng: np.random.Generator) -> float:
 def local_penalization(
     score,
     x_encoded,
-    pending: Sequence[np.ndarray],
+    pending: np.ndarray,
     model,
     lipschitz: float,
     best_value: float,
 ):
-    """Multiply a nonnegative score by smooth exclusion factors around
-    pending points: 0.5 erfc(-z_j) with
+    """Multiply a nonnegative score by smooth exclusion factors around the
+    encoded pending rows x_j: 0.5 erfc(-z_j) with
     z_j = (L ||x - x_j|| - M + mu(x_j)) / sqrt(2 sigma^2(x_j))."""
     if lipschitz <= 0:
         raise ValueError("Lipschitz estimate must be > 0")
-    if not pending:
+    if not len(pending):
         return score
     X = np.atleast_2d(np.asarray(x_encoded, dtype=float))
     P = np.vstack(pending)
@@ -241,7 +239,6 @@ _ENUMERATION_CAP = 100_000
 _LOCAL_STEPS = 50
 _STEP_INIT = 0.05
 _STEP_MIN = 1e-3
-_N_RETURN = 10
 
 
 def _unseen(codes: np.ndarray, excluded: set) -> np.ndarray:
@@ -299,22 +296,22 @@ def maximize_acquisition(
     n_candidates: int = 5000,
     n_local_starts: int = 10,
     encoding: str = "one_hot",
-    told: Sequence[Configuration] = (),
-    pending: Sequence[Configuration] = (),
-) -> list[Configuration]:
-    """Maximize a batched score function over the space.
+    known: np.ndarray = (),
+) -> np.ndarray:
+    """Maximize a batched score function over the rows the ``known`` code
+    rows (told and pending configurations, see :func:`bbo.space.to_codes`)
+    leave free.
 
     Scores ``n_candidates`` random samples plus two random neighbours of
-    each told and pending configuration (or, when the space has at most
+    each known row (or, when the space has at most
     ``max(n_candidates, 100000)`` configurations, all of them), runs
     coordinate-wise local search from the best ``n_local_starts``, and
-    returns up to ten distinct configurations, best first, that are neither
-    told nor pending.
+    returns the best-scoring row as a (1, #parameters) code matrix (the
+    first one scored on ties).
     """
     if n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
-    known = list(told) + list(pending)
-    known_codes = to_codes(space, known)
+    known_codes = np.reshape(np.asarray(known, dtype=float), (-1, len(space)))
     excluded = {row.tobytes() for row in known_codes}
 
     def score(codes: np.ndarray) -> np.ndarray:
@@ -361,15 +358,5 @@ def maximize_acquisition(
             deltas[active[~improved]] *= 0.5
             active = active[improved | (deltas[active] >= _STEP_MIN)]
 
-    codes = np.vstack(found)
-    scores = np.concatenate(found_scores)
-    known_set = set(known)
-    ranked: list[Configuration] = []
-    for i in np.argsort(-scores, kind="stable"):
-        if len(ranked) == _N_RETURN:
-            break
-        (config,) = from_codes(space, codes[i : i + 1])
-        space.validate(config)
-        if config not in known_set and config not in ranked:
-            ranked.append(config)
-    return ranked
+    top = np.argsort(-np.concatenate(found_scores), kind="stable")[0]
+    return np.vstack(found)[top : top + 1]

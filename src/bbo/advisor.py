@@ -8,7 +8,11 @@ automatic decision is auditable in one place.
 Every suggestion, including each follower of a batch, takes one path: a
 phase gate (evolutionary, initial design, or random when there is no
 surrogate) and otherwise one model-based ask, which picks its models, builds
-a score function over them and maximizes it.
+a score function over them and maximizes it. Each of these yields a code row
+(see :mod:`bbo.space`), and one claim step decodes it into the returned
+configuration, validates it, and records it under the bytes of its code row.
+That key is a configuration's one identity: every path skips the rows the
+advisor has suggested or been told, and ``tell`` matches pending rows by it.
 """
 
 from __future__ import annotations
@@ -35,11 +39,13 @@ from .space import (
     ONE_HOT,
     Configuration,
     SearchSpace,
-    encode_matrix,
-    from_unit_vector,
+    all_codes,
+    decode_codes,
+    encode_codes,
+    from_codes,
     latin_hypercube,
-    sample_random,
-    to_unit_vector,
+    sample_codes,
+    to_codes,
 )
 from .surrogate import fit_gp, fit_prf, one_blas_thread
 
@@ -177,13 +183,16 @@ class _EAState:
         self.parents: Optional[evolution.Population] = None
         # slots keep trial order stable even when tells arrive out of order
         self.queue: list[tuple[int, np.ndarray]] = []
-        self.open: dict[Configuration, tuple[int, np.ndarray]] = {}
+        # (slot, genome) of the suggestion being claimed, which the claim
+        # files in open under its code-row key until its observation arrives
+        self.proposed: Optional[tuple[int, np.ndarray]] = None
+        self.open: dict[bytes, tuple[int, np.ndarray]] = {}
         # slot -> (genome, objectives, total violation)
         self.collected: dict[int, tuple] = {}
         self.num_objectives = task.num_objectives
 
-    def receive(self, config: Configuration, obs: Observation) -> None:
-        entry = self.open.pop(config, None)
+    def receive(self, key: bytes, obs: Observation) -> None:
+        entry = self.open.pop(key, None)
         if entry is None:
             return
         slot, genome = entry
@@ -235,9 +244,10 @@ class Advisor:
             num_constraints=task.num_constraints,
             ref_point=task.ref_point,
         )
-        self._pending: list[Configuration] = []
-        self._told: list[Configuration] = []
-        self._told_set: set[Configuration] = set()
+        # code rows by their bytes: every configuration suggested or told, in
+        # the order first seen, and the suggested ones not yet told
+        self._seen: dict[bytes, np.ndarray] = {}
+        self._pending: dict[bytes, np.ndarray] = {}
         self._stale = True
         self._objective_models: list = []
         self._constraint_models: list = []
@@ -248,12 +258,11 @@ class Advisor:
 
         if task.algorithm == "ea":
             self._ea = _EAState(task, self.plan.fallback, self._rng)
-            self._init_points = self._initial_design(self._ea.pop_size)
-            genomes = [to_unit_vector(task.space, c, INDEX) for c in self._init_points]
-            self._ea.queue = list(enumerate(genomes))
+            design = self._initial_design(self._ea.pop_size)
+            self._ea.queue = list(enumerate(encode_codes(task.space, design, INDEX)))
         else:
             self._ea = None
-            self._init_points = self._initial_design(task.init_count)
+            self._init_codes = self._initial_design(task.init_count)
         self._init_served = 0
 
     # --- queries ---
@@ -274,9 +283,7 @@ class Advisor:
 
     def ask(self) -> Configuration:
         """Produce the next configuration to evaluate and mark it pending."""
-        config = self._produce()
-        self._pending.append(config)
-        return config
+        return self._claim(self._produce())
 
     def ask_batch(self, q: Optional[int] = None) -> list[Configuration]:
         """Produce q mutually distinct pending configurations.
@@ -291,75 +298,82 @@ class Advisor:
             raise ValueError("batch size must be >= 1")
         batch = [self.ask()]
         for _ in range(q - 1):
-            config = self._produce(follower=True)
-            self._pending.append(config)
-            batch.append(config)
+            batch.append(self._claim(self._produce(follower=True)))
         return batch
 
     # --- tell ---
 
     def tell(self, obs: Observation, external: bool = False) -> None:
         """Ingest one observation; surrogates refit lazily at the next ask."""
-        self.task.space.validate(obs.config)
-        known = obs.config in self._pending
-        if not known and not external:
+        (row,) = to_codes(self.task.space, [obs.config])  # validates before any state changes
+        key = row.tobytes()
+        if key not in self._pending and not external:
             warnings.warn(
                 "observation for a configuration this advisor never suggested; "
                 "recording it anyway",
                 stacklevel=2,
             )
         self._history.record(obs)  # raises on shape mismatch before state changes
-        if known:
-            self._pending.remove(obs.config)
-        self._told.append(obs.config)
-        self._told_set.add(obs.config)
+        self._pending.pop(key, None)
+        self._seen.setdefault(key, row)
         self._stale = True
         if self._ea is not None:
-            self._ea.receive(obs.config, obs)
+            self._ea.receive(key, obs)
 
     # --- internals ---
 
-    def _initial_design(self, count: int) -> list[Configuration]:
+    def _claim(self, codes: np.ndarray) -> Configuration:
+        """Decode a suggestion's (1, p) codes, validate the configuration and
+        mark it pending under its code row."""
+        (config,) = from_codes(self.task.space, codes)
+        (row,) = to_codes(self.task.space, [config])
+        key = row.tobytes()
+        self._seen[key] = self._pending[key] = row
+        # where a double cannot resolve the grid (see README), the row that
+        # decoded to config differs from its key; mark it seen too
+        self._seen.setdefault(codes.tobytes(), codes[0])
+        if self._ea is not None and self._ea.proposed is not None:
+            self._ea.open[key], self._ea.proposed = self._ea.proposed, None
+        self.last_ask_info["config"] = config
+        return config
+
+    def _initial_design(self, count: int) -> np.ndarray:
         if self.task.init_design == "latin_hypercube":
             return latin_hypercube(self.task.space, count, self._rng)
-        return sample_random(self.task.space, count, self._rng)
+        return sample_codes(self.task.space, count, self._rng)
 
-    def _random_unseen(self) -> Configuration:
-        excluded = self._told_set | set(self._pending)
+    def _random_unseen(self) -> np.ndarray:
         for _ in range(256):
-            config = sample_random(self.task.space, 1, self._rng)[0]
-            if config not in excluded:
-                return config
+            codes = sample_codes(self.task.space, 1, self._rng)
+            if codes.tobytes() not in self._seen:
+                return codes
         total = self.task.space.n_configurations()
         if total is not None and total <= 1_000_000:
-            all_configs = list(self.task.space.all_configurations())
-            order = self._rng.permutation(total)
-            for i in order:
-                if all_configs[i] not in excluded:
-                    return all_configs[i]
+            for row in all_codes(self.task.space)[self._rng.permutation(total)]:
+                if row.tobytes() not in self._seen:
+                    return row[None, :]
         raise ExhaustedSpaceError("could not sample an unseen configuration")
 
-    def _produce(self, follower: bool = False) -> Configuration:
+    def _produce(self, follower: bool = False) -> np.ndarray:
         if self._ea is not None:
             return self._ea_produce()
         if self.num_told < self.task.init_count:
-            config = self._next_init_point()
-            if config is not None:
+            codes = self._next_init_point()
+            if codes is not None:
                 self.last_ask_info = {"phase": "init"}
-                return config
+                return codes
         if self.plan.surrogate_kind == NONE:
             self.last_ask_info = {"phase": "random"}
             return self._random_unseen()
         with one_blas_thread():
             return self._model_based_ask(follower)
 
-    def _next_init_point(self) -> Optional[Configuration]:
-        excluded = self._told_set | set(self._pending)
-        while self._init_served < len(self._init_points):
-            config = self._init_points[self._init_served]
+    def _next_init_point(self) -> Optional[np.ndarray]:
+        while self._init_served < len(self._init_codes):
+            codes = self._init_codes[self._init_served : self._init_served + 1]
             self._init_served += 1
-            if config not in excluded:
-                return config
+            if codes.tobytes() not in self._seen:
+                return codes
         if self.num_told == 0 or not self._history.successes():
             # no data to model yet; keep the design going with random points
             return self._random_unseen()
@@ -377,7 +391,8 @@ class Advisor:
         """Models refit with every pending point told at the median observed values."""
         X, Y, C = self._history.training_targets(self.task.space, self._encoding)
         lies = len(self._pending)
-        X = np.vstack([X, encode_matrix(self.task.space, self._pending, self._encoding)])
+        pending = np.array(list(self._pending.values()))
+        X = np.vstack([X, encode_codes(self.task.space, pending, self._encoding)])
         Y = np.vstack([Y, np.tile(np.median(Y, axis=0), (lies, 1))])
         C = np.vstack([C, np.tile(np.median(C, axis=0), (lies, 1))])
         return self._fit_models(X, Y, C, warm=False)
@@ -473,7 +488,7 @@ class Advisor:
             return _N_CANDIDATES_MO, _N_LOCAL_STARTS_MO
         return _N_CANDIDATES, _N_LOCAL_STARTS
 
-    def _model_based_ask(self, follower: bool) -> Configuration:
+    def _model_based_ask(self, follower: bool) -> np.ndarray:
         constant_liar = follower and self.plan.batch_strategy == CONSTANT_LIAR_MEDIAN
         try:
             if constant_liar:
@@ -490,28 +505,22 @@ class Advisor:
         if follower and not constant_liar:
             score_fn = self._penalized(score_fn, ctx.objective_models[0])
         n_candidates, n_local = self._inner_budgets()
-        ranked = maximize_acquisition(
+        codes = maximize_acquisition(
             score_fn,
             self.task.space,
             self._rng,
             n_candidates=n_candidates,
             n_local_starts=n_local,
             encoding=self._encoding,
-            told=self._told,
-            pending=self._pending,
+            known=np.array(list(self._seen.values())),
         )
-        config = ranked[0]
-        self.last_ask_info = {
-            "phase": "model",
-            "score_fn": score_fn,
-            "context": ctx,
-            "config": config,
-        }
-        return config
+        self.last_ask_info = {"phase": "model", "score_fn": score_fn, "context": ctx}
+        return codes
 
     def _penalized(self, base, model):
         """Local penalization of ``base`` around the pending points."""
-        pending = [to_unit_vector(self.task.space, c, self._encoding) for c in self._pending]
+        pending = np.array(list(self._pending.values()))
+        pending = encode_codes(self.task.space, pending, self._encoding)
         lipschitz = estimate_lipschitz(
             model, self.task.space.encoded_width(self._encoding), self._rng
         )
@@ -525,7 +534,7 @@ class Advisor:
 
     # --- evolutionary mode ---
 
-    def _ea_produce(self) -> Configuration:
+    def _ea_produce(self) -> np.ndarray:
         ea = self._ea
         if ea.generation_complete():
             ea.advance()
@@ -534,11 +543,10 @@ class Advisor:
             self.last_ask_info = {"phase": "random"}
             return self._random_unseen()
         slot_index, genome = ea.queue.pop(0)
-        config = from_unit_vector(self.task.space, genome, INDEX)
-        excluded = self._told_set | set(self._pending)
-        if config in excluded:
-            config = self._random_unseen()
-            genome = to_unit_vector(self.task.space, config, INDEX)
-        ea.open[config] = (slot_index, genome)
+        codes = decode_codes(self.task.space, genome[None, :], INDEX)
+        if codes.tobytes() in self._seen:
+            codes = self._random_unseen()
+            genome = encode_codes(self.task.space, codes, INDEX)[0]
+        ea.proposed = (slot_index, genome)
         self.last_ask_info = {"phase": "ea"}
-        return config
+        return codes

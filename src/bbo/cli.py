@@ -50,6 +50,7 @@ _TYPED_FIELDS = {
         ("num_objectives", "num_constraints", "max_runs", "batch_size", "seed", "parallelism"),
         (lambda v: _is_number(v, int), "an integer"),
     ),
+    "task_id": (lambda v: isinstance(v, str), "a string"),
     "init_count": (lambda v: v is None or _is_number(v, int), "an integer or null"),
     "timeout": (lambda v: v is None or _is_number(v), "a number or null"),
     "ref_point": (
@@ -57,7 +58,7 @@ _TYPED_FIELDS = {
         "a list of numbers or null",
     ),
 }
-_TASK_FIELDS = {"parameters", "task_id", "algorithm", "init_design", *_TYPED_FIELDS}
+_TASK_FIELDS = {"parameters", "algorithm", "init_design", *_TYPED_FIELDS}
 
 
 class ProtocolError(RuntimeError):

@@ -2,8 +2,9 @@
 
 The objective callable receives a Configuration and returns either a bare
 number, a sequence of objective values, or an ``(objectives, constraints)``
-pair. Crashes, non-finite values, and timeouts are captured as FAILED or
-TIMEOUT observations; they never propagate to the caller.
+pair. Crashes, non-finite values, timeouts, and results with the wrong
+number of objectives or constraints are captured as FAILED or TIMEOUT
+observations; they never propagate to the caller.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .advisor import Advisor, TaskSpec
-from .errors import ExhaustedSpaceError, SetupError
+from .errors import ExhaustedSpaceError, ObservationShapeError, SetupError
 from .history import History, Observation, TrialState
 from .space import Configuration
 
@@ -172,7 +173,17 @@ def run(
                     ]
                     observations = [f.result() for f in futures]
             for obs in observations:  # told in suggestion order
-                advisor.tell(obs)
+                try:
+                    advisor.tell(obs)
+                except ObservationShapeError as exc:  # the task's shape, checked by History
+                    advisor.tell(
+                        Observation(
+                            config=obs.config,
+                            trial_state=TrialState.FAILED,
+                            elapsed_time=obs.elapsed_time,
+                            extra={"error": str(exc)},
+                        )
+                    )
     except KeyboardInterrupt:
         stop_reason = STOP_USER_ABORT
 

@@ -9,7 +9,9 @@ forest inputs).
 One column-wise codec, with one rule per parameter kind, serves every
 encode, decode and sample through the code matrix: one row per
 configuration, one column per parameter holding a float's unit coordinate,
-an int's value, or an ordinal's or categorical's rank.
+an int's value, or an ordinal's or categorical's rank. A configuration's
+snapped code row (:func:`to_codes`) is also its identity: two floats within
+one grid step (2**-40 of their range) are the same configuration.
 """
 
 from __future__ import annotations
@@ -176,10 +178,6 @@ class SearchSpace:
         sizes = [spec.n_values() for spec in self.parameters]
         return None if None in sizes else math.prod(sizes)
 
-    def all_configurations(self) -> list[Configuration]:
-        """Every configuration of an all-discrete space, last parameter fastest."""
-        return from_codes(self, all_codes(self))
-
     def encoded_width(self, encoding: str) -> int:
         return sum(width for _, _, width in _layout(self, encoding))
 
@@ -256,9 +254,13 @@ def encode_codes(space: SearchSpace, codes: np.ndarray, encoding: str = ONE_HOT)
 
 
 def decode_codes(space: SearchSpace, X: np.ndarray, encoding: str = ONE_HOT) -> np.ndarray:
-    """Snapped codes of unit-cube rows: entries clamp to [0, 1], ints round
-    half-up on their scale, ranks snap to the nearest one, and one-hot
-    blocks take the argmax (lowest index on ties)."""
+    """Snapped codes of an (n, width) matrix of unit-cube rows: entries clamp
+    to [0, 1], ints round half-up on their scale, ranks snap to the nearest
+    one, and one-hot blocks take the argmax (lowest index on ties)."""
+    X = np.asarray(X, dtype=float)
+    expected = space.encoded_width(encoding)
+    if X.ndim != 2 or X.shape[1] != expected:
+        raise EncodingError(f"matrix shape {X.shape} does not match encoding width {expected}")
     X = np.clip(X, 0.0, 1.0)
     raw = np.empty((X.shape[0], len(space)))
     for j, (spec, start, width) in enumerate(_layout(space, encoding)):
@@ -336,29 +338,16 @@ def sample_random(space: SearchSpace, n: int, rng: np.random.Generator) -> list[
     return from_codes(space, sample_codes(space, n, rng))
 
 
-def latin_hypercube(space: SearchSpace, n: int, rng: np.random.Generator) -> list[Configuration]:
-    """Latin hypercube design: per float/int dimension the n unit coordinates
-    occupy n distinct equal-width strata; ordinals/categoricals are uniform."""
+def latin_hypercube(space: SearchSpace, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Codes of a Latin hypercube design: per float/int dimension the n unit
+    coordinates occupy n distinct equal-width strata; ordinals/categoricals
+    are uniform."""
     codes = sample_codes(space, n, rng)
     for j, spec in enumerate(space.parameters):
         if spec.kind in (FLOAT, INT):
             u = (rng.permutation(n) + rng.uniform(size=n)) / n
             codes[:, j] = u if spec.kind == FLOAT else _unit_to_real(spec, u)
-    return from_codes(space, snap_codes(space, codes))
-
-
-def to_unit_vector(space: SearchSpace, config: Configuration, encoding: str = ONE_HOT) -> np.ndarray:
-    """Encode a configuration as a vector in the unit cube."""
-    return encode_matrix(space, [config], encoding)[0]
-
-
-def from_unit_vector(space: SearchSpace, vector: Sequence[float], encoding: str = ONE_HOT) -> Configuration:
-    """Decode a unit-cube vector back into a configuration (see :func:`decode_codes`)."""
-    vector = np.asarray(vector, dtype=float)
-    width = space.encoded_width(encoding)
-    if vector.shape != (width,):
-        raise EncodingError(f"vector shape {vector.shape} does not match encoding width {width}")
-    return from_codes(space, decode_codes(space, vector[None, :], encoding))[0]
+    return snap_codes(space, codes)
 
 
 def encode_matrix(

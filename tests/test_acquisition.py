@@ -27,9 +27,12 @@ from bbo.space import (
     Configuration,
     ParameterSpec,
     SearchSpace,
+    decode_codes,
+    encode_codes,
     encode_matrix,
-    from_unit_vector,
+    from_codes,
     sample_random,
+    to_codes,
 )
 from test_moo import inclusion_exclusion_hv
 
@@ -428,9 +431,10 @@ class TestMaximizeAcquisition:
             n_candidates=50,
             n_local_starts=2,
         )
-        assert result
-        for c in result[:5]:
-            space.validate(c)
+        assert result.shape == (1, 2)
+        (config,) = from_codes(space, result)
+        space.validate(config)
+        assert to_codes(space, [config]).tobytes() == result.tobytes()
 
     def test_finds_quadratic_peak(self):
         space = self.space_2floats()
@@ -439,9 +443,12 @@ class TestMaximizeAcquisition:
             X = np.atleast_2d(X)
             return -np.sum((X - 0.5) ** 2, axis=1)
 
-        best = maximize_acquisition(
-            score, space, np.random.default_rng(1), n_candidates=500, n_local_starts=5
-        )[0]
+        (best,) = from_codes(
+            space,
+            maximize_acquisition(
+                score, space, np.random.default_rng(1), n_candidates=500, n_local_starts=5
+            ),
+        )
         assert abs(best["x"] - 0.5) <= 0.05
         assert abs(best["y"] - 0.5) <= 0.05
 
@@ -462,9 +469,9 @@ class TestMaximizeAcquisition:
             space,
             np.random.default_rng(2),
             n_candidates=10,
-            told=told,
+            known=to_codes(space, told),
         )
-        assert result == [Configuration({"a": "v", "b": "q"})]
+        assert from_codes(space, result) == [Configuration({"a": "v", "b": "q"})]
 
     def test_exhausted_space_signal(self):
         space = SearchSpace([ParameterSpec("a", "categorical", choices=("u", "v"))])
@@ -475,22 +482,22 @@ class TestMaximizeAcquisition:
                 space,
                 np.random.default_rng(3),
                 n_candidates=10,
-                told=told,
+                known=to_codes(space, told),
             )
 
     def test_never_returns_told_or_pending(self):
+        # the score rises with k; the two best values are told and pending
         space = SearchSpace([ParameterSpec("k", "int", low=0, high=9)])
-        told = [Configuration({"k": i}) for i in range(5)]
-        pending = [Configuration({"k": 5})]
+        told = [Configuration({"k": i}) for i in (0, 1, 2, 3, 4, 9)]
+        pending = [Configuration({"k": 8})]
         result = maximize_acquisition(
             lambda X: np.atleast_2d(X)[:, 0],
             space,
             np.random.default_rng(4),
             n_candidates=100,
-            told=told,
-            pending=pending,
+            known=to_codes(space, told + pending),
         )
-        assert set(result) == {Configuration({"k": i}) for i in range(6, 10)}
+        assert from_codes(space, result) == [Configuration({"k": 7})]
 
     def test_results_unseen_valid_distinct_and_ranked(self):
         # 400,000 configurations: above the enumeration cap, so candidates are sampled
@@ -504,12 +511,14 @@ class TestMaximizeAcquisition:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             peak = rng.uniform(size=space.encoded_width("one_hot"))
+            scored = []
 
-            def score(X, peak=peak):
+            def score(X, peak=peak, scored=scored):
+                scored.append(np.atleast_2d(X))
                 return -np.sum((np.atleast_2d(X) - peak) ** 2, axis=1)
 
             # tell or pend the whole neighbourhood of the peak, plus random points
-            top = from_unit_vector(space, peak, "one_hot")
+            (top,) = from_codes(space, decode_codes(space, peak[None, :], "one_hot"))
             near = [
                 Configuration({"k": k, "c": top["c"], "m": m})
                 for k in range(max(1, top["k"] - 6), min(1000, top["k"] + 6) + 1)
@@ -523,16 +532,19 @@ class TestMaximizeAcquisition:
                 rng,
                 n_candidates=300,
                 n_local_starts=5,
-                told=told,
-                pending=pending,
+                known=to_codes(space, told + pending),
             )
-            assert result
-            for config in result:
-                space.validate(config)
-            assert not set(result) & (set(told) | set(pending))
-            assert len(set(result)) == len(result)
-            scores = score(encode_matrix(space, result, "one_hot"))
-            assert np.all(np.diff(scores) <= 0)
+            assert result.shape == (1, 3)
+            (config,) = from_codes(space, result)
+            space.validate(config)
+            assert to_codes(space, [config]).tobytes() == result.tobytes()
+            assert config not in set(told) | set(pending)
+            # no scored row is known, and the result is the first best one scored
+            rows = np.vstack(scored)
+            known = encode_matrix(space, told + pending, "one_hot")
+            assert not {r.tobytes() for r in rows} & {r.tobytes() for r in known}
+            values = -np.sum((rows - peak) ** 2, axis=1)
+            assert rows[np.argmax(values)].tobytes() == encode_codes(space, result).tobytes()
 
     def test_prf_batch_on_mixed_space_is_distinct_and_unseen(self):
         space = SearchSpace(

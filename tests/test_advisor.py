@@ -8,9 +8,14 @@ import pytest
 
 from bbo import moo
 from bbo.advisor import EHVI, Advisor, AlgorithmPlan, TaskSpec, auto_select
-from bbo.errors import InvalidConfigurationError, ObservationShapeError, SetupError
+from bbo.errors import (
+    ExhaustedSpaceError,
+    InvalidConfigurationError,
+    ObservationShapeError,
+    SetupError,
+)
 from bbo.history import Observation, TrialState
-from bbo.space import Configuration, ParameterSpec, SearchSpace
+from bbo.space import Configuration, ParameterSpec, SearchSpace, from_codes, latin_hypercube
 
 
 def float_space(d):
@@ -40,6 +45,21 @@ def dtlz2(config):
             f *= math.sin(x[m - 1 - i] * math.pi / 2)
         objectives.append(f)
     return objectives
+
+
+def grid12_space():
+    return SearchSpace(
+        [
+            ParameterSpec("a", "int", low=0, high=2),
+            ParameterSpec("c", "categorical", choices=("p", "q", "r", "s")),
+        ]
+    )
+
+
+def design(task):
+    """The Latin hypercube an Advisor draws first from its seeded generator."""
+    codes = latin_hypercube(task.space, task.init_count, np.random.default_rng(task.seed))
+    return from_codes(task.space, codes)
 
 
 def success(config, objectives, constraints=None):
@@ -105,9 +125,35 @@ class TestAskTell:
         first_three = []
         for _ in range(3):
             config = advisor.ask()
+            assert advisor.last_ask_info["phase"] == "init"
             first_three.append(config)
             advisor.tell(success(config, *quadratic(config)))
-        assert first_three == advisor._init_points[:3]
+        assert first_three == design(task)
+
+    def test_external_tell_of_a_later_design_point_skips_it(self):
+        task = TaskSpec(space=float_space(2), init_count=4, max_runs=30, seed=6)
+        points = design(task)
+        advisor = Advisor(task)
+        advisor.tell(success(points[2], *quadratic(points[2])), external=True)
+        asked = []
+        for _ in range(3):
+            asked.append(advisor.ask())
+            advisor.tell(success(asked[-1], *quadratic(asked[-1])))
+        assert asked == [points[0], points[1], points[3]]
+
+    def test_external_off_grid_tell_excludes_the_design_point_of_its_code_row(self):
+        # 2**-43 is an eighth of the float's grid step on [0, 1]: a different
+        # value, but the same code row, so the same configuration
+        task = TaskSpec(space=float_space(2), init_count=4, max_runs=30, seed=7)
+        points = design(task)
+        near = Configuration({**points[0].values, "x0": points[0]["x0"] + 2.0**-43})
+        assert near != points[0]
+        advisor = Advisor(task)
+        advisor.tell(success(near, *quadratic(near)), external=True)
+        asked = advisor.ask()
+        assert asked == points[1]
+        advisor.tell(success(asked, *quadratic(asked)))
+        assert advisor.ask() == points[2]
 
     def test_ask_determinism_across_instances(self):
         task = TaskSpec(space=float_space(2), init_count=4, max_runs=40, seed=11)
@@ -353,6 +399,48 @@ class TestAskBatch:
 
 
 class TestEvolutionaryMode:
+    @pytest.mark.parametrize("num_objectives", [1, 2])
+    def test_never_resuggests_told_or_pending_on_a_small_space(self, num_objectives):
+        task = TaskSpec(
+            space=grid12_space(),
+            num_objectives=num_objectives,
+            algorithm="ea",
+            max_runs=40,
+            seed=2,
+        )
+        advisor = Advisor(task)
+        seen = []
+        with pytest.raises(ExhaustedSpaceError):
+            while True:
+                batch = advisor.ask_batch(2)
+                assert not set(batch) & set(seen) and len(set(batch)) == 2
+                seen.extend(batch)
+                for config in reversed(batch):  # told out of suggestion order
+                    value = (config["a"] - 1) ** 2 + "pqrs".index(config["c"])
+                    advisor.tell(success(config, [value] * num_objectives))
+        assert len(seen) == 12
+        assert advisor.num_told == 12 and advisor.num_pending == 0
+
+    @pytest.mark.parametrize("num_objectives", [1, 2])
+    def test_generations_complete_where_rows_share_a_value(self, num_objectives):
+        # a double cannot resolve 2**-40 of [9000, 9001], so neighbouring
+        # code rows decode to one value there
+        space = SearchSpace(
+            [ParameterSpec(f"x{i}", "float", low=9000.0, high=9001.0) for i in range(2)]
+        )
+        task = TaskSpec(
+            space=space, num_objectives=num_objectives, algorithm="ea", max_runs=200, seed=0
+        )
+        advisor = Advisor(task)
+        seen = set()
+        for _ in range(150):
+            config = advisor.ask()
+            assert advisor.last_ask_info["phase"] == "ea"
+            assert config not in seen
+            seen.add(config)
+            x, y = (v - 9000.0 for v in config.values.values())
+            advisor.tell(success(config, [x, 1.0 - x + y][:num_objectives]))
+
     def test_de_improves_over_initial(self):
         task = TaskSpec(space=float_space(3), algorithm="ea", max_runs=200, seed=0)
         advisor = Advisor(task)

@@ -53,6 +53,13 @@ SLEEP_STUB = """
 """
 
 
+DROPS_CONSTRAINT_STUB = """
+    import json, os, sys
+    sys.stdin.readline()
+    constraints = [-1.0] if int(os.environ["BBO_TRIAL_INDEX"]) < 3 else []
+    print(json.dumps({"objectives": [1.0], "constraints": constraints}))
+"""
+
 DTLZ2_STUB = """
     import json, math, sys
     request = json.loads(sys.stdin.readline())
@@ -140,6 +147,19 @@ class TestRunCommand:
         assert all(o.trial_state == TrialState.FAILED for o in history.observations)
         assert all("invalid JSON" in o.extra["error"] for o in history.observations)
 
+    def test_wrong_shaped_results_become_failed_rows(self, tmp_path, capsys):
+        task = write_task(tmp_path, num_constraints=1)
+        cmd = write_stub(tmp_path, "obj.py", DROPS_CONSTRAINT_STUB)
+        out = tmp_path / "out"
+        assert main(["run", "--task", task, "--cmd", cmd, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        history = import_json((out / "history.json").read_text())
+        states = [o.trial_state for o in history.observations]
+        assert states == [TrialState.SUCCESS] * 3 + [TrialState.FAILED] * 2
+        for obs in history.observations[3:]:
+            assert obs.extra["error"] == "observation has 0 constraints, task expects 1"
+        assert (out / "report.html").exists()
+
     def test_timeout_rows(self, tmp_path):
         task = write_task(tmp_path, max_runs=2)
         cmd = write_stub(tmp_path, "obj.py", SLEEP_STUB)
@@ -207,6 +227,8 @@ class TestRunCommand:
             ("init_count", "3"),
             ("timeout", "1"),
             ("ref_point", ["a"]),
+            ("task_id", {"a": 1}),
+            ("task_id", 5),
         ],
     )
     def test_mistyped_task_field_rejected(self, tmp_path, capsys, field, value):

@@ -115,6 +115,26 @@ class TestRun:
         assert states.count(TrialState.FAILED) == 10
         assert result.incumbent is not None
 
+    def test_wrong_shaped_results_become_failed_rows(self):
+        calls = itertools.count()
+
+        def drops_its_constraint(config):
+            objectives, _ = quadratic(config)
+            return (objectives, [-1.0]) if next(calls) < 3 else (objectives, [])
+
+        task = TaskSpec(
+            space=float_space(2), num_constraints=1, max_runs=6, algorithm="random", seed=3
+        )
+        result = run(task, drops_its_constraint)
+        states = [o.trial_state for o in result.history.observations]
+        assert states == [TrialState.SUCCESS] * 3 + [TrialState.FAILED] * 3
+        for obs in result.history.observations[3:]:
+            assert obs.objectives is None and obs.constraints is None
+            assert obs.extra["error"] == "observation has 0 constraints, task expects 1"
+        assert result.stop_reason == "max_runs"
+        first_three = [o.objectives[0] for o in result.history.observations[:3]]
+        assert result.incumbent.objectives[0] == min(first_three)
+
     def test_exhausted_space(self):
         space = SearchSpace([ParameterSpec("a", "categorical", choices=("u", "v"))])
         task = TaskSpec(space=space, max_runs=10, algorithm="random", seed=0)

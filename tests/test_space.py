@@ -10,22 +10,33 @@ from bbo.space import (
     Configuration,
     ParameterSpec,
     SearchSpace,
+    all_codes,
     decode_codes,
     encode_codes,
     encode_matrix,
     from_codes,
-    from_unit_vector,
     latin_hypercube,
     parameter_from_dict,
     sample_random,
     space_from_dict,
     space_to_dict,
-    to_unit_vector,
+    to_codes,
 )
 
 
 def make_space(*specs):
     return SearchSpace(list(specs))
+
+
+def encode(space, config, encoding):
+    """Unit-cube row of one configuration, through its code row."""
+    return encode_codes(space, to_codes(space, [config]), encoding)[0]
+
+
+def decode(space, vector, encoding):
+    """Configuration of one unit-cube row, through its code row."""
+    (config,) = from_codes(space, decode_codes(space, np.array([vector], dtype=float), encoding))
+    return config
 
 
 class TestParameterSpec:
@@ -88,7 +99,10 @@ class TestSearchSpace:
             ParameterSpec("c", "categorical", choices=("a", "b")),
         )
         assert space.n_configurations() == 6
-        assert len(list(space.all_configurations())) == 6
+        configs = from_codes(space, all_codes(space))
+        assert len(set(configs)) == 6
+        # last parameter fastest
+        assert [(c["k"], c["c"]) for c in configs[:3]] == [(0, "a"), (0, "b"), (1, "a")]
 
 
 class TestSampleRandom:
@@ -133,13 +147,13 @@ class TestSampleRandom:
 class TestLatinHypercube:
     def test_stratification_single_float(self):
         space = make_space(ParameterSpec("x", "float", low=0.0, high=1.0))
-        configs = latin_hypercube(space, 4, np.random.default_rng(0))
+        configs = from_codes(space, latin_hypercube(space, 4, np.random.default_rng(0)))
         strata = sorted(int(c["x"] * 4) for c in configs)
         assert strata == [0, 1, 2, 3]
 
     def test_single_point(self):
         space = make_space(ParameterSpec("x", "float", low=0.0, high=1.0))
-        configs = latin_hypercube(space, 1, np.random.default_rng(0))
+        configs = from_codes(space, latin_hypercube(space, 1, np.random.default_rng(0)))
         assert len(configs) == 1
         space.validate(configs[0])
 
@@ -149,7 +163,10 @@ class TestLatinHypercube:
             ParameterSpec("y", "float", low=0.0, high=1.0),
         )
         n = 8
-        configs = latin_hypercube(space, n, np.random.default_rng(2))
+        codes = latin_hypercube(space, n, np.random.default_rng(2))
+        # the design is snapped: its rows are the codes of its configurations
+        configs = from_codes(space, codes)
+        assert to_codes(space, configs).tobytes() == codes.tobytes()
         for name in ("x", "y"):
             strata = sorted(min(n - 1, int(c[name] * n)) for c in configs)
             assert strata == list(range(n))
@@ -158,41 +175,42 @@ class TestLatinHypercube:
 class TestEncodings:
     def test_float_affine_midpoint(self):
         space = make_space(ParameterSpec("x", "float", low=0.0, high=10.0))
-        v = to_unit_vector(space, Configuration({"x": 5.0}), "index")
+        v = encode(space, Configuration({"x": 5.0}), "index")
         assert v == pytest.approx([0.5])
 
     def test_one_hot_block(self):
         space = make_space(ParameterSpec("c", "categorical", choices=("a", "b", "c")))
-        v = to_unit_vector(space, Configuration({"c": "b"}), "one_hot")
+        v = encode(space, Configuration({"c": "b"}), "one_hot")
         assert list(v) == [0.0, 1.0, 0.0]
 
     def test_log_midpoint(self):
         space = make_space(ParameterSpec("x", "float", low=1.0, high=100.0, log_scale=True))
-        v = to_unit_vector(space, Configuration({"x": 10.0}), "one_hot")
+        v = encode(space, Configuration({"x": 10.0}), "one_hot")
         assert v == pytest.approx([0.5])
 
     def test_int_round_half_up(self):
         space = make_space(ParameterSpec("k", "int", low=0, high=10))
-        config = from_unit_vector(space, [0.55], "index")
+        config = decode(space, [0.55], "index")
         assert config["k"] == 6  # 5.5 rounds half-up
 
     def test_one_hot_argmax_decode(self):
         space = make_space(ParameterSpec("c", "categorical", choices=("a", "b", "c")))
-        config = from_unit_vector(space, [0.2, 0.2, 0.6], "one_hot")
+        config = decode(space, [0.2, 0.2, 0.6], "one_hot")
         assert config["c"] == "c"
         # ties break toward the lowest index
-        config = from_unit_vector(space, [0.4, 0.4, 0.2], "one_hot")
+        config = decode(space, [0.4, 0.4, 0.2], "one_hot")
         assert config["c"] == "a"
 
     def test_length_mismatch(self):
         space = make_space(ParameterSpec("x", "float", low=0.0, high=1.0))
-        with pytest.raises(EncodingError):
-            from_unit_vector(space, [0.1, 0.2], "index")
+        for X in ([[0.1, 0.2]], [0.1], [[[0.1]]]):
+            with pytest.raises(EncodingError):
+                decode_codes(space, np.array(X), "index")
 
     def test_unknown_encoding(self):
         space = make_space(ParameterSpec("x", "float", low=0.0, high=1.0))
         with pytest.raises(EncodingError):
-            to_unit_vector(space, Configuration({"x": 0.5}), "binary")
+            encode(space, Configuration({"x": 0.5}), "binary")
 
     def test_round_trip_all_kinds(self):
         space = make_space(
@@ -205,7 +223,7 @@ class TestEncodings:
         rng = np.random.default_rng(5)
         for encoding in ("one_hot", "index"):
             for config in sample_random(space, 100, rng):
-                back = from_unit_vector(space, to_unit_vector(space, config, encoding), encoding)
+                back = decode(space, encode(space, config, encoding), encoding)
                 for name in ("k", "o", "c"):
                     assert back[name] == config[name]
                 for name in ("x", "lx"):
@@ -221,14 +239,14 @@ class TestEncodings:
             width = space.encoded_width(encoding)
             for _ in range(100):
                 v = rng.uniform(size=width)
-                c1 = from_unit_vector(space, v, encoding)
-                c2 = from_unit_vector(space, to_unit_vector(space, c1, encoding), encoding)
+                c1 = decode(space, v, encoding)
+                c2 = decode(space, encode(space, c1, encoding), encoding)
                 assert c1 == c2
 
     def test_decode_clamps_out_of_range(self):
         space = make_space(ParameterSpec("x", "float", low=0.0, high=1.0))
-        assert from_unit_vector(space, [1.7], "index")["x"] == 1.0
-        assert from_unit_vector(space, [-0.3], "index")["x"] == 0.0
+        assert decode(space, [1.7], "index")["x"] == 1.0
+        assert decode(space, [-0.3], "index")["x"] == 0.0
 
 
 class TestCodec:
@@ -258,7 +276,7 @@ class TestCodec:
     def test_sampled_configurations_round_trip_exactly(self, encoding):
         space = self.every_kind()
         for config in sample_random(space, 1000, np.random.default_rng(17)):
-            assert from_unit_vector(space, to_unit_vector(space, config, encoding), encoding) == config
+            assert decode(space, encode(space, config, encoding), encoding) == config
 
 
 class TestJsonFormat:
