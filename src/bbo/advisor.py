@@ -1,18 +1,18 @@
 """The ask-and-tell engine.
 
 An :class:`Advisor` owns the history for one task, picks algorithms from the
-task's characteristics, produces suggestions (single and batch), and ingests
-observations. The selection rule lives in :func:`auto_select` so every
-automatic decision is auditable in one place.
+task's characteristics (by :func:`auto_select`, so every automatic decision
+is auditable in one place), produces suggestions, and ingests observations.
 
-Every suggestion, including each follower of a batch, takes one path: a
-phase gate (evolutionary, initial design, or random when there is no
-surrogate) and otherwise one model-based ask, which picks its models, builds
-a score function over them and maximizes it. Each of these yields a code row
-(see :mod:`bbo.space`), and one claim step decodes it into the returned
-configuration, validates it, and records it under the bytes of its code row.
-That key is a configuration's one identity: every path skips the rows the
-advisor has suggested or been told, and ``tell`` matches pending rows by it.
+Every suggestion takes one path: a phase gate (evolutionary, initial design,
+or random when there is no surrogate) and otherwise one model-based ask,
+which picks its models, builds a score function over them and maximizes it,
+under the plan's batch strategy while any suggestion is pending. Each path
+yields a code row (see :mod:`bbo.space`), and one claim step decodes it into
+the returned configuration, validates it, and records it under the bytes of
+its code row. That key is a configuration's one identity: every path skips
+the rows the advisor has suggested or been told, ``tell`` matches pending
+rows by it, and the told rows, in tell order, are the surrogates' inputs.
 """
 
 from __future__ import annotations
@@ -228,8 +228,8 @@ class Advisor:
 
     Each suggestion passes a phase gate and, once the initial design is
     told, a model-based ask: models (the cached refit, or a constant-liar
-    refit for batch followers of that strategy), then a score (locally
-    penalized around pending points for followers of that strategy), then
+    refit while suggestions of that strategy are pending), then a score
+    (locally penalized around the pending points under that strategy), then
     one acquisition maximization. ``last_ask_info`` describes the latest
     suggestion.
     """
@@ -248,6 +248,8 @@ class Advisor:
         # the order first seen, and the suggested ones not yet told
         self._seen: dict[bytes, np.ndarray] = {}
         self._pending: dict[bytes, np.ndarray] = {}
+        # the code row of every observation, in tell order: the training inputs
+        self._told: list[np.ndarray] = []
         self._stale = True
         self._objective_models: list = []
         self._constraint_models: list = []
@@ -286,20 +288,13 @@ class Advisor:
         return self._claim(self._produce())
 
     def ask_batch(self, q: Optional[int] = None) -> list[Configuration]:
-        """Produce q mutually distinct pending configurations.
-
-        The first point is a plain ask; later points are chosen under local
-        penalization (GP, single objective) or a constant-liar refit at the
-        median observed values.
-        """
+        """Produce q mutually distinct pending configurations: q asks, so each
+        after the first is chosen around the ones before it (see ``ask``)."""
         if q is None:
             q = self.task.batch_size
         if q < 1:
             raise ValueError("batch size must be >= 1")
-        batch = [self.ask()]
-        for _ in range(q - 1):
-            batch.append(self._claim(self._produce(follower=True)))
-        return batch
+        return [self.ask() for _ in range(q)]
 
     # --- tell ---
 
@@ -314,6 +309,7 @@ class Advisor:
                 stacklevel=2,
             )
         self._history.record(obs)  # raises on shape mismatch before state changes
+        self._told.append(row)
         self._pending.pop(key, None)
         self._seen.setdefault(key, row)
         self._stale = True
@@ -338,9 +334,17 @@ class Advisor:
         return config
 
     def _initial_design(self, count: int) -> np.ndarray:
+        """Codes of the initial design; row 0 takes every parameter default set."""
+        space = self.task.space
         if self.task.init_design == "latin_hypercube":
-            return latin_hypercube(self.task.space, count, self._rng)
-        return sample_codes(self.task.space, count, self._rng)
+            codes = latin_hypercube(space, count, self._rng)
+        else:
+            codes = sample_codes(space, count, self._rng)
+        defaults = {p.name: p.default for p in space if p.default is not None}
+        if defaults:
+            (first,) = from_codes(space, codes[:1])
+            codes[:1] = to_codes(space, [Configuration({**first.values, **defaults})])
+        return codes
 
     def _random_unseen(self) -> np.ndarray:
         for _ in range(256):
@@ -354,7 +358,7 @@ class Advisor:
                     return row[None, :]
         raise ExhaustedSpaceError("could not sample an unseen configuration")
 
-    def _produce(self, follower: bool = False) -> np.ndarray:
+    def _produce(self) -> np.ndarray:
         if self._ea is not None:
             return self._ea_produce()
         if self.num_told < self.task.init_count:
@@ -366,7 +370,7 @@ class Advisor:
             self.last_ask_info = {"phase": "random"}
             return self._random_unseen()
         with one_blas_thread():
-            return self._model_based_ask(follower)
+            return self._model_based_ask()
 
     def _next_init_point(self) -> Optional[np.ndarray]:
         while self._init_served < len(self._init_codes):
@@ -379,20 +383,23 @@ class Advisor:
             return self._random_unseen()
         return None
 
+    def _encode(self, rows: list) -> np.ndarray:
+        return encode_codes(self.task.space, np.array(rows), self._encoding)
+
     def _refit(self) -> None:
-        X, Y, C = self._history.training_targets(self.task.space, self._encoding)
-        if X.shape[0] < 2:
+        Y, C = self._history.training_targets()
+        if Y.shape[0] < 2:
             raise InsufficientDataError("need at least 2 rows to fit surrogates")
         self._refit_count += 1
+        X = self._encode(self._told)
         self._objective_models, self._constraint_models = self._fit_models(X, Y, C, warm=True)
         self._stale = False
 
     def _constant_liar_models(self) -> tuple[list, list]:
         """Models refit with every pending point told at the median observed values."""
-        X, Y, C = self._history.training_targets(self.task.space, self._encoding)
+        Y, C = self._history.training_targets()
         lies = len(self._pending)
-        pending = np.array(list(self._pending.values()))
-        X = np.vstack([X, encode_codes(self.task.space, pending, self._encoding)])
+        X = self._encode(self._told + list(self._pending.values()))
         Y = np.vstack([Y, np.tile(np.median(Y, axis=0), (lies, 1))])
         C = np.vstack([C, np.tile(np.median(C, axis=0), (lies, 1))])
         return self._fit_models(X, Y, C, warm=False)
@@ -488,10 +495,10 @@ class Advisor:
             return _N_CANDIDATES_MO, _N_LOCAL_STARTS_MO
         return _N_CANDIDATES, _N_LOCAL_STARTS
 
-    def _model_based_ask(self, follower: bool) -> np.ndarray:
-        constant_liar = follower and self.plan.batch_strategy == CONSTANT_LIAR_MEDIAN
+    def _model_based_ask(self) -> np.ndarray:
+        strategy = self.plan.batch_strategy if self._pending else None
         try:
-            if constant_liar:
+            if strategy == CONSTANT_LIAR_MEDIAN:
                 models = self._constant_liar_models()
             else:
                 if self._stale:
@@ -502,7 +509,7 @@ class Advisor:
             return self._random_unseen()
         ctx = self._build_context(*models)
         score_fn = self._score_function(ctx)
-        if follower and not constant_liar:
+        if strategy == LOCAL_PENALIZATION:
             score_fn = self._penalized(score_fn, ctx.objective_models[0])
         n_candidates, n_local = self._inner_budgets()
         codes = maximize_acquisition(
@@ -519,8 +526,7 @@ class Advisor:
 
     def _penalized(self, base, model):
         """Local penalization of ``base`` around the pending points."""
-        pending = np.array(list(self._pending.values()))
-        pending = encode_codes(self.task.space, pending, self._encoding)
+        pending = self._encode(list(self._pending.values()))
         lipschitz = estimate_lipschitz(
             model, self.task.space.encoded_width(self._encoding), self._rng
         )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import moo
 from .advisor import TaskSpec
@@ -217,6 +216,7 @@ def run_benchmark(
         if s not in STRATEGIES:
             raise SetupError(f"unknown strategy {s!r}; valid strategies: {list(STRATEGIES)}")
     resolved = [get_problem(p) if isinstance(p, str) else p for p in problems]
+    from scipy.stats import rankdata  # most of a second to import; only benchmarks rank
 
     rows: list[dict] = []
     for problem in resolved:

@@ -105,7 +105,7 @@ def load_task_file(path: str) -> tuple[TaskSpec, dict]:
     spec.setdefault("task_id", Path(path).stem)
     task = TaskSpec(space=space_from_dict(doc), **spec)
     runtime = {
-        "parallelism": doc.get("parallelism", 1),
+        "parallelism": doc.get("parallelism"),  # None: the task's batch_size
         "timeout": float(doc["timeout"]) if doc.get("timeout") is not None else None,
     }
     return task, runtime

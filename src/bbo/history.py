@@ -21,7 +21,7 @@ from .errors import (
     ObservationShapeError,
     WrongTaskTypeError,
 )
-from .space import Configuration, SearchSpace, encode_matrix
+from .space import Configuration
 
 
 class TrialState(enum.Enum):
@@ -173,17 +173,16 @@ class History:
         ref[worst == 0] += 0.1
         return ref
 
-    def training_targets(
-        self, space: SearchSpace, encoding: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Surrogate training data: (X, objective targets, constraint targets).
+    def training_targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Surrogate training targets: (objective targets, constraint targets).
 
-        Every observation is a row. SUCCESS rows keep their true values;
-        failed rows get the worst observed objective values plus one observed
-        standard deviation, and constraints imputed as violated (+1).
+        Every observation is a row, in tell order. SUCCESS rows keep their
+        true values; failed rows get the worst observed objective values plus
+        one observed standard deviation, and constraints imputed as violated
+        (+1).
 
-        Returns X (n, d), Y (n, m), C (n, p); C has zero columns when the
-        task is unconstrained.
+        Returns Y (n, m) and C (n, p); C has zero columns when the task is
+        unconstrained.
         """
         successes = self.successes()
         if not successes:
@@ -197,15 +196,7 @@ class History:
             spread = np.zeros(self.num_objectives)
         imputed_obj = worst + spread
 
-        rows = self.observations
-        X = encode_matrix(space, [o.config for o in rows], encoding)
-        Y = np.empty((len(rows), self.num_objectives))
-        C = np.empty((len(rows), self.num_constraints))
-        for i, obs in enumerate(rows):
-            if obs.is_success:
-                Y[i] = obs.objectives
-                C[i] = obs.constraints if self.num_constraints else ()
-            else:
-                Y[i] = imputed_obj
-                C[i] = np.ones(self.num_constraints)
-        return X, Y, C
+        rows, p = self.observations, self.num_constraints
+        Y = np.array([o.objectives if o.is_success else imputed_obj for o in rows])
+        C = np.array([o.constraints if o.is_success and p else (1.0,) * p for o in rows])
+        return Y, C.reshape(len(rows), p)

@@ -126,7 +126,7 @@ def run(
     task: TaskSpec,
     objective: Callable,
     wall_clock_limit: Optional[float] = None,
-    parallelism: int = 1,
+    parallelism: Optional[int] = None,
     timeout: Optional[float] = None,
     clock: Callable[[], float] = time.perf_counter,
 ) -> OptResult:
@@ -135,7 +135,8 @@ def run(
     Each round asks for min(parallelism, remaining budget) suggestions,
     evaluates them (concurrently when parallelism > 1), and tells results
     back in suggestion order so sequential runs are reproducible per seed.
-    The ``clock`` is injectable so tests can freeze elapsed-time accounting.
+    ``parallelism`` defaults to the task's ``batch_size``. The ``clock`` is
+    injectable so tests can freeze elapsed-time accounting.
     """
     if not callable(objective):
         raise SetupError("objective must be callable")
@@ -146,6 +147,8 @@ def run(
         raise SetupError("objective must accept a single configuration argument") from None
     except ValueError:
         pass  # builtins without introspectable signatures
+    if parallelism is None:
+        parallelism = task.batch_size
     if parallelism < 1:
         raise SetupError("parallelism must be >= 1")
 
@@ -159,7 +162,7 @@ def run(
                 break
             q = min(parallelism, task.max_runs - advisor.num_told)
             try:
-                batch = [advisor.ask()] if q == 1 else advisor.ask_batch(q)
+                batch = advisor.ask_batch(q)
             except ExhaustedSpaceError:
                 stop_reason = STOP_EXHAUSTED
                 break

@@ -56,19 +56,21 @@ def mc_ei(mean, sigma, eta, n_samples=10**6, seed=0):
 
 
 def test_import_bbo_leaves_scipy_stats_unloaded():
-    # EI and PoF take ndtr from scipy.special; importing scipy.stats would
-    # roughly double the time `import bbo` takes
+    # EI and PoF take ndtr from scipy.special, and only `bbo bench` ranks with
+    # scipy.stats; importing it would roughly double the time `import bbo`
+    # and every `bbo` command take to start
     src = str(Path(bbo.__file__).resolve().parents[1])
-    code = "import sys, bbo; print(sorted(k for k in sys.modules if k.startswith('scipy.stats')))"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert out.stdout.strip() == "[]"
+    for module in ("bbo", "bbo.cli"):
+        code = f"import sys, {module}; print([k for k in sys.modules if k.startswith('scipy.stats')])"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[]", module
 
 
 class TestExpectedImprovement:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import bbo.advisor
 from bbo import moo
 from bbo.advisor import EHVI, Advisor, AlgorithmPlan, TaskSpec, auto_select
 from bbo.errors import (
@@ -15,7 +16,14 @@ from bbo.errors import (
     SetupError,
 )
 from bbo.history import Observation, TrialState
-from bbo.space import Configuration, ParameterSpec, SearchSpace, from_codes, latin_hypercube
+from bbo.space import (
+    Configuration,
+    ParameterSpec,
+    SearchSpace,
+    encode_matrix,
+    from_codes,
+    latin_hypercube,
+)
 
 
 def float_space(d):
@@ -54,6 +62,29 @@ def grid12_space():
             ParameterSpec("c", "categorical", choices=("p", "q", "r", "s")),
         ]
     )
+
+
+def mixed_space(**defaults):
+    return SearchSpace(
+        [
+            ParameterSpec("x", "float", low=0.0, high=2.0, default=defaults.get("x")),
+            ParameterSpec("k", "int", low=1, high=64, log_scale=True, default=defaults.get("k")),
+            ParameterSpec("c", "categorical", choices=("a", "b", "c"), default=defaults.get("c")),
+        ]
+    )
+
+
+def mixed(config):
+    return [(config["x"] - 0.7) ** 2 + abs(math.log2(config["k"]) - 3) + "abc".index(config["c"])]
+
+
+def told_advisor(task, objective, n):
+    """An advisor that has suggested and been told n points."""
+    advisor = Advisor(task)
+    for _ in range(n):
+        config = advisor.ask()
+        advisor.tell(success(config, objective(config)))
+    return advisor
 
 
 def design(task):
@@ -386,6 +417,35 @@ class TestAskBatch:
         assert advisor.last_ask_info["phase"] == "model"
         assert advisor.last_ask_info["config"] == batch[-1]
 
+    @pytest.mark.parametrize(
+        "algorithm, num_objectives, strategy",
+        [
+            ("gp", 1, "local_penalization"),
+            ("gp", 2, "constant_liar_median"),
+            ("prf", 1, "constant_liar_median"),
+        ],
+    )
+    def test_asks_while_pending_equal_ask_batch(self, algorithm, num_objectives, strategy):
+        task = TaskSpec(
+            space=float_space(2),
+            num_objectives=num_objectives,
+            init_count=5,
+            max_runs=40,
+            algorithm=algorithm,
+            seed=8,
+        )
+
+        def objective(config):
+            x = config["x0"]
+            return [(x - 0.3) ** 2 + config["x1"], 1.0 - x][:num_objectives]
+
+        a = told_advisor(task, objective, 6)
+        b = told_advisor(task, objective, 6)
+        assert a.plan.batch_strategy == strategy
+        asked = [a.ask() for _ in range(3)]
+        assert asked == b.ask_batch(3)
+        assert len(set(asked)) == 3 and a.num_pending == b.num_pending == 3
+
     def test_constant_liar_follower_describes_itself(self):
         task = TaskSpec(space=float_space(2), init_count=4, max_runs=40, algorithm="prf", seed=3)
         advisor = Advisor(task)
@@ -396,6 +456,92 @@ class TestAskBatch:
         assert advisor.plan.batch_strategy == "constant_liar_median"
         assert advisor.last_ask_info["phase"] == "model"
         assert advisor.last_ask_info["config"] == batch[-1]
+
+
+class TestPendingSet:
+    def test_abandoned_suggestion_keeps_local_penalization_until_told(self, monkeypatch):
+        task = TaskSpec(space=float_space(2), init_count=4, max_runs=40, algorithm="gp", seed=5)
+        advisor = told_advisor(task, lambda c: quadratic(c)[0], 5)
+        abandoned = advisor.ask()
+        penalized = []
+        penalize = bbo.advisor.local_penalization
+
+        def spy(base, X, pending, *args):
+            penalized.append(len(pending))
+            return penalize(base, X, pending, *args)
+
+        monkeypatch.setattr(bbo.advisor, "local_penalization", spy)
+        for _ in range(3):
+            config = advisor.ask()
+            advisor.tell(success(config, *quadratic(config)))
+            assert set(penalized) == {1}
+            penalized.clear()
+        advisor.tell(Observation(config=abandoned, trial_state=TrialState.FAILED))
+        advisor.ask()
+        assert penalized == [] and advisor.num_pending == 1
+
+    def test_abandoned_suggestion_keeps_constant_liar_until_told(self, monkeypatch):
+        task = TaskSpec(space=float_space(2), init_count=4, max_runs=40, algorithm="prf", seed=5)
+        advisor = told_advisor(task, lambda c: quadratic(c)[0], 5)
+        abandoned = advisor.ask()
+        rows = []
+        fit = bbo.advisor.fit_prf
+
+        def spy(X, y, **kwargs):
+            rows.append(len(X))
+            return fit(X, y, **kwargs)
+
+        monkeypatch.setattr(bbo.advisor, "fit_prf", spy)
+        for _ in range(3):
+            config = advisor.ask()
+            assert rows == [advisor.num_told + 1]  # told rows plus the lie
+            advisor.tell(success(config, *quadratic(config)))
+            rows.clear()
+        advisor.tell(Observation(config=abandoned, trial_state=TrialState.FAILED))
+        advisor.ask()
+        assert rows == [advisor.num_told]
+
+    def test_training_rows_are_the_told_configurations_in_tell_order(self, monkeypatch):
+        task = TaskSpec(space=mixed_space(), init_count=6, max_runs=40, algorithm="gp", seed=4)
+        advisor = told_advisor(task, mixed, 6)
+        inputs = []
+        fit = bbo.advisor.fit_gp
+
+        def spy(X, y, **kwargs):
+            inputs.append(X)
+            return fit(X, y, **kwargs)
+
+        monkeypatch.setattr(bbo.advisor, "fit_gp", spy)
+        for _ in range(2):
+            batch = advisor.ask_batch(3)
+            advisor.tell(Observation(config=batch[1], trial_state=TrialState.FAILED))
+            for config in (batch[2], batch[0]):
+                advisor.tell(success(config, mixed(config)))
+        inputs.clear()
+        advisor.ask()
+        configs = [o.config for o in advisor.get_history().observations]
+        assert len(inputs) == 1
+        assert inputs[0].tobytes() == encode_matrix(task.space, configs, "one_hot").tobytes()
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "algorithm, init_design",
+        [("gp", "latin_hypercube"), ("gp", "random"), ("ea", "latin_hypercube"), ("ea", "random")],
+    )
+    def test_first_ask_is_the_defaults(self, algorithm, init_design):
+        space = mixed_space(x=0.25, k=8, c="b")
+        task = TaskSpec(space=space, max_runs=30, algorithm=algorithm, init_design=init_design)
+        assert Advisor(task).ask() == Configuration({"x": 0.25, "k": 8, "c": "b"})
+
+    @pytest.mark.parametrize("algorithm", ["gp", "ea"])
+    def test_one_default_sets_its_parameter_only(self, algorithm):
+        plain = Advisor(TaskSpec(space=mixed_space(), max_runs=30, algorithm=algorithm))
+        advisor = Advisor(TaskSpec(space=mixed_space(c="c"), max_runs=30, algorithm=algorithm))
+        first, baseline = advisor.ask(), plain.ask()
+        assert first["c"] == "c"
+        assert (first["x"], first["k"]) == (baseline["x"], baseline["k"])
+        assert advisor.ask() == plain.ask()  # later design rows are unchanged
 
 
 class TestEvolutionaryMode:

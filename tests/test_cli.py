@@ -52,6 +52,16 @@ SLEEP_STUB = """
     print(json.dumps({"objectives": [1.0]}))
 """
 
+SPAN_STUB = """
+    import json, os, sys, time
+    sys.stdin.readline()
+    start = time.time()
+    time.sleep(0.5)
+    name = "span" + os.environ["BBO_TRIAL_INDEX"]
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), name), "w") as f:
+        f.write(f"{start} {time.time()}")
+    print(json.dumps({"objectives": [1.0]}))
+"""
 
 DROPS_CONSTRAINT_STUB = """
     import json, os, sys
@@ -193,6 +203,15 @@ class TestRunCommand:
             text = pid_file.read_text().strip() if pid_file.exists() else ""
             if text and process_alive(int(text)):
                 os.kill(int(text), signal.SIGKILL)
+
+    def test_batch_size_runs_trials_concurrently(self, tmp_path):
+        task = write_task(tmp_path, max_runs=4, batch_size=4)
+        cmd = write_stub(tmp_path, "obj.py", SPAN_STUB)
+        assert main(["run", "--task", task, "--cmd", cmd, "--out", str(tmp_path / "o")]) == 0
+        spans = sorted(tuple(map(float, p.read_text().split())) for p in tmp_path.glob("span*"))
+        assert len(spans) == 4
+        # trials run one at a time never overlap; a batch of four started together does
+        assert any(later[0] < earlier[1] for earlier, later in zip(spans, spans[1:]))
 
     def test_three_objective_gp_run_and_report(self, tmp_path):
         parameters = [

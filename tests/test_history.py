@@ -12,11 +12,7 @@ from bbo.errors import (
 )
 from bbo.history import History, Observation, TrialState
 from bbo.moo import dominates
-from bbo.space import Configuration, ParameterSpec, SearchSpace
-
-
-def space_1d():
-    return SearchSpace([ParameterSpec("x", "float", low=0.0, high=1.0)])
+from bbo.space import Configuration
 
 
 def obs(x, objectives, constraints=None, state=TrialState.SUCCESS):
@@ -167,29 +163,27 @@ class TestParetoFront:
 
 class TestTrainingTargets:
     def test_impute_worst_arithmetic(self):
-        space = space_1d()
         h = History("t", num_objectives=1)
         h.record(obs(0.1, [1.0]))
         h.record(obs(0.5, [3.0]))
         h.record(obs(0.9, None, state=TrialState.FAILED))
-        X, Y, _ = h.training_targets(space, "index")
-        assert Y.shape == (3, 1)
+        Y, C = h.training_targets()
+        assert Y.shape == (3, 1) and C.shape == (3, 0)
         assert Y[2, 0] == pytest.approx(3.0 + math.sqrt(2.0))  # worst + sample std
 
     def test_failed_constraints_imputed_violated(self):
-        space = space_1d()
         h = History("t", num_objectives=1, num_constraints=2)
         h.record(obs(0.1, [1.0], constraints=[-1.0, -0.5]))
         h.record(obs(0.9, None, state=TrialState.TIMEOUT))
-        _, _, C = h.training_targets(space, "index")
+        _, C = h.training_targets()
+        assert list(C[0]) == [-1.0, -0.5]
         assert list(C[1]) == [1.0, 1.0]
 
     def test_only_failures_is_an_error(self):
-        space = space_1d()
         h = History("t", num_objectives=1)
         h.record(obs(0.9, None, state=TrialState.FAILED))
         with pytest.raises(InsufficientDataError):
-            h.training_targets(space, "index")
+            h.training_targets()
 
 
 class TestSnapshot:

@@ -1,6 +1,7 @@
 """Tests for the closed-loop executor and safe evaluation."""
 
 import itertools
+import threading
 import time
 
 import numpy as np
@@ -100,6 +101,26 @@ class TestRun:
         task = TaskSpec(space=float_space(2), max_runs=10, algorithm="random", seed=0)
         result = run(task, quadratic, parallelism=4)
         assert len(result.history) == 10
+
+    def test_batch_size_is_the_default_parallelism(self):
+        task = TaskSpec(space=float_space(2), max_runs=8, batch_size=4, algorithm="random", seed=0)
+        barrier = threading.Barrier(4, timeout=5.0)
+
+        def rendezvous(config):
+            barrier.wait()  # breaks, failing the trial, unless four evaluations run at once
+            return quadratic(config)
+
+        result = run(task, rendezvous)
+        assert [o.trial_state for o in result.history.observations] == [TrialState.SUCCESS] * 8
+
+        threads = set()
+
+        def record_thread(config):
+            threads.add(threading.current_thread())
+            return quadratic(config)
+
+        run(task, record_thread, parallelism=1)  # an explicit parallelism wins
+        assert threads == {threading.main_thread()}
 
     def test_crash_isolation_half_failing(self):
         calls = itertools.count()

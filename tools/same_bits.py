@@ -8,7 +8,11 @@ space, so the evolutionary bridge meets told points), NSGA-II with crashing
 evaluations in batches of three, GP + EIC under local penalization, GP +
 EHVI_C under constant liar, and PRF batches on a mixed space. For each task
 it prints the task name and the first 16 hex digits of the sha256 of the
-run's ``export_json`` text.
+run's ``export_json`` text. A last line, ``async-workers``, digests GP on
+Branin and PRF on the mixed space driven through ``Advisor`` as three
+asynchronous workers would: three suggestions stay in flight and the oldest
+is told first, so every ask but the initial design's is made while others
+are pending.
 
 Two source trees whose advisors suggest the same configurations print the
 same lines, so a refactor that claims identical suggestions can be checked
@@ -27,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 
-from bbo import TaskSpec, run
+from bbo import Advisor, Observation, TaskSpec, run
 from bbo.bench import branin_evaluate, branin_problem, constr_evaluate, constr_problem
 from bbo.report import export_json
 from bbo.space import ParameterSpec, SearchSpace
@@ -122,11 +126,37 @@ def tasks():
     ]
 
 
+def async_workers(task, objective, in_flight=3):
+    """The history of an advisor asked until in_flight suggestions are
+    pending, then told the oldest of them, to the task's budget."""
+    advisor = Advisor(task)
+    pending = []
+    while advisor.num_told < task.max_runs:
+        while len(pending) < in_flight and advisor.num_told + len(pending) < task.max_runs:
+            pending.append(advisor.ask())
+        config = pending.pop(0)
+        advisor.tell(Observation(config=config, objectives=objective(config)))
+    return advisor.get_history()
+
+
 def main() -> None:
     for name, task, objective, parallelism in tasks():
         result = run(task, objective, parallelism=parallelism, clock=lambda: 0.0)
         digest = hashlib.sha256(export_json(result.history).encode("utf-8")).hexdigest()
         print(f"{name:26s} {digest[:16]} ({len(result.history)} trials, {result.stop_reason})")
+    histories = [
+        async_workers(
+            TaskSpec(branin_problem().space, max_runs=20, algorithm="gp", seed=21),
+            lambda c: branin_evaluate(c)[0],
+        ),
+        async_workers(
+            TaskSpec(mixed_space(), max_runs=24, algorithm="prf", seed=22), lambda c: [mixed(c)]
+        ),
+    ]
+    text = "".join(export_json(h) for h in histories)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    trials = "+".join(str(len(h)) for h in histories)
+    print(f"{'async-workers':26s} {digest[:16]} ({trials} trials, max_runs)")
 
 
 if __name__ == "__main__":
