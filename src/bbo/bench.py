@@ -35,7 +35,6 @@ class BenchmarkProblem:
     num_objectives: int
     num_constraints: int
     evaluate: Callable[[Configuration], tuple[list, list]]
-    known_optimum: Optional[float] = None  # single-objective problems
     ref_point: Optional[tuple] = None  # multi-objective problems
     optimal_hv: Optional[Callable[[], float]] = None  # lazy, cached provider
 
@@ -127,7 +126,6 @@ def branin_problem() -> BenchmarkProblem:
         num_objectives=1,
         num_constraints=0,
         evaluate=branin_evaluate,
-        known_optimum=BRANIN_OPTIMUM,
     )
 
 
@@ -158,7 +156,6 @@ def ackley_problem() -> BenchmarkProblem:
         num_objectives=1,
         num_constraints=0,
         evaluate=ackley_evaluate,
-        known_optimum=0.0,
     )
 
 
@@ -212,6 +209,8 @@ def run_benchmark(
     """
     if len(strategies) < 2:
         raise SetupError("run_benchmark needs at least 2 strategies")
+    if not problems or n_seeds < 1:
+        raise SetupError(f"run_benchmark needs a problem and a seed, got {problems!r} and {n_seeds}")
     for s in strategies:
         if s not in STRATEGIES:
             raise SetupError(f"unknown strategy {s!r}; valid strategies: {list(STRATEGIES)}")
@@ -219,6 +218,7 @@ def run_benchmark(
     from scipy.stats import rankdata  # most of a second to import; only benchmarks rank
 
     rows: list[dict] = []
+    wins: dict[str, dict[str, int]] = {s: {} for s in strategies}
     for problem in resolved:
         for seed in range(n_seeds):
             scores = []
@@ -236,6 +236,7 @@ def run_benchmark(
                 result = run(task, problem.evaluate)
                 scores.append(_score_run(problem, result))
             ranks = rankdata(scores, method="average")
+            best = ranks.min()
             for strategy, score, rank in zip(strategies, scores, ranks):
                 rows.append(
                     {
@@ -246,22 +247,13 @@ def run_benchmark(
                         "rank": float(rank),
                     }
                 )
+                if rank == best:
+                    wins[strategy][problem.name] = wins[strategy].get(problem.name, 0) + 1
 
     median_ranks = {
         s: float(np.median([r["rank"] for r in rows if r["strategy"] == s]))
         for s in strategies
     }
-    wins: dict[str, dict[str, int]] = {s: {} for s in strategies}
-    for problem in resolved:
-        cell_rows = [r for r in rows if r["problem"] == problem.name]
-        for seed in range(n_seeds):
-            cell = [r for r in cell_rows if r["seed"] == seed]
-            best = min(r["rank"] for r in cell)
-            for r in cell:
-                if r["rank"] == best:
-                    wins[r["strategy"]][problem.name] = (
-                        wins[r["strategy"]].get(problem.name, 0) + 1
-                    )
     return BenchmarkResult(rows=rows, median_ranks=median_ranks, wins=wins)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import shlex
 import signal
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from . import bench, report
 from .advisor import TaskSpec
-from .errors import BBOError, HistoryParseError, SetupError, SpaceError
+from .errors import BBOError, SetupError
 from .optimizer import run
 from .report import _is_number
 from .space import Configuration, space_from_dict
@@ -116,6 +117,8 @@ def subprocess_objective(command: str, timeout: float | None = None):
     argv = shlex.split(command)
     if not argv:
         raise SetupError("empty command")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise SetupError(f"timeout must be finite and > 0 s, got {timeout}")
     counter = itertools.count()
     lock = threading.Lock()
 
@@ -166,43 +169,18 @@ def subprocess_objective(command: str, timeout: float | None = None):
 
 
 def cmd_run(args) -> int:
-    try:
-        task, runtime = load_task_file(args.task)
-    except (SetupError, SpaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SETUP
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    task, runtime = load_task_file(args.task)
     parallelism = args.parallelism if args.parallelism is not None else runtime["parallelism"]
     timeout = args.timeout if args.timeout is not None else runtime["timeout"]
-    try:
-        objective = subprocess_objective(args.cmd, timeout=timeout)
-    except SetupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SETUP
-
-    try:
-        result = run(
-            task,
-            objective,
-            wall_clock_limit=args.wall_clock_limit,
-            parallelism=parallelism,
-        )
-    except (SetupError, BBOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SETUP
+    objective = subprocess_objective(args.cmd, timeout=timeout)
+    result = run(task, objective, wall_clock_limit=args.wall_clock_limit, parallelism=parallelism)
 
     out_dir = Path(args.out)
     history_text = report.export_json(result.history)
     analyses = report.default_analyses(result.history)
     html_text = report.render_html(result.history, analyses)
-    try:
-        atomic_write(out_dir / "history.json", history_text)
-        atomic_write(out_dir / "report.html", html_text)
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+    atomic_write(out_dir / "history.json", history_text)
+    atomic_write(out_dir / "report.html", html_text)
 
     n_success = len(result.history.successes())
     print(
@@ -218,23 +196,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        text = Path(args.history).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.history}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        history = report.import_json(text)
-    except HistoryParseError as exc:
-        print(f"error: {args.history}: {exc}", file=sys.stderr)
-        return EXIT_SETUP
+    history = report.import_json(Path(args.history).read_text(encoding="utf-8"))
     analyses = report.default_analyses(history)
-    html_text = report.render_html(history, analyses)
-    try:
-        atomic_write(Path(args.out), html_text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    atomic_write(Path(args.out), report.render_html(history, analyses))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -242,13 +206,7 @@ def cmd_report(args) -> int:
 def cmd_bench(args) -> int:
     problems = [p.strip() for p in args.problems.split(",") if p.strip()]
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    try:
-        for name in problems:
-            bench.get_problem(name)
-        result = bench.run_benchmark(problems, strategies, args.seeds, args.budget)
-    except SetupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SETUP
+    result = bench.run_benchmark(problems, strategies, args.seeds, args.budget)
 
     out_dir = Path(args.out)
     summary = {
@@ -259,12 +217,8 @@ def cmd_bench(args) -> int:
         "median_ranks": result.median_ranks,
         "wins": result.wins,
     }
-    try:
-        atomic_write(out_dir / "rank_table.csv", bench.rank_table_csv(result))
-        atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+    atomic_write(out_dir / "rank_table.csv", bench.rank_table_csv(result))
+    atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
 
     for strategy, rank in sorted(result.median_ranks.items(), key=lambda kv: kv[1]):
         total_wins = sum(result.wins[strategy].values())
@@ -308,7 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BBOError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SETUP
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -66,7 +66,6 @@ def evaluate_safe(
     or the objective raises TimeoutError, whose message is then kept.
     """
     start = clock()
-    extra: dict[str, str] = {}
     try:
         if timeout is None:
             result = objective(config)
@@ -118,7 +117,6 @@ def evaluate_safe(
         constraints=constraints,
         trial_state=TrialState.SUCCESS,
         elapsed_time=elapsed,
-        extra=extra,
     )
 
 
@@ -151,6 +149,8 @@ def run(
         parallelism = task.batch_size
     if parallelism < 1:
         raise SetupError("parallelism must be >= 1")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise SetupError(f"timeout must be finite and > 0 s, got {timeout}")
 
     advisor = Advisor(task)
     start = clock()

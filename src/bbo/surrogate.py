@@ -2,7 +2,9 @@
 
 Both map unit-cube encoded configurations to a predictive (mean, variance)
 pair. Targets are handled in raw units; the GP standardizes internally and
-un-standardizes on prediction.
+un-standardizes on prediction. The forest keeps all its trees in one node
+table of ``[feature, threshold, left, right, mean, var]`` rows, grown,
+split and walked as arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import ctypes
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -352,123 +353,90 @@ def fit_gp(
 # --- probabilistic random forest ---
 
 
-@dataclass
-class _Tree:
-    """Flat-array regression tree; leaves have feature == -1."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-
-    def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            feats = self.feature[node[idx]]
-            go_left = X[idx, feats] <= self.threshold[node[idx]]
-            node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
-            active = self.feature[node] >= 0
-        return self.mean[node], self.var[node]
-
-
 class PRFModel:
     """Probabilistic random forest: bagged variance-split regression trees
-    whose leaves store the mean and variance of their training targets."""
+    whose leaves store the mean and variance of their training targets.
 
-    def __init__(self, trees: list[_Tree]):
-        if not trees:
+    Every tree lives in one node table, a float array with one row
+    ``[feature, threshold, left, right, mean, var]`` per node; leaves have
+    feature -1, and ``left``/``right`` are row indices into the same table.
+    ``roots`` holds the row of each tree's root, in tree order.
+    """
+
+    def __init__(self, nodes: np.ndarray, roots: np.ndarray):
+        if len(roots) == 0:
             raise ValueError("forest needs at least one tree")
-        self.trees = trees
+        self.nodes = np.asarray(nodes, dtype=float)
+        self.roots = np.asarray(roots, dtype=np.int64)
 
     def predict(self, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ensemble mean and law-of-total-variance variance per query row."""
         Xq = np.atleast_2d(np.asarray(X_query, dtype=float))
-        means = np.empty((len(self.trees), Xq.shape[0]))
-        variances = np.empty_like(means)
-        for t, tree in enumerate(self.trees):
-            means[t], variances[t] = tree.predict(Xq)
+        n, d = Xq.shape
+        feature = self.nodes[:, 0].astype(np.int64)
+        children = self.nodes[:, 2:4].astype(np.int64).ravel()  # left, right per row
+        threshold, leaf_mean, leaf_var = self.nodes[:, [1, 4, 5]].T
+        # one walker per (tree, query row), all trees stepped one level a pass
+        node = np.repeat(self.roots, n)
+        offset = np.tile(np.arange(n) * d, len(self.roots))
+        flat = Xq.ravel()
+        active = np.flatnonzero(feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            go_left = flat[offset[active] + feature[at]] <= threshold[at]
+            node[active] = at = children[2 * at + ~go_left]
+            active = active[feature[at] >= 0]
+        shape = (len(self.roots), n)
+        means = leaf_mean[node].reshape(shape)
         mean = means.mean(axis=0)
-        var = (variances + means**2).mean(axis=0) - mean**2
+        var = (leaf_var[node].reshape(shape) + means**2).mean(axis=0) - mean**2
         return mean, np.maximum(var, 1e-12)
 
 
 def _grow_tree(
+    nodes: list,
     X: np.ndarray,
     y: np.ndarray,
     rng: np.random.Generator,
     min_samples_leaf: int,
     max_features: int,
-) -> _Tree:
-    feature, threshold, left, right, mean, var = [], [], [], [], [], []
+) -> int:
+    """Append a tree on (X, y) to the node rows, parents before children and
+    the left subtree first, and return its root's row index."""
+    row = len(nodes)
+    y_var = float(y.var())
+    nodes.append([-1, 0.0, -1, -1, float(y.mean()), y_var])
+    n = y.shape[0]
+    if n < 2 * min_samples_leaf or y_var <= 0.0:
+        return row
 
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        mean.append(0.0)
-        var.append(0.0)
-        return len(feature) - 1
+    # score every drawn feature's split positions in one sorted (n, k) pass;
+    # position s sends the first s sorted rows left
+    feats = rng.permutation(X.shape[1])[:max_features]
+    cols = X[:, feats]
+    order = np.argsort(cols, axis=0, kind="stable")
+    sv = np.take_along_axis(cols, order, axis=0)
+    sy = y[order]
+    csum, csum2 = np.cumsum(sy, axis=0), np.cumsum(sy**2, axis=0)
+    s = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
+    nl = s.astype(float)[:, None]
+    nr = n - nl
+    sl, sl2 = csum[s - 1], csum2[s - 1]
+    var_l = sl2 / nl - (sl / nl) ** 2
+    var_r = (csum2[-1] - sl2) / nr - ((csum[-1] - sl) / nr) ** 2
+    scores = (nl * var_l + nr * var_r) / n
+    scores[sv[s - 1] == sv[s]] = np.inf  # no threshold between equal values
+    # ties go to the first drawn feature, then to the first position
+    j, i = divmod(int(np.argmin(scores.T)), s.size)
+    if scores[i, j] == np.inf:
+        return row
 
-    def build(idx: np.ndarray) -> int:
-        node = new_node()
-        y_node = y[idx]
-        mean[node] = float(y_node.mean())
-        var[node] = float(y_node.var())
-        if idx.shape[0] < 2 * min_samples_leaf or var[node] <= 0.0:
-            return node
-
-        d = X.shape[1]
-        cand_feats = rng.permutation(d)[:max_features]
-        best = None  # (score, feat, thresh, left_idx, right_idx)
-        for f in cand_feats:
-            vals = X[idx, f]
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            sy = y_node[order]
-            n = sv.shape[0]
-            csum = np.cumsum(sy)
-            csum2 = np.cumsum(sy**2)
-            total, total2 = csum[-1], csum2[-1]
-            # split after position s: left = first s sorted samples
-            s_all = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
-            s_all = s_all[sv[s_all - 1] != sv[s_all]]
-            if s_all.size == 0:
-                continue
-            nl = s_all.astype(float)
-            nr = n - nl
-            sl, sl2 = csum[s_all - 1], csum2[s_all - 1]
-            var_l = sl2 / nl - (sl / nl) ** 2
-            var_r = (total2 - sl2) / nr - ((total - sl) / nr) ** 2
-            scores = (nl * var_l + nr * var_r) / n
-            k = int(np.argmin(scores))
-            if best is None or scores[k] < best[0]:
-                s = int(s_all[k])
-                thresh = 0.5 * (sv[s - 1] + sv[s])
-                best = (float(scores[k]), int(f), float(thresh), idx[order[:s]], idx[order[s:]])
-        if best is None:
-            return node
-
-        _, f, thresh, idx_l, idx_r = best
-        feature[node] = f
-        threshold[node] = thresh
-        left[node] = build(idx_l)
-        right[node] = build(idx_r)
-        return node
-
-    build(np.arange(X.shape[0]))
-    return _Tree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        mean=np.array(mean, dtype=float),
-        var=np.array(var, dtype=float),
-    )
+    cut = s[i]
+    go_left, go_right = order[:cut, j], order[cut:, j]
+    nodes[row][:2] = [feats[j], 0.5 * (sv[cut - 1, j] + sv[cut, j])]
+    nodes[row][2] = _grow_tree(nodes, X[go_left], y[go_left], rng, min_samples_leaf, max_features)
+    nodes[row][3] = _grow_tree(nodes, X[go_right], y[go_right], rng, min_samples_leaf, max_features)
+    return row
 
 
 def fit_prf(X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None) -> PRFModel:
@@ -487,8 +455,9 @@ def fit_prf(X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None
         rng = np.random.default_rng(0)
     n, d = X.shape
     max_features = max(1, math.ceil(d * _FEATURE_FRACTION))
-    trees = []
+    nodes: list = []
+    roots = []
     for _ in range(_N_TREES):
         idx = rng.integers(n, size=n)
-        trees.append(_grow_tree(X[idx], y[idx], rng, _MIN_SAMPLES_LEAF, max_features))
-    return PRFModel(trees)
+        roots.append(_grow_tree(nodes, X[idx], y[idx], rng, _MIN_SAMPLES_LEAF, max_features))
+    return PRFModel(np.array(nodes), np.array(roots))

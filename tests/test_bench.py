@@ -155,6 +155,23 @@ class TestRankArithmetic:
         by_strategy = {r["strategy"]: r["rank"] for r in result.rows if r["seed"] == 0}
         assert by_strategy == {"gp": 1.5, "prf": 3.0, "random": 1.5}
 
+    def test_wins_count_ties_in_problem_order(self, monkeypatch):
+        scores = {
+            ("branin", "gp"): (2.0, 1.0),
+            ("branin", "random"): (1.0, 1.0),
+            ("ackley", "gp"): (1.0, 1.0),
+            ("ackley", "random"): (2.0, 2.0),
+        }
+
+        def runner(task, objective, **kwargs):
+            problem, strategy = task.task_id.split("-")[:2]
+            return _FakeResult(scores[problem, strategy][task.seed])
+
+        monkeypatch.setattr(bench, "run", runner)
+        result = run_benchmark(["branin", "ackley"], ["gp", "random"], n_seeds=2, budget=5)
+        assert result.wins == {"gp": {"branin": 1, "ackley": 2}, "random": {"branin": 2}}
+        assert list(result.wins["gp"]) == ["branin", "ackley"]
+
     def test_rank_conservation(self, monkeypatch):
         rng = np.random.default_rng(0)
         table = {
@@ -193,5 +210,9 @@ class TestRunBenchmarkEndToEnd:
             run_benchmark(["branin"], ["random"], n_seeds=1, budget=5)
         with pytest.raises(SetupError):
             run_benchmark(["branin"], ["random", "sa"], n_seeds=1, budget=5)
+        with pytest.raises(SetupError):
+            run_benchmark(["branin"], ["random", "ea"], n_seeds=0, budget=5)
+        with pytest.raises(SetupError):
+            run_benchmark([], ["random", "ea"], n_seeds=1, budget=5)
         with pytest.raises(SetupError):
             get_problem("rosenbrock")

@@ -264,6 +264,18 @@ class TestRunCommand:
         code = main(["run", "--task", str(tmp_path / "nope.json"), "--cmd", cmd])
         assert code == 3
 
+    @pytest.mark.parametrize("timeout", [0, -1, float("inf")])
+    def test_non_positive_or_infinite_timeout_rejected(self, tmp_path, capsys, timeout):
+        cmd = write_stub(tmp_path, "obj.py", SUM_STUB)
+        out = tmp_path / "o"
+        (tmp_path / "flag").mkdir()
+        from_file = ["--task", write_task(tmp_path, timeout=timeout)]
+        from_flag = ["--task", write_task(tmp_path / "flag"), "--timeout", str(timeout)]
+        for argv in (from_file, from_flag):
+            assert main(["run", *argv, "--cmd", cmd, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: timeout must be finite and > 0")
+            assert not out.exists()
+
 
 class TestReportCommand:
     def make_history_file(self, tmp_path, num_objectives=1):
@@ -372,3 +384,14 @@ class TestBenchCommand:
              "--seeds", "1", "--budget", "5", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("problems, seeds", [("branin", "0"), ("branin", "-1"), ("", "1")])
+    def test_no_cells_rejected(self, tmp_path, capsys, problems, seeds):
+        out = tmp_path / "bench"
+        code = main(
+            ["bench", "--problems", problems, "--strategies", "random,ea",
+             "--seeds", seeds, "--budget", "5", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: run_benchmark needs")
+        assert not out.exists()

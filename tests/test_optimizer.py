@@ -171,6 +171,9 @@ class TestRun:
             run(task, lambda: 1.0)  # zero-argument objective
         with pytest.raises(SetupError):
             run(task, quadratic, parallelism=0)
+        for timeout in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(SetupError, match="timeout must be finite and > 0"):
+                run(task, quadratic, timeout=timeout)
 
     def test_sequential_determinism_with_injected_clock(self):
         task = TaskSpec(

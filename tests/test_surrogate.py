@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bbo.surrogate import (
     JITTERS,
     SQRT5,
     GPModel,
+    PRFModel,
     _grow_tree,
     fit_gp,
     fit_prf,
@@ -208,8 +210,10 @@ class TestPRF:
         model = fit_prf(X, y, rng=rng)
         queries = rng.uniform(size=(50, 2))
         _, var = model.predict(queries)
-        means = np.array([t.predict(queries)[0] for t in model.trees])
-        variances = np.array([t.predict(queries)[1] for t in model.trees])
+        # one-root forests over the same table predict each tree alone
+        trees = [PRFModel(model.nodes, [root]).predict(queries) for root in model.roots]
+        means = np.array([mean for mean, _ in trees])
+        variances = np.array([variance for _, variance in trees])
         expected = (variances + means**2).mean(axis=0) - means.mean(axis=0) ** 2
         assert var == pytest.approx(np.maximum(expected, 1e-12))
 
@@ -228,8 +232,9 @@ class TestPRF:
         X = rng.uniform(size=(20, 2))
         y = np.arange(20.0)  # all distinct
         # one tree on the unresampled rows, split down to single-row leaves
-        tree = _grow_tree(X, y, rng, min_samples_leaf=1, max_features=2)
-        mean, var = tree.predict(X)
+        nodes = []
+        root = _grow_tree(nodes, X, y, rng, min_samples_leaf=1, max_features=2)
+        mean, var = PRFModel(np.array(nodes), [root]).predict(X)
         assert np.allclose(mean, y)
         assert np.all(var <= 1e-12 + 1e-15)
 
@@ -243,6 +248,26 @@ class TestPRF:
         model = fit_prf(X, X[:, 0], rng=rng)
         mean, var = model.predict(X[0])
         assert mean.shape == var.shape == (1,) and var[0] >= 0
+
+    def test_matches_forest_reference(self, monkeypatch):
+        """Fitted node tables, predictions and the RNG state after the fit
+        equal the per-tree, per-feature reference bit for bit."""
+        for seed in range(200):
+            problem = np.random.default_rng(seed)
+            X, y, queries = random_forest_problem(problem)
+            min_samples_leaf = 1 if seed % 2 else surrogate._MIN_SAMPLES_LEAF
+            monkeypatch.setattr(surrogate, "_MIN_SAMPLES_LEAF", min_samples_leaf)
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            model = fit_prf(X, y, rng=rng)
+            nodes, roots, predict = forest_reference(X, y, rng_ref, min_samples_leaf)
+            assert np.array_equal(model.nodes, nodes) and np.array_equal(model.roots, roots)
+            assert rng.integers(2**62) == rng_ref.integers(2**62)
+            # thresholds as query values reach the <= boundary of every split
+            thresholds = nodes[nodes[:, 0] >= 0, 1]
+            if thresholds.size:
+                queries = np.vstack([queries, problem.choice(thresholds, size=(20, X.shape[1]))])
+            for got, want in zip(model.predict(queries), predict(queries)):
+                assert np.array_equal(got, want)
 
 
 class TestFitSpeed:
@@ -258,6 +283,146 @@ class TestFitSpeed:
         prf = fit_prf(X, y, rng=rng)
         prf.predict(X)
         assert time.perf_counter() - start < 2.0
+
+
+# --- oracle: the forest as it was before one node table held every tree:
+# one object per tree, each split searched one feature at a time ---
+
+
+@dataclass
+class ReferenceTree:
+    """Flat-array regression tree; leaves have feature == -1."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+
+    def predict(self, X):
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        active = self.feature[node] >= 0
+        while np.any(active):
+            idx = np.flatnonzero(active)
+            feats = self.feature[node[idx]]
+            go_left = X[idx, feats] <= self.threshold[node[idx]]
+            node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
+            active = self.feature[node] >= 0
+        return self.mean[node], self.var[node]
+
+
+def reference_grow_tree(X, y, rng, min_samples_leaf, max_features):
+    feature, threshold, left, right, mean, var = [], [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        mean.append(0.0)
+        var.append(0.0)
+        return len(feature) - 1
+
+    def build(idx):
+        node = new_node()
+        y_node = y[idx]
+        mean[node] = float(y_node.mean())
+        var[node] = float(y_node.var())
+        if idx.shape[0] < 2 * min_samples_leaf or var[node] <= 0.0:
+            return node
+        cand_feats = rng.permutation(X.shape[1])[:max_features]
+        best = None  # (score, feat, thresh, left_idx, right_idx)
+        for f in cand_feats:
+            vals = X[idx, f]
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            sy = y_node[order]
+            n = sv.shape[0]
+            csum = np.cumsum(sy)
+            csum2 = np.cumsum(sy**2)
+            total, total2 = csum[-1], csum2[-1]
+            s_all = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
+            s_all = s_all[sv[s_all - 1] != sv[s_all]]
+            if s_all.size == 0:
+                continue
+            nl = s_all.astype(float)
+            nr = n - nl
+            sl, sl2 = csum[s_all - 1], csum2[s_all - 1]
+            var_l = sl2 / nl - (sl / nl) ** 2
+            var_r = (total2 - sl2) / nr - ((total - sl) / nr) ** 2
+            scores = (nl * var_l + nr * var_r) / n
+            k = int(np.argmin(scores))
+            if best is None or scores[k] < best[0]:
+                s = int(s_all[k])
+                thresh = 0.5 * (sv[s - 1] + sv[s])
+                best = (float(scores[k]), int(f), float(thresh), idx[order[:s]], idx[order[s:]])
+        if best is None:
+            return node
+        _, f, thresh, idx_l, idx_r = best
+        feature[node] = f
+        threshold[node] = thresh
+        left[node] = build(idx_l)
+        right[node] = build(idx_r)
+        return node
+
+    build(np.arange(X.shape[0]))
+    return ReferenceTree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        mean=np.array(mean, dtype=float),
+        var=np.array(var, dtype=float),
+    )
+
+
+def forest_reference(X, y, rng, min_samples_leaf):
+    """The reference forest as (node table, roots, predict): its trees'
+    rows stacked in tree order with child indices offset into the stack,
+    and the per-tree ensemble prediction."""
+    n, d = X.shape
+    max_features = max(1, math.ceil(d * surrogate._FEATURE_FRACTION))
+    trees = []
+    for _ in range(surrogate._N_TREES):
+        idx = rng.integers(n, size=n)
+        trees.append(reference_grow_tree(X[idx], y[idx], rng, min_samples_leaf, max_features))
+
+    tables, roots, base = [], [], 0
+    for tree in trees:
+        children = [np.where(c >= 0, c + base, -1) for c in (tree.left, tree.right)]
+        tables.append(np.column_stack([tree.feature, tree.threshold, *children, tree.mean, tree.var]))
+        roots.append(base)
+        base += tree.feature.size
+
+    def predict(Xq):
+        means = np.empty((len(trees), Xq.shape[0]))
+        variances = np.empty_like(means)
+        for t, tree in enumerate(trees):
+            means[t], variances[t] = tree.predict(Xq)
+        mean = means.mean(axis=0)
+        var = (variances + means**2).mean(axis=0) - mean**2
+        return mean, np.maximum(var, 1e-12)
+
+    return np.vstack(tables).astype(float), np.array(roots), predict
+
+
+def random_forest_problem(rng):
+    """Training rows, targets and query rows: n log-uniform in [2, 120],
+    d in [1, 19], about half the columns discrete with tied values, and
+    integer targets (tied split scores) in about a third of the problems."""
+    n = int(round(math.exp(rng.uniform(math.log(2), math.log(120)))))
+    d = int(rng.integers(1, 20))
+    X = rng.uniform(size=(n, d))
+    discrete = rng.random(d) < 0.5
+    levels = int(rng.integers(2, 6))
+    X[:, discrete] = rng.integers(0, levels, size=(n, int(discrete.sum()))) / (levels - 1)
+    if rng.random() < 1 / 3:
+        y = rng.integers(0, 4, size=n).astype(float)
+    else:
+        y = np.sin(4 * X[:, 0]) + rng.normal(scale=0.3, size=n)
+    queries = np.vstack([X, rng.uniform(size=(30, d))])
+    return X, y, queries
 
 
 # --- oracles: the GP linear algebra through scipy's checked wrappers and an

@@ -12,7 +12,11 @@ run's ``export_json`` text. A last line, ``async-workers``, digests GP on
 Branin and PRF on the mixed space driven through ``Advisor`` as three
 asynchronous workers would: three suggestions stay in flight and the oldest
 is told first, so every ask but the initial design's is made while others
-are pending.
+are pending. A final line, ``importance``, digests the parameter
+importances ``report.default_analyses`` computes (a random forest fitted
+and queried for Shapley values) for three of the task histories, so a
+change to the forest behind the report shows up even when no suggestion
+moves.
 
 Two source trees whose advisors suggest the same configurations print the
 same lines, so a refactor that claims identical suggestions can be checked
@@ -33,7 +37,7 @@ import math
 
 from bbo import Advisor, Observation, TaskSpec, run
 from bbo.bench import branin_evaluate, branin_problem, constr_evaluate, constr_problem
-from bbo.report import export_json
+from bbo.report import default_analyses, export_json
 from bbo.space import ParameterSpec, SearchSpace
 
 
@@ -139,11 +143,18 @@ def async_workers(task, objective, in_flight=3):
     return advisor.get_history()
 
 
+IMPORTANCE_TASKS = ("gp-ei-lhs-init", "nsga2-constr-crashing-q3", "prf-mixed-q3")
+
+
 def main() -> None:
+    importance = []
     for name, task, objective, parallelism in tasks():
         result = run(task, objective, parallelism=parallelism, clock=lambda: 0.0)
         digest = hashlib.sha256(export_json(result.history).encode("utf-8")).hexdigest()
         print(f"{name:26s} {digest[:16]} ({len(result.history)} trials, {result.stop_reason})")
+        if name in IMPORTANCE_TASKS:
+            values = default_analyses(result.history).get("importance", {})
+            importance.append({key: float(value) for key, value in values.items()})
     histories = [
         async_workers(
             TaskSpec(branin_problem().space, max_runs=20, algorithm="gp", seed=21),
@@ -157,6 +168,9 @@ def main() -> None:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     trials = "+".join(str(len(h)) for h in histories)
     print(f"{'async-workers':26s} {digest[:16]} ({trials} trials, max_runs)")
+    digest = hashlib.sha256(repr(importance).encode("utf-8")).hexdigest()
+    counts = "+".join(str(len(values)) for values in importance)
+    print(f"{'importance':26s} {digest[:16]} ({counts} parameters)")
 
 
 if __name__ == "__main__":
