@@ -133,8 +133,10 @@ def run(
     Each round asks for min(parallelism, remaining budget) suggestions,
     evaluates them (concurrently when parallelism > 1), and tells results
     back in suggestion order so sequential runs are reproducible per seed.
-    ``parallelism`` defaults to the task's ``batch_size``. The ``clock`` is
-    injectable so tests can freeze elapsed-time accounting.
+    ``parallelism`` defaults to the task's ``batch_size``. A
+    ``wall_clock_limit`` must be > 0 s (``inf`` means none), and a
+    ``timeout`` finite and > 0 s. The ``clock`` is injectable so tests can
+    freeze elapsed-time accounting.
     """
     if not callable(objective):
         raise SetupError("objective must be callable")
@@ -151,6 +153,8 @@ def run(
         raise SetupError("parallelism must be >= 1")
     if timeout is not None and not 0 < timeout < math.inf:
         raise SetupError(f"timeout must be finite and > 0 s, got {timeout}")
+    if wall_clock_limit is not None and not wall_clock_limit > 0:  # nan fails too
+        raise SetupError(f"wall-clock limit must be > 0 s, got {wall_clock_limit}")
 
     advisor = Advisor(task)
     start = clock()

@@ -48,16 +48,28 @@ def convergence_curve(history: History) -> list[tuple[int, float]]:
 
 
 def hv_over_time(history: History, ref_point: Sequence[float]) -> list[tuple[int, float]]:
-    """(trial index, hypervolume of the feasible front) after each observation."""
+    """(trial index, hypervolume of the feasible front) after each observation.
+
+    Keeps a running front in arrival order: the feasible points within the
+    reference point that ``moo._pareto_filter`` keeps, which are the rows
+    ``moo.hypervolume`` measures of all feasible points so far. The value is
+    recomputed only when an observation joins that front, so each is the
+    same float as the hypervolume of its prefix.
+    """
     if history.num_objectives < 2:
         raise WrongTaskTypeError("hv_over_time is defined for multi-objective tasks")
     ref = np.asarray(ref_point, dtype=float)
     out = []
-    points: list[tuple] = []
+    front = np.empty((0, ref.shape[0]))
+    value = 0.0
     for i, obs in enumerate(history.observations, start=1):
-        if obs.is_feasible:
-            points.append(obs.objectives)
-        out.append((i, moo.hypervolume(points, ref) if points else 0.0))
+        if obs.is_feasible and np.all(np.asarray(obs.objectives, dtype=float) <= ref):
+            candidates = np.vstack([front, obs.objectives])
+            keep = moo._pareto_filter(candidates)
+            if keep[-1] == len(front):  # neither dominated by nor equal to a kept point
+                front = candidates[keep]
+                value = moo.hypervolume(front, ref)
+        out.append((i, value))
     return out
 
 
@@ -112,11 +124,22 @@ def importance_shapley(
     Fits a random forest to the history's first objective, then estimates
     Shapley values of up to 64 rows by permutation sampling against up to
     32 background rows. Each of ``n_permutations`` (at least 2) samples
-    draws a feature permutation and a background row; its hybrid k holds
+    pairs a feature permutation with a background row; its hybrid k holds
     the background row with the first k permuted features taken from the
     explicand, and the gaps between consecutive hybrids' predictions are the
-    features' marginal contributions. The per-row values telescope, so they
-    satisfy the efficiency property up to Monte Carlo error in the baseline.
+    features' marginal contributions.
+
+    Draw order, after the forest's fit: the background rows, the explicand
+    rows, then for each explicand in turn two ``rng.permuted`` calls, each
+    shuffling every row of a tile. With S = ``n_permutations`` and B the
+    background size, the first shuffles an (S, d) tile of ``arange(d)``:
+    row s gives each feature's rank in sample s (the inverse of a uniform
+    permutation is uniform). The second shuffles a (ceil(S / B), B) tile of
+    ``arange(B)``; its first S entries, read row by row, are the samples'
+    background rows. So the background is stratified: each row serves
+    ⌊S/B⌋ or ⌈S/B⌉ samples. The per-row values telescope, so efficiency
+    holds up to the Monte Carlo error of the samples' mean background
+    prediction, and exactly, to rounding, when S is a multiple of B.
     """
     if n_permutations < 2:
         raise ValueError(f"n_permutations must be >= 2, got {n_permutations}")
@@ -141,18 +164,18 @@ def importance_shapley(
     bg_pred, _ = model.predict(background)
     baseline = float(bg_pred.mean())
 
-    positions = np.arange(d)
+    ranks = np.tile(np.arange(d), (n_permutations, 1))
+    n_bg = background.shape[0]
+    bg_rows = np.tile(np.arange(n_bg), (-(-n_permutations // n_bg), 1))
     steps = np.arange(d + 1)[None, :, None]
     phi = np.zeros((len(ex_idx), d))
     residuals = np.empty(len(ex_idx))
     tolerances = np.empty(len(ex_idx))
     for row, i in enumerate(ex_idx):
         # rank[s, f]: position of feature f in sample s's permutation
-        rank = np.empty((n_permutations, d), dtype=int)
-        z_idx = np.empty(n_permutations, dtype=int)
-        for s in range(n_permutations):
-            rank[s, rng.permutation(d)] = positions
-            z_idx[s] = rng.integers(background.shape[0])
+        rank = rng.permuted(ranks, axis=1)
+        # stratified background: whole shuffles of the rows, cut to S samples
+        z_idx = rng.permuted(bg_rows, axis=1).ravel()[:n_permutations]
         hybrids = np.where(rank[:, None, :] < steps, X[i], background[z_idx][:, None, :])
         preds, _ = model.predict(hybrids.reshape(-1, d))
         preds = preds.reshape(n_permutations, d + 1)

@@ -276,6 +276,14 @@ class TestRunCommand:
             assert capsys.readouterr().err.startswith("error: timeout must be finite and > 0")
             assert not out.exists()
 
+    def test_non_positive_wall_clock_limit_rejected(self, tmp_path, capsys):
+        cmd = write_stub(tmp_path, "obj.py", SUM_STUB)
+        out = tmp_path / "o"
+        argv = ["run", "--task", write_task(tmp_path), "--cmd", cmd, "--out", str(out)]
+        assert main([*argv, "--wall-clock-limit", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: wall-clock limit must be > 0")
+        assert not out.exists()
+
 
 class TestReportCommand:
     def make_history_file(self, tmp_path, num_objectives=1):

@@ -174,6 +174,9 @@ class TestRun:
         for timeout in (0, -1.0, float("nan"), float("inf")):
             with pytest.raises(SetupError, match="timeout must be finite and > 0"):
                 run(task, quadratic, timeout=timeout)
+        for limit in (0, -1.0, float("nan")):
+            with pytest.raises(SetupError, match="wall-clock limit must be > 0"):
+                run(task, quadratic, wall_clock_limit=limit)
 
     def test_sequential_determinism_with_injected_clock(self):
         task = TaskSpec(

@@ -101,6 +101,27 @@ class TestHvOverTime:
             feas = pts[:i]
             assert value == pytest.approx(hypervolume(feas, ref))
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_running_front_matches_per_prefix_bits(self, m):
+        # coarse grid values give ties and points on the reference; values
+        # above 1 lie beyond it; every fifth row repeats an earlier one
+        rng = np.random.default_rng(m)
+        h = History("t", num_objectives=m, num_constraints=1)
+        rows = []
+        for i in range(120):
+            if i % 5 or not rows:
+                y = rng.integers(0, 7, size=m) / 5
+            else:
+                y = rows[rng.integers(len(rows))][0]
+            c = float(rng.choice([-1.0, 1.0], p=[0.8, 0.2]))
+            rows.append((y, c))
+            h.record(obs({"x": i / 120}, [float(v) for v in y], [c]))
+        ref = np.ones(m)
+        series = hv_over_time(h, ref)
+        for i, value in series:
+            feasible = [y for y, c in rows[:i] if c <= 0]
+            assert value == (hypervolume(feasible, ref) if feasible else 0.0)
+
     def test_nondecreasing(self):
         rng = np.random.default_rng(3)
         h = History("t", num_objectives=2)
@@ -110,26 +131,37 @@ class TestHvOverTime:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def shapley_reference(history, n_permutations, rng):
-    """importance_shapley with one hybrid row and one accumulation per
-    sample and feature: the same draws in the same order, so the same bits."""
+def shapley_setup(history, rng):
+    """The forest, design matrix, background, explicand rows and baseline
+    importance_shapley draws from rng before its per-explicand draws."""
     X, names = _design_matrix(history)
-    d = len(names)
     model = fit_prf(X, np.array([o.objectives[0] for o in history.successes()]), rng=rng)
     n = X.shape[0]
     background = X[rng.permutation(n)[:32]]
     ex_idx = rng.permutation(n)[:64]
     baseline = float(model.predict(background)[0].mean())
+    return model, X, background, ex_idx, baseline
+
+
+def shapley_reference(history, n_permutations, rng):
+    """importance_shapley with one hybrid row and one accumulation per
+    sample and feature: the same draws in the same order, so the same bits."""
+    model, X, background, ex_idx, baseline = shapley_setup(history, rng)
+    d = X.shape[1]
+    n_bg = background.shape[0]
+    n_shuffles = int(np.ceil(n_permutations / n_bg))
     phi = np.zeros((len(ex_idx), d))
     residuals = np.empty(len(ex_idx))
     tolerances = np.empty(len(ex_idx))
     for row, i in enumerate(ex_idx):
         x = X[i]
+        ranks = rng.permuted(np.tile(np.arange(d), (n_permutations, 1)), axis=1)
+        z_rows = rng.permuted(np.tile(np.arange(n_bg), (n_shuffles, 1)), axis=1).ravel()
         hybrids = np.empty((n_permutations, d + 1, d))
         perms = np.empty((n_permutations, d), dtype=int)
         for s in range(n_permutations):
-            perm = rng.permutation(d)
-            z = background[rng.integers(background.shape[0])]
+            perm = np.argsort(ranks[s])  # the features in the order they join
+            z = background[z_rows[s]]
             perms[s] = perm
             current = z.copy()
             hybrids[s, 0] = current
@@ -170,6 +202,16 @@ class TestImportanceShapley:
         h = self.make_history(lambda a, b: float(a + 0.3 * b + a * b), n=80, seed=4)
         result = importance_shapley(h, n_permutations=128, rng=np.random.default_rng(2))
         assert np.all(result.row_residuals <= result.row_tolerances)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_efficiency_exact_when_samples_cover_background(self, seed):
+        # 64 samples use each of the 32 background rows twice, so the
+        # samples' mean background prediction is the baseline itself
+        h = self.make_history(lambda a, b: float(a + 0.3 * b + a * b), n=80, seed=4)
+        result = importance_shapley(h, n_permutations=64, rng=np.random.default_rng(seed))
+        model, X, _, ex_idx, baseline = shapley_setup(h, np.random.default_rng(seed))
+        gap = np.abs(model.predict(X[ex_idx])[0] - baseline)
+        assert np.all(result.row_residuals <= 1e-12 * np.maximum(1.0, gap))
 
     def test_matches_exhaustive_two_player_shapley(self):
         h = self.make_history(lambda a, b: float(a), n=80, seed=5)

@@ -12,11 +12,17 @@ run's ``export_json`` text. A last line, ``async-workers``, digests GP on
 Branin and PRF on the mixed space driven through ``Advisor`` as three
 asynchronous workers would: three suggestions stay in flight and the oldest
 is told first, so every ask but the initial design's is made while others
-are pending. A final line, ``importance``, digests the parameter
-importances ``report.default_analyses`` computes (a random forest fitted
-and queried for Shapley values) for three of the task histories, so a
-change to the forest behind the report shows up even when no suggestion
-moves.
+are pending. An ``hv`` line digests the hypervolume series
+``report.default_analyses`` computes for the two multi-objective task
+histories. A final line, ``importance``, digests the parameter
+importances it computes (a random forest fitted and queried for Shapley
+values) for three of the task histories, so a change to the forest or the
+analyses behind the report shows up even when no suggestion moves.
+
+The ``importance`` line differs by design between trees whose Shapley
+estimator draws one permutation and one background row per sample and
+trees that draw each explicand's permutations as one matrix with a
+stratified background; compare it only between trees that draw alike.
 
 Two source trees whose advisors suggest the same configurations print the
 same lines, so a refactor that claims identical suggestions can be checked
@@ -144,17 +150,23 @@ def async_workers(task, objective, in_flight=3):
 
 
 IMPORTANCE_TASKS = ("gp-ei-lhs-init", "nsga2-constr-crashing-q3", "prf-mixed-q3")
+HV_TASKS = ("nsga2-constr-crashing-q3", "gp-ehvic-cl-q2")
 
 
 def main() -> None:
     importance = []
+    hv = []
     for name, task, objective, parallelism in tasks():
         result = run(task, objective, parallelism=parallelism, clock=lambda: 0.0)
         digest = hashlib.sha256(export_json(result.history).encode("utf-8")).hexdigest()
         print(f"{name:26s} {digest[:16]} ({len(result.history)} trials, {result.stop_reason})")
+        if name in IMPORTANCE_TASKS or name in HV_TASKS:
+            analyses = default_analyses(result.history)
         if name in IMPORTANCE_TASKS:
-            values = default_analyses(result.history).get("importance", {})
+            values = analyses.get("importance", {})
             importance.append({key: float(value) for key, value in values.items()})
+        if name in HV_TASKS:
+            hv.append([(int(i), float(value)) for i, value in analyses.get("hv", [])])
     histories = [
         async_workers(
             TaskSpec(branin_problem().space, max_runs=20, algorithm="gp", seed=21),
@@ -168,6 +180,9 @@ def main() -> None:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     trials = "+".join(str(len(h)) for h in histories)
     print(f"{'async-workers':26s} {digest[:16]} ({trials} trials, max_runs)")
+    digest = hashlib.sha256(repr(hv).encode("utf-8")).hexdigest()
+    counts = "+".join(str(len(series)) for series in hv)
+    print(f"{'hv':26s} {digest[:16]} ({counts} points)")
     digest = hashlib.sha256(repr(importance).encode("utf-8")).hexdigest()
     counts = "+".join(str(len(values)) for values in importance)
     print(f"{'importance':26s} {digest[:16]} ({counts} parameters)")
