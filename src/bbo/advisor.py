@@ -73,12 +73,12 @@ _PRF_DIM_THRESHOLD = 10
 _PRF_RUNS_THRESHOLD = 300
 
 # inner-optimization budgets; the multi-objective path uses a smaller pool
-# because every candidate costs a Monte Carlo EHVI evaluation
+# because every candidate is scored against every box of the front's
+# decomposition, whose count grows steeply with the number of objectives
 _N_CANDIDATES = 5000
 _N_LOCAL_STARTS = 10
 _N_CANDIDATES_MO = 600
 _N_LOCAL_STARTS_MO = 5
-_EHVI_MC_SAMPLES = 256
 
 _FAILED_SENTINEL = 1e18
 
@@ -471,12 +471,9 @@ class Advisor:
         objective and no feasible point yet, the improvement is 1, so the
         score is that product alone."""
         if self.task.num_objectives > 1:
-            # freeze the Monte Carlo seed for this ask so every batch of
-            # candidates is scored with common random numbers
-            mc_seed = int(self._rng.integers(2**63))
 
             def improvement(X):
-                return ehvi(X, ctx, _EHVI_MC_SAMPLES, np.random.default_rng(mc_seed))
+                return ehvi(X, ctx)
 
         elif ctx.eta is not None:
 

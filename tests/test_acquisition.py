@@ -174,8 +174,10 @@ class TestConstrainedEI:
 
 
 def exact_ehvi_2d(front, ref, mu, sigma):
-    """Closed-form 2-D EHVI for independent Gaussians (strip decomposition
-    with exact Gaussian integrals) - an oracle independent of the MC path."""
+    """Closed-form 2-D EHVI for independent Gaussians over a Pareto-filtered
+    front (strip decomposition with exact Gaussian integrals, written out
+    per strip rather than as differences of EI), with the zero-variance
+    limits at sigma = 0."""
     front = sorted(map(tuple, front))
     a = [p[0] for p in front]
     b = [p[1] for p in front]
@@ -185,11 +187,15 @@ def exact_ehvi_2d(front, ref, mu, sigma):
 
     def excess(h, m, s):
         # E[(h - Y)+] for Y ~ N(m, s^2)
+        if s == 0:
+            return max(h - m, 0.0)
         z = (h - m) / s
         return s * (z * norm.cdf(z) + norm.pdf(z))
 
     def width(lo, hi, m, s):
         # E[(hi - max(lo, Y))+]
+        if s == 0:
+            return max(hi - max(lo, m), 0.0)
         alpha = (lo - m) / s if np.isfinite(lo) else -np.inf
         beta = (hi - m) / s
         term1 = 0.0 if not np.isfinite(lo) else (hi - lo) * norm.cdf(alpha)
@@ -230,19 +236,25 @@ def staircase(front, ref):
     return x_lo, x_hi, height
 
 
-def oracle_ehvi_2d(mu, var, front, ref, mc_samples, rng):
-    """m=2 Monte Carlo EHVI with an (n, S, 2) sample tensor and the strip loop
-    on strided columns, as ``ehvi`` computed it before it drew contiguous
-    per-objective blocks and scored a box decomposition in place."""
-    sigma = np.sqrt(np.maximum(var, 0.0))
-    Z = rng.standard_normal((mc_samples, 2))
-    Y = np.minimum(mu[:, None, :] + sigma[:, None, :] * Z[None, :, :], ref).reshape(-1, 2)
-    x_lo, x_hi, height = staircase(front, ref)
-    total = np.zeros(Y.shape[0])
-    for lo, hi, h in zip(x_lo, x_hi, height):
-        width = np.clip(hi - np.maximum(lo, Y[:, 0]), 0.0, None)
-        total += width * np.clip(h - Y[:, 1], 0.0, None)
-    return np.maximum(total.reshape(mu.shape[0], mc_samples).mean(axis=1), 0.0)
+def mc_ehvi(mu, var, front, ref, n_samples, seed):
+    """Monte Carlo EHVI and its standard error at each row of (q, m) means
+    and variances. Each sample's gain over the front is the volume of
+    [y, ref] less the part of it the front dominates, by inclusion-exclusion:
+    sum over subsets S of the front of (-1)^|S| prod_j (ref_j - max(y_j,
+    max_{p in S} p_j))+, so no box decomposition is involved."""
+    rng = np.random.default_rng(seed)
+    n, m = front.shape
+    masks = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)  # one row per S
+    corners = np.where(masks[:, :, None], front[None, :, :], -np.inf).max(axis=1, initial=-np.inf)
+    signs = np.where(masks.sum(axis=1) % 2 == 0, 1.0, -1.0)
+    means, errors = [], []
+    for mean, variance in zip(mu, var):
+        Y = mean + np.sqrt(variance) * rng.standard_normal((n_samples, m))
+        sides = np.clip(ref - np.maximum(Y[:, None, :], corners[None, :, :]), 0.0, None)
+        gains = sides.prod(axis=2) @ signs
+        means.append(gains.mean())
+        errors.append(gains.std(ddof=1) / np.sqrt(n_samples))
+    return np.array(means), np.array(errors)
 
 
 class TestEHVI:
@@ -252,7 +264,7 @@ class TestEHVI:
             front=np.array([[0.5, 0.5]]),
             ref_point=np.array([2.0, 2.0]),
         )
-        assert ehvi(np.zeros(2), ctx, mc_samples=64, rng=np.random.default_rng(0)) == 0.0
+        assert ehvi(np.zeros(2), ctx) == 0.0
 
     def test_empty_front_degenerate(self):
         ctx = AcquisitionContext(
@@ -260,7 +272,7 @@ class TestEHVI:
             front=None,
             ref_point=np.array([2.0, 2.0]),
         )
-        score = ehvi(np.zeros(2), ctx, mc_samples=16, rng=np.random.default_rng(0))
+        score = ehvi(np.zeros(2), ctx)
         assert score == pytest.approx((2.0 - 0.5) * (2.0 - 1.0))
 
     def test_matches_exact_oracle(self):
@@ -273,27 +285,26 @@ class TestEHVI:
             ref_point=ref,
         )
         exact = exact_ehvi_2d(front, ref, mu, sigma)
-        estimates = [
-            ehvi(np.zeros(2), ctx, mc_samples=10**5, rng=np.random.default_rng(seed))
-            for seed in range(8)
-        ]
-        spread = np.std(estimates)
-        assert abs(estimates[0] - exact) <= max(3 * spread, 1e-4)
+        assert abs(ehvi(np.zeros(2), ctx) - exact) <= 1e-12 * exact
 
     def test_missing_ref_point(self):
         ctx = AcquisitionContext(objective_models=[ConstantModel(0, 1), ConstantModel(0, 1)])
         with pytest.raises(ValueError):
-            ehvi(np.zeros(2), ctx, mc_samples=8, rng=np.random.default_rng(0))
+            ehvi(np.zeros(2), ctx)
 
-    def test_deterministic_given_rng(self):
+    def test_repeat_calls_equal(self):
         ctx = AcquisitionContext(
             objective_models=[ConstantModel(0.5, 0.04), ConstantModel(0.5, 0.04)],
             front=np.array([[1.0, 0.0], [0.0, 1.0]]),
             ref_point=np.array([2.0, 2.0]),
         )
-        a = ehvi(np.zeros(2), ctx, 512, np.random.default_rng(5))
-        b = ehvi(np.zeros(2), ctx, 512, np.random.default_rng(5))
-        assert a == b
+        single = ehvi(np.zeros(2), ctx)
+        assert single == ehvi(np.zeros(2), ctx)
+        # enough rows that the three boxes' volumes are summed in two chunks
+        X = np.zeros((30_000, 2))
+        batch = ehvi(X, ctx)
+        assert np.array_equal(batch, ehvi(X, ctx))
+        np.testing.assert_allclose(batch, single, rtol=1e-12)
 
     def test_three_objectives_path(self):
         ctx = AcquisitionContext(
@@ -301,11 +312,12 @@ class TestEHVI:
             front=np.array([[0.6, 0.6, 0.6]]),
             ref_point=np.array([1.0, 1.0, 1.0]),
         )
-        score = ehvi(np.zeros(3), ctx, mc_samples=32, rng=np.random.default_rng(0))
+        score = ehvi(np.zeros(3), ctx)
         # deterministic means: improvement = HV{(.4,.4,.4),(.6,.6,.6)} - HV{(.6,.6,.6)}
         assert score == pytest.approx(0.6**3 - 0.4**3)
 
     def test_m2_matches_strip_loop_oracle(self):
+        # the closed-form strip integrals over the Pareto-filtered front
         rng = np.random.default_rng(31)
         ref = np.array([2.0, 3.0])
         for trial in range(60):
@@ -315,15 +327,16 @@ class TestEHVI:
                 k = int(rng.integers(1, 8))
                 front = rng.uniform([-1.0, -1.0], ref, size=(k, 2))
                 front = np.vstack([front, front[: int(rng.integers(0, k + 1))]])  # duplicates
-            q, mc = int(rng.integers(1, 30)), int(rng.integers(1, 300))
+            q = int(rng.integers(1, 30))
             # means from well inside to beyond the reference point
             mu = rng.uniform(-1.5, 3.5, size=(q, 2))
             var = rng.uniform(0.0, 1.0, size=(q, 2)) * (rng.uniform(size=(q, 2)) < 0.8)
             models = [TableModel(mu[:, 0], var[:, 0]), TableModel(mu[:, 1], var[:, 1])]
             ctx = AcquisitionContext(objective_models=models, front=front, ref_point=ref)
             X = np.arange(q, dtype=float)[:, None]
-            got = ehvi(X, ctx, mc, np.random.default_rng(trial))
-            want = oracle_ehvi_2d(mu, var, ctx.front, ref, mc, np.random.default_rng(trial))
+            got = ehvi(X, ctx)
+            pareto = np.empty((0, 2)) if ctx.front is None else ctx.front[moo._pareto_filter(ctx.front)]
+            want = np.array([exact_ehvi_2d(pareto, ref, mu[i], np.sqrt(var[i])) for i in range(q)])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(want.max(), 1e-300))
 
     def test_m2_boxes_are_the_strips(self):
@@ -344,8 +357,7 @@ class TestEHVI:
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_improvements_match_exact_hypervolume(self, m):
-        # zero variance: every sample is the mean clipped to ref, so ehvi is
-        # HV(front + {y}) - HV(front) exactly
+        # zero variance: ehvi is HV(front + {y}) - HV(front) for the mean y
         rng = np.random.default_rng(100 + m)
         ref = np.full(m, 1.0)
         for trial in range(40):
@@ -362,13 +374,28 @@ class TestEHVI:
             mu[: q // 2] = np.round(mu[: q // 2], 1)  # means on box edges
             models = [TableModel(mu[:, j], np.zeros(q)) for j in range(m)]
             ctx = AcquisitionContext(objective_models=models, front=front, ref_point=ref)
-            got = ehvi(np.arange(q, dtype=float)[:, None], ctx, 3, np.random.default_rng(trial))
+            got = ehvi(np.arange(q, dtype=float)[:, None], ctx)
             base = inclusion_exclusion_hv(front, ref)
             want = [
                 inclusion_exclusion_hv(np.vstack([front, np.minimum(y, ref)]), ref) - base
                 for y in mu
             ]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_matches_monte_carlo_with_variance(self, m):
+        rng = np.random.default_rng(200 + m)
+        ref = np.full(m, 1.0)
+        for trial in range(4):
+            front = rng.uniform(0.1, 0.9, size=(int(rng.integers(1, 7)), m))
+            q = 5
+            mu = rng.uniform(0.0, 1.1, size=(q, m))
+            var = rng.uniform(0.0, 0.1, size=(q, m))
+            models = [TableModel(mu[:, j], var[:, j]) for j in range(m)]
+            ctx = AcquisitionContext(objective_models=models, front=front, ref_point=ref)
+            got = ehvi(np.arange(q, dtype=float)[:, None], ctx)
+            want, error = mc_ehvi(mu, var, front, ref, 40_000, seed=trial)
+            assert np.all(np.abs(got - want) <= 4 * error), (got, want, error)
 
     def test_front_ref_consistency_checked(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,9 @@ Latin hypercube and random initial designs, random search (also until a
 12-configuration space is exhausted), differential evolution (also on that
 space, so the evolutionary bridge meets told points), NSGA-II with crashing
 evaluations in batches of three, GP + EIC under local penalization, GP +
-EHVI_C under constant liar, and PRF batches on a mixed space. For each task
-it prints the task name and the first 16 hex digits of the sha256 of the
-run's ``export_json`` text. A last line, ``async-workers``, digests GP on
+EHVI_C under constant liar, GP + EHVI on three objectives, and PRF batches
+on a mixed space. For each task it prints the task name and the first 16
+hex digits of the sha256 of the run's ``export_json`` text. A last line, ``async-workers``, digests GP on
 Branin and PRF on the mixed space driven through ``Advisor`` as three
 asynchronous workers would: three suggestions stay in flight and the oldest
 is told first, so every ask but the initial design's is made while others
@@ -18,6 +18,10 @@ histories. A final line, ``importance``, digests the parameter
 importances it computes (a random forest fitted and queried for Shapley
 values) for three of the task histories, so a change to the forest or the
 analyses behind the report shows up even when no suggestion moves.
+
+The ``gp-ehvic-cl-q2``, ``gp-ehvi-dtlz2-m3`` and ``hv`` lines differ by
+design between trees whose EHVI draws Monte Carlo samples from the
+advisor's random stream and trees that compute it in closed form.
 
 The ``importance`` line differs by design between trees whose Shapley
 estimator draws one permutation and one background row per sample and
@@ -32,7 +36,7 @@ by running this script once per tree:
     PYTHONPATH=/path/to/other/checkout/src python tools/same_bits.py
 
 Only names that have been stable across bbo's history are used, so the
-script also runs against older trees. It takes about half a minute on two
+script also runs against older trees. It takes about ten seconds on two
 cores.
 """
 
@@ -90,10 +94,25 @@ def constr_crashing(config):
     return constr_evaluate(config)
 
 
+def dtlz2_m3(config):
+    """Three-objective DTLZ2 (Deb et al. 2005): the first two parameters
+    place a point on the unit sphere's positive orthant, the rest scale it
+    out by 1 + g."""
+    x = list(config.values.values())
+    g = sum((v - 0.5) ** 2 for v in x[2:])
+    half_pi = math.pi / 2
+    return [
+        (1 + g) * math.cos(x[0] * half_pi) * math.cos(x[1] * half_pi),
+        (1 + g) * math.cos(x[0] * half_pi) * math.sin(x[1] * half_pi),
+        (1 + g) * math.sin(x[0] * half_pi),
+    ]
+
+
 def tasks():
     """(name, task, objective, parallelism) for every suggestion path."""
     branin = branin_problem().space
     constr = constr_problem().space
+    floats4 = SearchSpace([ParameterSpec(f"x{i}", "float", low=0.0, high=1.0) for i in range(4)])
     return [
         ("random-branin", TaskSpec(branin, max_runs=30, algorithm="random", seed=11), branin_evaluate, 1),
         ("random-grid12-exhaust", TaskSpec(grid12_space(), max_runs=20, algorithm="random", seed=12), grid12, 1),
@@ -131,6 +150,12 @@ def tasks():
             ),
             constr_evaluate,
             2,
+        ),
+        (
+            "gp-ehvi-dtlz2-m3",
+            TaskSpec(floats4, num_objectives=3, max_runs=20, algorithm="gp", seed=23),
+            dtlz2_m3,
+            1,
         ),
         ("prf-mixed-q3", TaskSpec(mixed_space(), max_runs=30, algorithm="prf", seed=20), mixed, 3),
     ]
