@@ -18,6 +18,7 @@ and the one best row is returned for the caller to decode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,37 +38,47 @@ from .space import (
 )
 
 
+_SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def _gaussian_ei(improve, sigma):
+    """sigma * (z Phi(z) + phi(z)) with z = improve / sigma, for sigma > 0."""
+    z = improve / sigma
+    return sigma * (z * ndtr(z) + np.exp(-(z**2) / 2.0) / _SQRT_2PI)
+
+
+def _by_sigma(a, sigma, gaussian, degenerate):
+    """``gaussian(a, sigma)`` where sigma > 0 and ``degenerate(a)`` elsewhere,
+    a and sigma broadcast together. Each element goes through one of the
+    two, and the masking is skipped when every sigma is positive."""
+    positive = sigma > 0
+    if positive.all():
+        return gaussian(a, sigma)
+    a = np.asarray(a)
+    if a.shape != sigma.shape:
+        a, sigma = np.broadcast_arrays(a, sigma)
+        positive = sigma > 0
+    out = np.asarray(degenerate(a), dtype=float)
+    out[positive] = gaussian(a[positive], sigma[positive])
+    return out
+
+
 def expected_improvement(mean, variance, eta):
     """EI for minimization: sigma * (z Phi(z) + phi(z)) with z = (eta - mean) / sigma.
 
     Degenerates to max(eta - mean, 0) at zero variance.
     """
-    mean = np.asarray(mean, dtype=float)
-    var = np.maximum(np.asarray(variance, dtype=float), 0.0)
-    sigma = np.sqrt(var)
-    improve = eta - mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
-        ei = np.where(
-            sigma > 0,
-            sigma * (z * ndtr(z) + np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)),
-            np.maximum(improve, 0.0),
-        )
-    out = np.maximum(ei, 0.0)
+    improve = eta - np.asarray(mean, dtype=float)
+    sigma = np.sqrt(np.maximum(np.asarray(variance, dtype=float), 0.0))
+    out = np.maximum(_by_sigma(improve, sigma, _gaussian_ei, lambda a: np.maximum(a, 0.0)), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def probability_of_feasibility(mean, variance):
     """P(c <= 0) under a Gaussian predictive; indicator(mean <= 0) at sigma = 0."""
     mean = np.asarray(mean, dtype=float)
-    var = np.maximum(np.asarray(variance, dtype=float), 0.0)
-    sigma = np.sqrt(var)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pof = np.where(
-            sigma > 0,
-            ndtr(-mean / np.where(sigma > 0, sigma, 1.0)),
-            (mean <= 0).astype(float),
-        )
+    sigma = np.sqrt(np.maximum(np.asarray(variance, dtype=float), 0.0))
+    pof = _by_sigma(mean, sigma, lambda a, s: ndtr(-a / s), lambda a: a <= 0)
     return float(pof) if pof.ndim == 0 else pof
 
 

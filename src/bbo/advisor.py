@@ -47,7 +47,7 @@ from .space import (
     sample_codes,
     to_codes,
 )
-from .surrogate import fit_gp, fit_prf, one_blas_thread
+from .surrogate import _load_gp_libraries, fit_gp, fit_prf, one_blas_thread
 
 GP = "GP"
 PRF = "PRF"
@@ -256,6 +256,9 @@ class Advisor:
         self._warm_hypers: dict = {}
         self._refit_count = 0
         self._encoding = ONE_HOT if self.plan.surrogate_kind == GP else INDEX
+        if self.plan.surrogate_kind == GP:
+            # import scipy's optimizer and LAPACK now, not in the first model-based ask
+            _load_gp_libraries()
         self.last_ask_info: dict = {}
 
         if task.algorithm == "ea":

@@ -5,6 +5,14 @@ pair. Targets are handled in raw units; the GP standardizes internally and
 un-standardizes on prediction. The forest keeps all its trees in one node
 table of ``[feature, threshold, left, right, mean, var]`` rows, grown,
 split and walked as arrays.
+
+Only the GP needs ``scipy.optimize`` (its L-BFGS hyperparameter fit) and
+``scipy.linalg`` (its LAPACK Cholesky routines), and the two take about
+half of what ``import bbo`` would otherwise cost. So GP code loads them on
+first use, through ``_load_gp_libraries``, and an ``Advisor`` whose plan
+uses a GP loads them when it is built; a forest, an evolutionary or random
+run, and a report never do. Both stay reachable as the module attributes
+``optimize`` and ``lapack``.
 """
 
 from __future__ import annotations
@@ -18,8 +26,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import optimize
-from scipy.linalg import lapack
 
 from .errors import InsufficientDataError, NumericError
 
@@ -102,6 +108,23 @@ def one_blas_thread():
                     set_(count)
 
 
+def _load_gp_libraries() -> None:
+    """Bind ``optimize`` and ``lapack`` as module globals, each only if it is
+    not already bound (so a test's stand-in stays in place)."""
+    global optimize, lapack
+    if "optimize" not in globals():
+        from scipy import optimize
+    if "lapack" not in globals():
+        from scipy.linalg import lapack
+
+
+def __getattr__(name: str):
+    if name in ("optimize", "lapack"):
+        _load_gp_libraries()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _sq_dists_per_dim(X: np.ndarray) -> np.ndarray:
     """Pairwise squared differences between the rows of X, dimension-major
     (d, n, n), so each dimension's matrix is contiguous."""
@@ -160,6 +183,7 @@ def matern52(
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K (+ jitter I), escalating jitter geometrically
     while LAPACK's dpotrf reports a leading minor that is not positive."""
+    _load_gp_libraries()
     for jitter in JITTERS:
         L, info = lapack.dpotrf(K + jitter * np.eye(K.shape[0]) if jitter else K, lower=1)
         _lapack_check("dpotrf", info)
@@ -187,6 +211,7 @@ class GPModel:
         if not (np.all(np.asarray(lengthscales) > 0) and signal_var > 0 and noise_var > 0):
             raise ValueError("GP hyperparameters must be positive")
         _check_finite(X, y)
+        _load_gp_libraries()
         self.X = X
         self.y_mean = float(y.mean())
         std = float(y.std())
@@ -298,6 +323,7 @@ def fit_gp(
     if X.shape[0] < 2:
         raise InsufficientDataError("GP fitting needs at least 2 observations")
     _check_finite(X, y)
+    _load_gp_libraries()
     if rng is None:
         rng = np.random.default_rng(0)
     n, d = X.shape

@@ -1,5 +1,6 @@
 """Tests for acquisition functions and the inner optimizer."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import bbo
@@ -55,22 +57,56 @@ def mc_ei(mean, sigma, eta, n_samples=10**6, seed=0):
     return np.maximum(eta - draws, 0.0).mean()
 
 
+def loaded_scipy_packages(code: str) -> list:
+    """Which of scipy.stats, scipy.optimize and scipy.linalg are loaded after
+    running ``code`` in a fresh interpreter with this tree's bbo on its path."""
+    src = str(Path(bbo.__file__).resolve().parents[1])
+    probe = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps(sorted({'.'.join(k.split('.')[:2]) for k in sys.modules} & "
+        "{'scipy.stats', 'scipy.optimize', 'scipy.linalg'})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return json.loads(out.stdout)
+
+
 def test_import_bbo_leaves_scipy_stats_unloaded():
     # EI and PoF take ndtr from scipy.special, and only `bbo bench` ranks with
     # scipy.stats; importing it would roughly double the time `import bbo`
-    # and every `bbo` command take to start
-    src = str(Path(bbo.__file__).resolve().parents[1])
+    # and every `bbo` command take to start. Only the GP needs scipy.optimize
+    # and scipy.linalg, which together cost about as much again.
     for module in ("bbo", "bbo.cli"):
-        code = f"import sys, {module}; print([k for k in sys.modules if k.startswith('scipy.stats')])"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert out.stdout.strip() == "[]", module
+        assert loaded_scipy_packages(f"import {module}") == [], module
+
+
+def test_gp_libraries_load_only_for_gp_plans():
+    # a forest run on more than 10 parameters, and its report, need neither
+    # scipy.optimize nor scipy.linalg; a GP advisor imports both when built
+    prf_run = """
+from bbo import TaskSpec, run
+from bbo.report import default_analyses
+from bbo.space import ParameterSpec, SearchSpace
+space = SearchSpace([ParameterSpec(f"x{i}", "float", low=0.0, high=1.0) for i in range(12)])
+task = TaskSpec(space, max_runs=9, batch_size=2, seed=3)
+result = run(task, lambda c: sum((c[f"x{i}"] - 0.3) ** 2 for i in range(12)))
+assert len(result.history) == 9
+default_analyses(result.history)
+"""
+    assert loaded_scipy_packages(prf_run) == []
+    gp_advisor = """
+from bbo import Advisor, TaskSpec
+from bbo.space import ParameterSpec, SearchSpace
+advisor = Advisor(TaskSpec(SearchSpace([ParameterSpec("x", "float", low=0.0, high=1.0)])))
+assert advisor.plan.surrogate_kind == "GP"
+"""
+    assert loaded_scipy_packages(gp_advisor) == ["scipy.linalg", "scipy.optimize"]
 
 
 class TestExpectedImprovement:
@@ -108,6 +144,70 @@ class TestProbabilityOfFeasibility:
     def test_zero_variance_indicator(self):
         assert probability_of_feasibility(-1.0, 0.0) == 1.0
         assert probability_of_feasibility(1.0, 0.0) == 0.0
+
+
+def both_branches_ei(mean, variance, eta):
+    """EI in the form that evaluates both branches everywhere, then selects."""
+    mean = np.asarray(mean, dtype=float)
+    sigma = np.sqrt(np.maximum(np.asarray(variance, dtype=float), 0.0))
+    improve = eta - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
+        ei = np.where(
+            sigma > 0,
+            sigma * (z * ndtr(z) + np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)),
+            np.maximum(improve, 0.0),
+        )
+    return np.maximum(ei, 0.0)
+
+
+def both_branches_pof(mean, variance):
+    mean = np.asarray(mean, dtype=float)
+    sigma = np.sqrt(np.maximum(np.asarray(variance, dtype=float), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            sigma > 0, ndtr(-mean / np.where(sigma > 0, sigma, 1.0)), (mean <= 0).astype(float)
+        )
+
+
+class TestBranchSelection:
+    """EI and PoF evaluate their Gaussian form only where sigma > 0; every
+    element must keep the bits of the form that evaluates both branches."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n = int(rng.integers(1, 90))
+            mean = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n)
+            variance = rng.uniform(0.0, 2.0, size=n) * 10.0 ** rng.integers(-20, 3)
+            zero = rng.uniform(size=n) < (0.0, 0.1, 0.9, 1.0)[trial % 4]
+            variance[zero] = rng.choice([0.0, -1e-12], size=int(zero.sum()))
+            yield mean, variance
+
+    def test_ei_bits(self):
+        for mean, variance in self.cases():
+            for eta in (0.3, np.array([[-1.0], [0.0], [np.inf], [2.5]])):
+                got = expected_improvement(mean, variance, eta)
+                assert got.tobytes() == both_branches_ei(mean, variance, eta).tobytes()
+
+    def test_pof_bits(self):
+        for mean, variance in self.cases():
+            got = probability_of_feasibility(mean, variance)
+            assert got.tobytes() == both_branches_pof(mean, variance).tobytes()
+
+    def test_scalars_and_broadcasting(self):
+        for mean, variance in [(0.2, 0.0), (-0.2, 0.0), (0.2, 0.5), (0.0, np.array([0.0, 1.0]))]:
+            for eta in (0.0, 1.0):
+                got = expected_improvement(mean, variance, eta)
+                want = both_branches_ei(mean, variance, eta)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == want.tobytes()
+            got = probability_of_feasibility(mean, variance)
+            assert np.shape(got) == np.shape(both_branches_pof(mean, variance))
+            assert np.asarray(got).tobytes() == both_branches_pof(mean, variance).tobytes()
+        assert isinstance(expected_improvement(0.2, 0.0, 1.0), float)
+        assert isinstance(probability_of_feasibility(0.2, 0.0), float)
 
 
 def advisor_score(ctx, x):
