@@ -12,14 +12,16 @@ expected improvement of objective j below a. The inner optimizer
 neighbours of known configurations, then runs coordinate-wise local search.
 It works on code matrices only (see :mod:`bbo.space`): the known
 configurations arrive as snapped code rows, candidates are sampled,
-perturbed, snapped, deduplicated and excluded by the bytes of their rows,
-and the one best row is returned for the caller to decode.
+perturbed, snapped, deduplicated and excluded by the bytes of their rows
+(keyed by a 64-bit hash of each row, with shared hashes compared byte for
+byte), and the one best row is returned for the caller to decode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,6 +33,8 @@ from .space import (
     CATEGORICAL,
     FLOAT,
     SearchSpace,
+    _code_bounds,
+    _snap_unit,
     all_codes,
     encode_codes,
     sample_codes,
@@ -235,12 +239,78 @@ _STEP_INIT = 0.05
 _STEP_MIN = 1e-3
 
 
-def _unseen(codes: np.ndarray, excluded: set) -> np.ndarray:
-    """First occurrence of each row whose byte key is not in ``excluded``."""
-    first: dict[bytes, int] = {}
-    for i, row in enumerate(codes):
-        first.setdefault(row.tobytes(), i)
-    return codes[[i for key, i in first.items() if key not in excluded]]
+# splitmix64's multipliers and shift (Steele, Lea & Flood 2014), as uint64
+# scalars so that products wrap and shifts stay unsigned under NEP 50
+_HASH_KEY = np.uint64(0xBF58476D1CE4E5B9)
+_HASH_MIX = np.uint64(0x94D049BB133111EB)
+_HASH_SHIFT = np.uint64(31)
+_HALF_WORD = np.uint64(32)
+
+
+def _row_hashes(codes: np.ndarray) -> np.ndarray:
+    """One 64-bit hash per code row, mixed from the row's uint64 words:
+    each word folded and multiplied by an odd key of its column, the
+    products xor-ed together and finalized, so equal rows hash equally."""
+    words = np.ascontiguousarray(codes, dtype=float).view(np.uint64)
+    keys = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * _HASH_KEY
+    h = np.zeros(len(words), dtype=np.uint64)
+    for word, key in zip(words.T, keys):
+        h ^= (word ^ (word >> _HALF_WORD)) * key
+    h ^= h >> _HASH_SHIFT
+    h *= _HASH_MIX
+    h ^= h >> _HASH_SHIFT
+    return h
+
+
+def _hash_index(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' hashes in ascending order, and the rows in that order."""
+    h = _row_hashes(rows)
+    order = np.argsort(h, kind="stable")
+    return h[order], rows[order]
+
+
+def _member(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each value occurs in the ascending array ``table``."""
+    if not len(table):
+        return np.zeros(len(values), dtype=bool)
+    return table[np.minimum(np.searchsorted(table, values), len(table) - 1)] == values
+
+
+def _first_equal(rows: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row with the same bytes, found
+    by one stable sort over the rows' uint64 words."""
+    words = np.ascontiguousarray(rows, dtype=float).view(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.empty(len(order), dtype=np.intp)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def _unseen(codes: np.ndarray, known: tuple, distinct: bool) -> np.ndarray:
+    """Mask of the rows of ``codes`` that equal no known row and, when
+    ``distinct``, no earlier row of ``codes``; rows compare by their bytes.
+    ``known`` is the :func:`_hash_index` of the known rows.
+
+    A row whose hash no known row (and, when ``distinct``, no other row)
+    has is kept as it stands. Rows whose hash is shared are compared byte
+    for byte (:func:`_first_equal`), so a collision costs time, never a row."""
+    h = _row_hashes(codes)
+    known_hashes, known_rows = known
+    shared = _member(h, known_hashes)
+    if distinct:
+        _, inverse, counts = np.unique(h, return_inverse=True, return_counts=True)
+        shared |= counts[inverse] > 1
+    keep = ~shared
+    suspects = np.flatnonzero(shared)
+    if len(suspects):
+        rivals = known_rows[_member(known_hashes, np.sort(h[suspects]))]
+        first = _first_equal(np.concatenate([rivals, codes[suspects]]))[len(rivals) :]
+        own = np.arange(len(rivals), len(rivals) + len(suspects))
+        keep[suspects] = first == own if distinct else first >= len(rivals)
+    return keep
 
 
 def _jittered(space: SearchSpace, codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -262,25 +332,41 @@ def _jittered(space: SearchSpace, codes: np.ndarray, rng: np.random.Generator) -
     return snap_codes(space, out)
 
 
-def _neighbours(space: SearchSpace, codes: np.ndarray, deltas: np.ndarray):
-    """Coordinate-wise neighbourhood of each row, snapped, with the index of
-    the row each neighbour came from: +-delta on floats, +-1 on int values
-    and ordinal ranks, every other choice on categoricals."""
-    moved = []
+@lru_cache(maxsize=16)
+def _move_table(space: SearchSpace) -> tuple:
+    """The coordinate moves of the local search, in neighbour order, as
+    arrays: each move's column, its sign (add +-delta to a float, +-1 to an
+    int value or ordinal rank; 0 sets a category), the category it sets,
+    whether the column is a float, and the column's code bounds."""
+    moves = []
     for j, spec in enumerate(space.parameters):
         if spec.kind == FLOAT:
-            columns = [codes[:, j] + deltas, codes[:, j] - deltas]
+            moves += [(j, 1.0, 0, True, 0, 1), (j, -1.0, 0, True, 0, 1)]
         elif spec.kind == CATEGORICAL:
-            columns = [np.full(len(codes), c, dtype=float) for c in range(spec.n_values())]
+            moves += [(j, 0.0, c, False, 0, spec.n_values() - 1) for c in range(spec.n_values())]
         else:
-            columns = [codes[:, j] - 1.0, codes[:, j] + 1.0]
-        for column in columns:
-            moved.append(codes.copy())
-            moved[-1][:, j] = column
-    origin = np.tile(np.arange(len(codes)), len(moved))
-    moved = snap_codes(space, np.vstack(moved))
-    changed = np.any(moved != codes[origin], axis=1)
-    return moved[changed], origin[changed]
+            moves += [(j, sign, 0, False, *_code_bounds(spec)) for sign in (-1.0, 1.0)]
+    column, sign, value, is_float, lo, hi = (np.array(field) for field in zip(*moves))
+    return column, sign, value.astype(float), is_float, lo.astype(float), hi.astype(float)
+
+
+def _neighbours(space: SearchSpace, codes: np.ndarray, deltas: np.ndarray):
+    """Coordinate-wise neighbourhood of each snapped row, with the index of
+    the row each neighbour came from: +-delta on floats, +-1 on int values
+    and ordinal ranks, every other choice on categoricals. All moves are
+    made as one (moves, rows) array of the moved column's new values, and
+    only that column is snapped; neighbours equal to their row are dropped."""
+    column, sign, value, is_float, lo, hi = _move_table(space)
+    current = codes[:, column].T
+    step = np.where(is_float[:, None], deltas, 1.0)
+    moved = np.where(sign[:, None] != 0, current + sign[:, None] * step, value[:, None])
+    moved = np.clip(moved, lo[:, None], hi[:, None])
+    moved[is_float] = _snap_unit(moved[is_float])
+    changed = moved != current
+    move, origin = np.nonzero(changed)
+    neighbours = codes[origin]
+    neighbours[np.arange(len(origin)), column[move]] = moved[changed]
+    return neighbours, origin
 
 
 def maximize_acquisition(
@@ -302,26 +388,34 @@ def maximize_acquisition(
     coordinate-wise local search from the best ``n_local_starts``, and
     returns the best-scoring row as a (1, #parameters) code matrix (the
     first one scored on ties).
+
+    No scored row equals a known row, and the pool holds each row once.
+    Rows are keyed by their bytes through a 64-bit hash per row: the known
+    rows' hashes are sorted once per call, and only rows whose hash is
+    shared are compared byte for byte (see :func:`_unseen`).
     """
     if n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
     known_codes = np.reshape(np.asarray(known, dtype=float), (-1, len(space)))
-    excluded = {row.tobytes() for row in known_codes}
+    known_index = _hash_index(known_codes)
 
     def score(codes: np.ndarray) -> np.ndarray:
         return np.asarray(score_fn(encode_codes(space, codes, encoding)), dtype=float).ravel()
 
+    def unseen(codes: np.ndarray) -> np.ndarray:
+        return codes[_unseen(codes, known_index, distinct=True)]
+
     total = space.n_configurations()
     exhaustive = total is not None and total <= max(n_candidates, _ENUMERATION_CAP)
     if exhaustive:
-        pool = _unseen(all_codes(space), excluded)
+        pool = unseen(all_codes(space))
         if not len(pool):
             raise ExhaustedSpaceError("all configurations have been suggested")
     else:
         seeds = _jittered(space, np.vstack([known_codes, known_codes]), rng)
-        pool = _unseen(np.vstack([sample_codes(space, n_candidates, rng), seeds]), excluded)
+        pool = unseen(np.vstack([sample_codes(space, n_candidates, rng), seeds]))
         while not len(pool):  # pathological: resample until an unseen row appears
-            pool = _unseen(sample_codes(space, n_candidates, rng), excluded)
+            pool = unseen(sample_codes(space, n_candidates, rng))
     pool_scores = score(pool)
     found, found_scores = [pool], [pool_scores]
 
@@ -335,7 +429,7 @@ def maximize_acquisition(
             if not len(active):
                 break
             moved, origin = _neighbours(space, current[active], deltas[active])
-            keep = [row.tobytes() not in excluded for row in moved]
+            keep = _unseen(moved, known_index, distinct=False)
             moved, origin = moved[keep], origin[keep]
             scores = score(moved) if len(moved) else np.empty(0)
             found.append(moved)

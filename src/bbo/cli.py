@@ -184,8 +184,8 @@ def cmd_run(args) -> int:
 
     n_success = len(result.history.successes())
     print(
-        f"{task.task_id}: {len(result.history)} trials ({n_success} succeeded), "
-        f"stop reason: {result.stop_reason}"
+        f"{task.task_id}: {len(result.history)} trials ({n_success} succeeded, "
+        f"{result.abandoned} abandoned at timeout), stop reason: {result.stop_reason}"
     )
     if result.incumbent is not None:
         print(f"best objective: {result.incumbent.objectives[0]!r}")

@@ -30,13 +30,20 @@ STOP_USER_ABORT = "user_abort"
 
 @dataclass
 class OptResult:
-    """Final state of one optimization run."""
+    """Final state of one optimization run.
+
+    ``abandoned`` counts the evaluations that ``run`` stopped waiting for
+    at their timeout. Python cannot kill a thread, so their worker threads
+    may still be running when ``run`` returns, and the process exits only
+    after they finish.
+    """
 
     history: History
     incumbent: Optional[Observation]
     pareto_front: list[Observation]
     total_elapsed: float
     stop_reason: str
+    abandoned: int
 
 
 def _parse_result(result) -> tuple[list[float], list[float]]:
@@ -65,7 +72,16 @@ def evaluate_safe(
     when the deadline elapses (the worker thread is abandoned, not killed)
     or the objective raises TimeoutError, whose message is then kept.
     """
+    return _evaluate(objective, config, timeout, clock)[0]
+
+
+def _evaluate(
+    objective: Callable, config: Configuration, timeout: Optional[float], clock: Callable[[], float]
+) -> tuple[Observation, bool]:
+    """:func:`evaluate_safe`'s observation, and whether the evaluation was
+    abandoned at its timeout, its worker thread possibly still running."""
     start = clock()
+    abandoned = False
     try:
         if timeout is None:
             result = objective(config)
@@ -75,7 +91,8 @@ def evaluate_safe(
             # abandon (not join) the worker so a hung objective cannot
             # block the optimization loop
             pool.shutdown(wait=False)
-            if not wait([future], timeout=timeout).done:
+            abandoned = not wait([future], timeout=timeout).done
+            if abandoned:
                 raise TimeoutError(f"timed out after {timeout} s")
             result = future.result()
     except (TimeoutError, FuturesTimeoutError) as exc:  # distinct classes before 3.11
@@ -84,7 +101,7 @@ def evaluate_safe(
             trial_state=TrialState.TIMEOUT,
             elapsed_time=clock() - start,
             extra={"error": str(exc) or repr(exc)},
-        )
+        ), abandoned
     except KeyboardInterrupt:
         raise
     except BaseException as exc:  # crash isolation: everything becomes FAILED
@@ -93,8 +110,13 @@ def evaluate_safe(
             trial_state=TrialState.FAILED,
             elapsed_time=clock() - start,
             extra={"error": repr(exc)},
-        )
-    elapsed = clock() - start
+        ), False
+    return _observation(config, result, clock() - start), False
+
+
+def _observation(config: Configuration, result, elapsed: float) -> Observation:
+    """The observation of an objective's return value: SUCCESS, or FAILED
+    when the value is unusable or not finite."""
     try:
         objectives, constraints = _parse_result(result)
     except (TypeError, ValueError) as exc:
@@ -159,6 +181,7 @@ def run(
     advisor = Advisor(task)
     start = clock()
     stop_reason = STOP_MAX_RUNS
+    abandoned = 0
     try:
         while advisor.num_told < task.max_runs:
             if wall_clock_limit is not None and clock() - start >= wall_clock_limit:
@@ -171,15 +194,16 @@ def run(
                 stop_reason = STOP_EXHAUSTED
                 break
             if q == 1:
-                observations = [evaluate_safe(objective, batch[0], timeout, clock)]
+                outcomes = [_evaluate(objective, batch[0], timeout, clock)]
             else:
                 with ThreadPoolExecutor(max_workers=q) as pool:
                     futures = [
-                        pool.submit(evaluate_safe, objective, config, timeout, clock)
+                        pool.submit(_evaluate, objective, config, timeout, clock)
                         for config in batch
                     ]
-                    observations = [f.result() for f in futures]
-            for obs in observations:  # told in suggestion order
+                    outcomes = [f.result() for f in futures]
+            abandoned += sum(gone for _, gone in outcomes)
+            for obs, _ in outcomes:  # told in suggestion order
                 try:
                     advisor.tell(obs)
                 except ObservationShapeError as exc:  # the task's shape, checked by History
@@ -203,4 +227,5 @@ def run(
         pareto_front=front,
         total_elapsed=clock() - start,
         stop_reason=stop_reason,
+        abandoned=abandoned,
     )

@@ -223,14 +223,19 @@ def _code_bounds(spec: ParameterSpec) -> tuple:
     return (spec.low, spec.high) if spec.kind == INT else (0, spec.n_values() - 1)
 
 
+def _snap_unit(u: np.ndarray) -> np.ndarray:
+    """Float codes clamped to [0, 1] and rounded to the grid."""
+    # + 0.0 turns -0.0 into 0.0, so equal codes have equal bytes
+    return np.rint(np.clip(u, 0.0, 1.0) * _GRID) / _GRID + 0.0
+
+
 def snap_codes(space: SearchSpace, codes: np.ndarray) -> np.ndarray:
     """Clamp each column of a code matrix to its parameter and round it onto
     the parameter's values: floats to the grid, the rest half-up."""
     out = np.empty(codes.shape)
     for j, spec in enumerate(space.parameters):
         if spec.kind == FLOAT:
-            # + 0.0 turns -0.0 into 0.0, so equal codes have equal bytes
-            out[:, j] = np.rint(np.clip(codes[:, j], 0.0, 1.0) * _GRID) / _GRID + 0.0
+            out[:, j] = _snap_unit(codes[:, j])
         else:
             out[:, j] = np.clip(np.floor(codes[:, j] + 0.5), *_code_bounds(spec))
     return out

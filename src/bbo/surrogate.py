@@ -41,6 +41,8 @@ _LBFGS_MAXITER = 60  # iterations per hyperparameter start
 _FEATURE_FRACTION = 0.8  # share of features each forest split considers
 _N_TREES = 10
 _MIN_SAMPLES_LEAF = 3
+# elements of each (query rows, training rows) kernel block in predict: 128 KB
+_PREDICT_BLOCK_ELEMENTS = 1 << 14
 
 
 # OpenBLAS thread-count setters and getters, most specific name first: the
@@ -164,6 +166,32 @@ def _lapack_check(name: str, info: int) -> None:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {name}")
 
 
+def _scaled_rows(X: np.ndarray, centre: np.ndarray, lengthscales: np.ndarray):
+    """Rows of X centred and divided by the lengthscales, and their squared norms."""
+    A = (X - centre) / lengthscales
+    return A, (A * A).sum(axis=1)
+
+
+def _matern52_scaled(A, A_sq, B, B_sq, signal_var: float) -> np.ndarray:
+    """Matern-5/2 kernel between scaled rows A and B with squared norms A_sq
+    and B_sq, in three (rows(A), rows(B)) buffers operated on in place."""
+    ab = A @ B.T
+    ab *= 2.0
+    r = np.add.outer(A_sq, B_sq)
+    r -= ab
+    np.maximum(r, 0.0, out=r)
+    np.sqrt(r, out=r)
+    s = np.multiply(r, SQRT5, out=ab)
+    one_s = s + 1.0
+    np.square(r, out=r)
+    r *= 5.0 / 3.0
+    r += one_s
+    r *= signal_var
+    np.negative(s, out=s)
+    r *= np.exp(s, out=s)
+    return r
+
+
 def matern52(
     X1: np.ndarray,
     X2: np.ndarray,
@@ -173,11 +201,9 @@ def matern52(
     """Matern-5/2 kernel with ARD lengthscales, from ||a||^2 + ||b||^2 - 2 a.b
     clipped at 0 on inputs scaled and centred on X2's mean (no 3-D tensor)."""
     centre = X2.mean(axis=0)
-    A = (X1 - centre) / lengthscales
-    B = (X2 - centre) / lengthscales
-    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    r = np.sqrt(np.maximum(d2, 0.0))
-    return signal_var * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * np.exp(-SQRT5 * r)
+    return _matern52_scaled(
+        *_scaled_rows(X1, centre, lengthscales), *_scaled_rows(X2, centre, lengthscales), signal_var
+    )
 
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -221,11 +247,16 @@ class GPModel:
         self.signal_var = float(signal_var)
         self.noise_var = float(noise_var)
 
+        # matern52 scales X twice: given one array as A and B, numpy would
+        # form A @ A.T by a symmetric product that rounds differently
         K = matern52(X, X, self.lengthscales, self.signal_var)
         K[np.diag_indices_from(K)] += self.noise_var
         self.L, self.jitter = _chol_with_jitter(K)
         self.alpha, info = lapack.dpotrs(self.L, self.y, lower=1)
         _lapack_check("dpotrs", info)
+        # the training side of every kernel predict evaluates
+        self._centre = X.mean(axis=0)
+        self._B, self._B_sq = _scaled_rows(X, self._centre, self.lengthscales)
 
     @property
     def log_hypers(self) -> np.ndarray:
@@ -235,14 +266,28 @@ class GPModel:
         )
 
     def predict(self, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance (un-standardized) at query rows."""
+        """Posterior mean and variance (un-standardized) at query rows.
+
+        Rows are scored in blocks of b = 2**14 // n_train rows, rounded down
+        to a multiple of 4, the last block taking the remainder, so each
+        kernel temporary holds about 2**14 doubles (128 KB) and a call needs
+        O(b x n_train) memory however many rows it scores. Whole blocks keep
+        OpenBLAS on the kernels one product over all rows uses (a one-row
+        block would not), so on the builds tested the results equal the
+        unblocked ones bit for bit."""
         Xq = np.atleast_2d(np.asarray(X_query, dtype=float))
-        k_star = matern52(Xq, self.X, self.lengthscales, self.signal_var)
-        mean = k_star @ self.alpha
-        v, info = lapack.dtrtrs(self.L, k_star.T, lower=1)
-        _lapack_check("dtrtrs", info)
-        var = self.signal_var - np.einsum("ij,ij->j", v, v)
-        var = np.maximum(var, 0.0)
+        mean, var = np.empty(len(Xq)), np.empty(len(Xq))
+        step = max(4, _PREDICT_BLOCK_ELEMENTS // len(self.X) // 4 * 4)
+        edges = [k * step for k in range(max(1, len(Xq) // step))] + [len(Xq)]
+        for lo, hi in zip(edges, edges[1:]):
+            rows = slice(lo, hi)
+            A, A_sq = _scaled_rows(Xq[rows], self._centre, self.lengthscales)
+            k_star = _matern52_scaled(A, A_sq, self._B, self._B_sq, self.signal_var)
+            mean[rows] = k_star @ self.alpha
+            v, info = lapack.dtrtrs(self.L, k_star.T, lower=1, overwrite_b=1)
+            _lapack_check("dtrtrs", info)
+            var[rows] = np.einsum("ij,ij->j", v, v)
+        var = np.maximum(self.signal_var - var, 0.0)
         return mean * self.y_std + self.y_mean, var * self.y_std**2
 
 
@@ -255,15 +300,12 @@ def gp_log_marginal_likelihood(
     ``log_hypers`` is [log l_1 .. log l_d, log signal_var, log noise_var];
     the gradient is taken with respect to these log quantities.
     """
-    n = model.X.shape[0]
-    return _lml_and_grad(
-        model.y, np.asarray(log_hypers, dtype=float), _sq_dists_per_dim(model.X), np.eye(n)
-    )
+    return _lml_and_grad(model.y, np.asarray(log_hypers, dtype=float), _sq_dists_per_dim(model.X))
 
 
-def _lml_and_grad(y: np.ndarray, log_hypers: np.ndarray, d2: np.ndarray, eye: np.ndarray):
+def _lml_and_grad(y: np.ndarray, log_hypers: np.ndarray, d2: np.ndarray):
     """LML and its gradient from the (d, n, n) per-dimension squared
-    distances and the n x n identity (GPML Alg. 2.1 through LAPACK)."""
+    distances (GPML Alg. 2.1 through LAPACK)."""
     d, n = d2.shape[0], d2.shape[1]
     ell = np.exp(log_hypers[:d])
     sf2 = math.exp(log_hypers[d])
@@ -271,9 +313,12 @@ def _lml_and_grad(y: np.ndarray, log_hypers: np.ndarray, d2: np.ndarray, eye: np
 
     scaled = d2 / (ell**2)[:, None, None]
     r = np.sqrt(np.maximum(_sum_dims(scaled), 0.0))
-    decay = np.exp(-SQRT5 * r)
-    K_f = sf2 * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * decay
-    K = K_f + sn2 * eye
+    s = SQRT5 * r
+    decay = np.exp(-s)
+    one_s = 1.0 + s
+    K_f = sf2 * (one_s + (5.0 / 3.0) * r**2) * decay
+    K = K_f.copy()
+    K.flat[:: n + 1] += sn2
 
     L, jitter = _chol_with_jitter(K)
     alpha, info = lapack.dpotrs(L, y, lower=1)
@@ -289,14 +334,13 @@ def _lml_and_grad(y: np.ndarray, log_hypers: np.ndarray, d2: np.ndarray, eye: np
     K_inv, info = lapack.dpotri(L, lower=1, overwrite_c=1)
     _lapack_check("dpotri", info)
     K_inv += K_inv.T
-    K_inv[np.diag_indices(n)] *= 0.5
-    W = np.outer(alpha, alpha) - K_inv
+    K_inv.flat[:: n + 1] *= 0.5
+    W = np.subtract(np.outer(alpha, alpha), K_inv, out=K_inv)
 
     grad = np.empty(d + 2)
     # d K / d log l_k = (5/3) sf2 (1 + sqrt5 r) exp(-sqrt5 r) * (d_k^2 / l_k^2)
-    base = (5.0 / 3.0) * sf2 * (1.0 + SQRT5 * r) * decay
-    for k in range(d):
-        grad[k] = 0.5 * float(np.sum(W * (base * scaled[k])))
+    base = (5.0 / 3.0) * sf2 * one_s * decay
+    grad[:d] = 0.5 * (W * (base * scaled)).sum(axis=(1, 2))
     grad[d] = 0.5 * float(np.sum(W * K_f))
     grad[d + 1] = 0.5 * sn2 * float(np.trace(W))
     return lml, grad
@@ -332,11 +376,10 @@ def fit_gp(
     y_scale = y.std() if y.std() > 1e-12 else 1.0
     y_std = (y - y_mean) / y_scale
     d2 = _sq_dists_per_dim(X)
-    eye = np.eye(n)
 
     def objective(theta):
         try:
-            lml, grad = _lml_and_grad(y_std, theta, d2, eye)
+            lml, grad = _lml_and_grad(y_std, theta, d2)
         except NumericError:
             return 1e25, np.zeros_like(theta)
         return -lml, -grad

@@ -12,9 +12,12 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 import bbo
-from bbo import moo
+from bbo import acquisition, moo
 from bbo.acquisition import (
     AcquisitionContext,
+    _hash_index,
+    _neighbours,
+    _unseen,
     ehvi,
     estimate_lipschitz,
     expected_improvement,
@@ -33,7 +36,9 @@ from bbo.space import (
     encode_codes,
     encode_matrix,
     from_codes,
+    sample_codes,
     sample_random,
+    snap_codes,
     to_codes,
 )
 from test_moo import inclusion_exclusion_hv
@@ -698,3 +703,146 @@ class TestMaximizeAcquisition:
         assert not set(batch) & set(told)
         for config in batch:
             space.validate(config)
+
+
+def byte_keyed_unseen(codes, known, distinct):
+    """The row screen as it was before rows were hashed: a dict of byte keys
+    for the first occurrences and a set of the known rows' byte keys."""
+    excluded = {row.tobytes() for row in known}
+    if not distinct:
+        return np.array([row.tobytes() not in excluded for row in codes], dtype=bool)
+    first: dict = {}
+    for i, row in enumerate(codes):
+        first.setdefault(row.tobytes(), i)
+    keep = np.zeros(len(codes), dtype=bool)
+    keep[[i for key, i in first.items() if key not in excluded]] = True
+    return keep
+
+
+def copied_neighbours(space, codes, deltas):
+    """The neighbourhood as it was before the move table: one copy of the
+    matrix per move and a full ``snap_codes`` pass."""
+    moved = []
+    for j, spec in enumerate(space.parameters):
+        if spec.kind == "float":
+            columns = [codes[:, j] + deltas, codes[:, j] - deltas]
+        elif spec.kind == "categorical":
+            columns = [np.full(len(codes), c, dtype=float) for c in range(spec.n_values())]
+        else:
+            columns = [codes[:, j] - 1.0, codes[:, j] + 1.0]
+        for column in columns:
+            moved.append(codes.copy())
+            moved[-1][:, j] = column
+    origin = np.tile(np.arange(len(codes)), len(moved))
+    moved = snap_codes(space, np.vstack(moved))
+    changed = np.any(moved != codes[origin], axis=1)
+    return moved[changed], origin[changed]
+
+
+def mixed12_kind_space():
+    return SearchSpace(
+        [
+            ParameterSpec("u", "float", low=-5.0, high=5.0),
+            ParameterSpec("lr", "float", low=1e-4, high=1.0, log_scale=True),
+            ParameterSpec("depth", "int", low=1, high=30),
+            ParameterSpec("width", "int", low=1, high=1000, log_scale=True),
+            ParameterSpec("batch", "ordinal", levels=(1, 2, 4, 8, 16, 32)),
+            ParameterSpec("optimizer", "categorical", choices=("adam", "sgd", "rmsprop")),
+            ParameterSpec("activation", "categorical", choices=("relu", "gelu", "tanh", "sigmoid")),
+        ]
+    )
+
+
+def bounded_codes(space, rng):
+    """Random snapped codes, plus rows with every column at its lower and at
+    its upper bound, so that moves are clipped."""
+    codes = sample_codes(space, 40, rng)
+    low = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+    high = [1.0, 1.0, 30.0, 1000.0, 5.0, 2.0, 3.0]
+    return np.vstack([codes, low, high, codes[:5]])
+
+
+class TestHashedExclusion:
+    def pool(self, rng):
+        space = mixed12_kind_space()
+        codes = bounded_codes(space, rng)
+        known = np.vstack([codes[3:9], sample_codes(space, 10, rng)])
+        pool = np.vstack([codes, known[:4], codes[:7], sample_codes(space, 30, rng)])
+        # -0.0 and 0.0 are equal numbers but different byte keys
+        signed = pool[:2].copy()
+        signed[:, 0] = -0.0
+        pool = np.vstack([pool, signed, signed])
+        return pool[rng.permutation(len(pool))], known
+
+    def check(self, rng):
+        for _ in range(20):
+            pool, known = self.pool(rng)
+            for distinct in (True, False):
+                got = _unseen(pool, _hash_index(known), distinct)
+                np.testing.assert_array_equal(got, byte_keyed_unseen(pool, known, distinct))
+
+    def test_matches_byte_keys(self):
+        self.check(np.random.default_rng(50))
+
+    def test_every_row_colliding(self, monkeypatch):
+        monkeypatch.setattr(acquisition, "_row_hashes", lambda codes: np.zeros(len(codes), np.uint64))
+        self.check(np.random.default_rng(51))
+
+    def test_unequal_rows_colliding(self, monkeypatch):
+        hashes = acquisition._row_hashes
+        # equal rows still hash equally, but -0.0 meets 0.0 and every row
+        # shares its hash with about a third of the others
+        monkeypatch.setattr(
+            acquisition, "_row_hashes", lambda codes: hashes(codes + 0.0) % np.uint64(3)
+        )
+        self.check(np.random.default_rng(52))
+
+    def test_no_known_rows_and_empty_pool(self):
+        space = mixed12_kind_space()
+        rng = np.random.default_rng(53)
+        pool = sample_codes(space, 20, rng)
+        pool = np.vstack([pool, pool[:5]])
+        none = np.empty((0, len(space)))
+        assert _unseen(pool, _hash_index(none), True).tolist() == [True] * 20 + [False] * 5
+        assert _unseen(none, _hash_index(pool), True).shape == (0,)
+
+    def test_collisions_leave_the_search_unchanged(self, monkeypatch):
+        space = mixed12_kind_space()
+        known = sample_codes(space, 30, np.random.default_rng(54))
+
+        def search():
+            return maximize_acquisition(
+                lambda X: -np.sum((np.atleast_2d(X) - 0.3) ** 2, axis=1),
+                space,
+                np.random.default_rng(55),
+                n_candidates=300,
+                n_local_starts=3,
+                known=known,
+            )
+
+        want = search()
+        monkeypatch.setattr(acquisition, "_row_hashes", lambda codes: np.zeros(len(codes), np.uint64))
+        assert search().tobytes() == want.tobytes()
+
+
+class TestNeighbourMoves:
+    def test_matches_copied_neighbourhood(self):
+        space = mixed12_kind_space()
+        rng = np.random.default_rng(60)
+        for _ in range(30):
+            codes = bounded_codes(space, rng)
+            # steps from tiny to larger than the unit interval, so floats clip
+            deltas = np.exp(rng.uniform(np.log(1e-3), np.log(2.0), size=len(codes)))
+            got, got_origin = _neighbours(space, codes, deltas)
+            want, want_origin = copied_neighbours(space, codes, deltas)
+            assert got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(got_origin, want_origin)
+
+    def test_moves_are_clipped_at_the_bounds(self):
+        space = mixed12_kind_space()
+        low = np.array([[0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
+        moved, _ = _neighbours(space, low, np.array([0.25]))
+        # each float and int-like column moves up only; categoricals take every other choice
+        assert len(moved) == 2 + 3 + 2 + 3
+        assert np.all(moved >= low)
+

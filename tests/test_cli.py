@@ -162,7 +162,9 @@ class TestRunCommand:
         cmd = write_stub(tmp_path, "obj.py", DROPS_CONSTRAINT_STUB)
         out = tmp_path / "out"
         assert main(["run", "--task", task, "--cmd", cmd, "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "5 trials (3 succeeded, 0 abandoned at timeout)" in captured.out
         history = import_json((out / "history.json").read_text())
         states = [o.trial_state for o in history.observations]
         assert states == [TrialState.SUCCESS] * 3 + [TrialState.FAILED] * 2

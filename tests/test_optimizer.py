@@ -86,6 +86,26 @@ class TestRun:
         assert result.stop_reason == "max_runs"
         assert result.incumbent is not None
 
+    def test_abandoned_evaluations_are_counted(self):
+        task = TaskSpec(space=float_space(1), max_runs=2, algorithm="random", seed=0)
+
+        def sleeper(config):
+            time.sleep(0.3)
+            return 1.0
+
+        result = run(task, sleeper, timeout=0.1)
+        assert [o.trial_state for o in result.history.observations] == [TrialState.TIMEOUT] * 2
+        assert result.abandoned == 2
+
+        def upstream(config):
+            raise TimeoutError("upstream")
+
+        # a TIMEOUT row whose objective returned is not abandoned
+        result = run(task, upstream)
+        assert [o.trial_state for o in result.history.observations] == [TrialState.TIMEOUT] * 2
+        assert result.abandoned == 0
+        assert run(task, quadratic, timeout=5.0).abandoned == 0
+
     def test_wall_clock_stop(self):
         task = TaskSpec(space=float_space(2), max_runs=50, algorithm="random", seed=0)
 

@@ -16,7 +16,11 @@ from bbo.surrogate import (
     SQRT5,
     GPModel,
     PRFModel,
+    _chol_with_jitter,
     _grow_tree,
+    _lml_and_grad,
+    _sq_dists_per_dim,
+    _sum_dims,
     fit_gp,
     fit_prf,
     gp_log_marginal_likelihood,
@@ -521,6 +525,121 @@ class TestLinearAlgebraOracles:
                 want_mean, want_var = oracle_predict(X, y, ell, sf2, sn2, Xq)
                 assert_close(mean, want_mean)
                 assert_close(var, want_var)
+
+
+def unshared_lml_and_grad(y, log_hypers, d2):
+    """``_lml_and_grad`` as it was before it shared terms and worked in place:
+    sqrt5 r formed twice, the noise added through an identity matrix, the
+    diagonal halved through ``np.diag_indices`` and one gradient sum per
+    lengthscale."""
+    d, n = d2.shape[0], d2.shape[1]
+    ell = np.exp(log_hypers[:d])
+    sf2 = math.exp(log_hypers[d])
+    sn2 = math.exp(log_hypers[d + 1])
+    scaled = d2 / (ell**2)[:, None, None]
+    r = np.sqrt(np.maximum(_sum_dims(scaled), 0.0))
+    decay = np.exp(-SQRT5 * r)
+    K_f = sf2 * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * decay
+    L, _ = _chol_with_jitter(K_f + sn2 * np.eye(n))
+    alpha, _ = surrogate.lapack.dpotrs(L, y, lower=1)
+    lml = -0.5 * float(y @ alpha) - float(np.log(np.diag(L)).sum()) - 0.5 * n * math.log(2.0 * math.pi)
+    K_inv, _ = surrogate.lapack.dpotri(L, lower=1, overwrite_c=1)
+    K_inv += K_inv.T
+    K_inv[np.diag_indices(n)] *= 0.5
+    W = np.outer(alpha, alpha) - K_inv
+    grad = np.empty(d + 2)
+    base = (5.0 / 3.0) * sf2 * (1.0 + SQRT5 * r) * decay
+    for k in range(d):
+        grad[k] = 0.5 * float(np.sum(W * (base * scaled[k])))
+    grad[d] = 0.5 * float(np.sum(W * K_f))
+    grad[d + 1] = 0.5 * sn2 * float(np.trace(W))
+    return lml, grad
+
+
+def unblocked_matern52(X1, X2, lengthscales, signal_var):
+    """``matern52`` as one expression over whole matrices, as it was before
+    it worked in place."""
+    centre = X2.mean(axis=0)
+    A = (X1 - centre) / lengthscales
+    B = (X2 - centre) / lengthscales
+    d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    r = np.sqrt(np.maximum(d2, 0.0))
+    return signal_var * (1.0 + SQRT5 * r + (5.0 / 3.0) * r**2) * np.exp(-SQRT5 * r)
+
+
+def unblocked_predict(model, Xq):
+    """``GPModel.predict`` as it was before it scored the rows in blocks: one
+    kernel over every query row, one solve and one product."""
+    k_star = unblocked_matern52(Xq, model.X, model.lengthscales, model.signal_var)
+    mean = k_star @ model.alpha
+    v, _ = surrogate.lapack.dtrtrs(model.L, k_star.T, lower=1)
+    var = np.maximum(model.signal_var - np.einsum("ij,ij->j", v, v), 0.0)
+    return mean * model.y_std + model.y_mean, var * model.y_std**2
+
+
+class TestLikelihoodBits:
+    def test_lml_and_gradient_bits_match_the_unshared_formula(self):
+        rng = np.random.default_rng(24)
+        with one_blas_thread():
+            for d in TestLinearAlgebraOracles.DIMS:
+                for _ in range(15):
+                    X, y, theta = random_gp_problem(rng, d)
+                    d2 = _sq_dists_per_dim(X)
+                    lml, grad = _lml_and_grad(y, theta, d2)
+                    want_lml, want_grad = unshared_lml_and_grad(y, theta, d2)
+                    assert lml == want_lml
+                    np.testing.assert_array_equal(grad, want_grad)
+
+
+class TestBlockedPredict:
+    N_TRAIN = 39  # a 40-trial run's last fit
+    BLOCK = 420  # rows of 2**14 // 39, rounded down to a multiple of 4
+
+    def model(self, rng, d):
+        X = rng.uniform(size=(self.N_TRAIN, d))
+        y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.normal(size=self.N_TRAIN)
+        return GPModel(X, y, np.exp(rng.uniform(np.log(0.1), np.log(2.0), size=d)), 1.7, 1e-4)
+
+    @pytest.mark.parametrize("d", [1, 2, 13])
+    def test_matches_unblocked_prediction(self, d):
+        rng = np.random.default_rng(40 + d)
+        model = self.model(rng, d)
+        with one_blas_thread():
+            for rows in (1, self.BLOCK, self.BLOCK + 1, 5078):
+                Xq = rng.uniform(-0.2, 1.2, size=(rows, d))
+                mean, var = model.predict(Xq)
+                want_mean, want_var = unblocked_predict(model, Xq)
+                np.testing.assert_array_equal(var, want_var)
+                assert_close(mean, want_mean)
+
+    def test_small_blocks_match_unblocked_prediction(self, monkeypatch):
+        # 2**8 elements: blocks of 4 rows, so the last block takes a remainder
+        monkeypatch.setattr(surrogate, "_PREDICT_BLOCK_ELEMENTS", 1 << 8)
+        rng = np.random.default_rng(43)
+        model = self.model(rng, 2)
+        with one_blas_thread():
+            for rows in (1, 3, 4, 5, 9, 30, 101):
+                Xq = rng.uniform(size=(rows, 2))
+                mean, var = model.predict(Xq)
+                want_mean, want_var = unblocked_predict(model, Xq)
+                np.testing.assert_array_equal(var, want_var)
+                assert_close(mean, want_mean)
+
+    def test_each_block_is_bounded(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        model = self.model(rng, 2)
+        sizes = []
+        kernel = surrogate._matern52_scaled
+
+        def recording(A, *args):
+            sizes.append(len(A))
+            return kernel(A, *args)
+
+        monkeypatch.setattr(surrogate, "_matern52_scaled", recording)
+        model.predict(rng.uniform(size=(5078, 2)))
+        # whole blocks of BLOCK rows, the last one taking the remainder
+        assert sizes == [self.BLOCK] * 11 + [5078 - 11 * self.BLOCK]
+        assert self.BLOCK * self.N_TRAIN <= surrogate._PREDICT_BLOCK_ELEMENTS
 
 
 class TestNonFiniteInputs:
