@@ -5,14 +5,16 @@ task's characteristics (by :func:`auto_select`, so every automatic decision
 is auditable in one place), produces suggestions, and ingests observations.
 
 Every suggestion takes one path: a phase gate (evolutionary, initial design,
-or random when there is no surrogate) and otherwise one model-based ask,
-which picks its models, builds a score function over them and maximizes it,
-under the plan's batch strategy while any suggestion is pending. Each path
-yields a code row (see :mod:`bbo.space`), and one claim step decodes it into
-the returned configuration, validates it, and records it under the bytes of
-its code row. That key is a configuration's one identity: every path skips
-the rows the advisor has suggested or been told, ``tell`` matches pending
-rows by it, and the told rows, in tell order, are the surrogates' inputs.
+or else one model-based ask, which picks its models, builds a score function
+over them and maximizes it, under the plan's batch strategy while any
+suggestion is pending), and a random unseen row when that phase yields none:
+no surrogate, too little data, or an evolutionary generation in flight.
+Each path yields a code row (see :mod:`bbo.space`), and one claim step
+decodes it into the returned configuration, validates it, and records it
+under the bytes of its code row. That key is a configuration's one
+identity: every path skips the rows the advisor has suggested or been told,
+``tell`` matches pending rows by it, and the told rows, in tell order, are
+the surrogates' inputs.
 """
 
 from __future__ import annotations
@@ -250,9 +252,8 @@ class Advisor:
         self._pending: dict[bytes, np.ndarray] = {}
         # the code row of every observation, in tell order: the training inputs
         self._told: list[np.ndarray] = []
-        self._stale = True
-        self._objective_models: list = []
-        self._constraint_models: list = []
+        # (objective models, constraint models) fit on the told rows; tell clears it
+        self._models: Optional[tuple[list, list]] = None
         self._warm_hypers: dict = {}
         self._refit_count = 0
         self._encoding = ONE_HOT if self.plan.surrogate_kind == GP else INDEX
@@ -315,7 +316,7 @@ class Advisor:
         self._told.append(row)
         self._pending.pop(key, None)
         self._seen.setdefault(key, row)
-        self._stale = True
+        self._models = None
         if self._ea is not None:
             self._ea.receive(key, obs)
 
@@ -362,71 +363,61 @@ class Advisor:
         raise ExhaustedSpaceError("could not sample an unseen configuration")
 
     def _produce(self) -> np.ndarray:
+        """The current phase's row (evolutionary, initial design or
+        model-based), or a random unseen row when that phase yields none."""
+        codes = None
         if self._ea is not None:
-            return self._ea_produce()
-        if self.num_told < self.task.init_count:
+            codes = self._ea_produce()
+        elif self.num_told < self.task.init_count:
             codes = self._next_init_point()
-            if codes is not None:
-                self.last_ask_info = {"phase": "init"}
-                return codes
-        if self.plan.surrogate_kind == NONE:
+        if codes is None and self.plan.surrogate_kind != NONE:
+            with one_blas_thread():
+                codes = self._model_based_ask()
+        if codes is None:
             self.last_ask_info = {"phase": "random"}
-            return self._random_unseen()
-        with one_blas_thread():
-            return self._model_based_ask()
+            codes = self._random_unseen()
+        return codes
 
     def _next_init_point(self) -> Optional[np.ndarray]:
         while self._init_served < len(self._init_codes):
             codes = self._init_codes[self._init_served : self._init_served + 1]
             self._init_served += 1
             if codes.tobytes() not in self._seen:
+                self.last_ask_info = {"phase": "init"}
                 return codes
-        if self.num_told == 0 or not self._history.successes():
-            # no data to model yet; keep the design going with random points
-            return self._random_unseen()
         return None
 
     def _encode(self, rows: list) -> np.ndarray:
         return encode_codes(self.task.space, np.array(rows), self._encoding)
 
-    def _refit(self) -> None:
+    def _fit(self, lies: list) -> tuple[list, list]:
+        """One model per objective column, then one per constraint column, fit
+        on the told rows followed by the ``lies`` (pending rows told at the
+        median observed values). Without lies this is the cached refit: it
+        needs 2 rows, counts toward the deep-fit schedule and warm-starts each
+        GP fit; with lies every GP fit is a cold multi-start search."""
         Y, C = self._history.training_targets()
-        if Y.shape[0] < 2:
+        if lies:
+            Y = np.vstack([Y, np.tile(np.median(Y, axis=0), (len(lies), 1))])
+            C = np.vstack([C, np.tile(np.median(C, axis=0), (len(lies), 1))])
+        elif Y.shape[0] < 2:
             raise InsufficientDataError("need at least 2 rows to fit surrogates")
-        self._refit_count += 1
-        X = self._encode(self._told)
-        self._objective_models, self._constraint_models = self._fit_models(X, Y, C, warm=True)
-        self._stale = False
-
-    def _constant_liar_models(self) -> tuple[list, list]:
-        """Models refit with every pending point told at the median observed values."""
-        Y, C = self._history.training_targets()
-        lies = len(self._pending)
-        X = self._encode(self._told + list(self._pending.values()))
-        Y = np.vstack([Y, np.tile(np.median(Y, axis=0), (lies, 1))])
-        C = np.vstack([C, np.tile(np.median(C, axis=0), (lies, 1))])
-        return self._fit_models(X, Y, C, warm=False)
-
-    def _fit_models(self, X: np.ndarray, Y: np.ndarray, C: np.ndarray, warm: bool):
-        """One model per objective column, then one per constraint column."""
+        else:
+            self._refit_count += 1
+        X = self._encode(self._told + lies)
         objective_models = [
-            self._fit_one(X, Y[:, j], warm_key=("obj", j) if warm else None)
-            for j in range(Y.shape[1])
+            self._fit_one(X, Y[:, j], None if lies else ("obj", j)) for j in range(Y.shape[1])
         ]
         constraint_models = [
-            self._fit_one(X, C[:, j], warm_key=("con", j) if warm else None)
-            for j in range(C.shape[1])
+            self._fit_one(X, C[:, j], None if lies else ("con", j)) for j in range(C.shape[1])
         ]
         return objective_models, constraint_models
 
-    def _fit_one(self, X: np.ndarray, y: np.ndarray, warm_key=None):
+    def _fit_one(self, X: np.ndarray, y: np.ndarray, warm_key: Optional[tuple]):
         if self.plan.surrogate_kind == GP:
             warm = self._warm_hypers.get(warm_key) if warm_key is not None else None
-            # a warm refit runs one L-BFGS start, from the previous fit's
-            # hyperparameters: a median of 14-16 likelihood steps on the
-            # benchmark's GP workloads at seed 701, against 54-60 with the
-            # default start beside it. The first fit and every 10th refit run
-            # the full multi-start search to escape hyperparameter local optima.
+            # the first fit and every 10th refit run the full multi-start
+            # search to escape hyperparameter local optima (see README)
             deep = warm is None or self._refit_count % 10 == 1
             model = fit_gp(
                 X,
@@ -490,34 +481,28 @@ class Advisor:
             return improvement
         return lambda X: improvement(X) * ctx.feasibility_product(X)
 
-    def _inner_budgets(self) -> tuple[int, int]:
-        if self.task.num_objectives > 1:
-            return _N_CANDIDATES_MO, _N_LOCAL_STARTS_MO
-        return _N_CANDIDATES, _N_LOCAL_STARTS
-
-    def _model_based_ask(self) -> np.ndarray:
+    def _model_based_ask(self) -> Optional[np.ndarray]:
+        """The acquisition maximizer's row, or None while the told data
+        cannot train the surrogates."""
         strategy = self.plan.batch_strategy if self._pending else None
         try:
             if strategy == CONSTANT_LIAR_MEDIAN:
-                models = self._constant_liar_models()
+                models = self._fit(list(self._pending.values()))
             else:
-                if self._stale:
-                    self._refit()
-                models = (self._objective_models, self._constraint_models)
+                self._models = models = self._models or self._fit([])
         except InsufficientDataError:
-            self.last_ask_info = {"phase": "random"}
-            return self._random_unseen()
+            return None
         ctx = self._build_context(*models)
         score_fn = self._score_function(ctx)
         if strategy == LOCAL_PENALIZATION:
             score_fn = self._penalized(score_fn, ctx.objective_models[0])
-        n_candidates, n_local = self._inner_budgets()
+        multi = self.task.num_objectives > 1
         codes = maximize_acquisition(
             score_fn,
             self.task.space,
             self._rng,
-            n_candidates=n_candidates,
-            n_local_starts=n_local,
+            n_candidates=_N_CANDIDATES_MO if multi else _N_CANDIDATES,
+            n_local_starts=_N_LOCAL_STARTS_MO if multi else _N_LOCAL_STARTS,
             encoding=self._encoding,
             known=np.array(list(self._seen.values())),
         )
@@ -540,14 +525,14 @@ class Advisor:
 
     # --- evolutionary mode ---
 
-    def _ea_produce(self) -> np.ndarray:
+    def _ea_produce(self) -> Optional[np.ndarray]:
+        """The next genome's row, or None while a generation is in flight
+        (``_produce`` bridges it with a random row outside the generation)."""
         ea = self._ea
         if ea.generation_complete():
             ea.advance()
         if not ea.queue:
-            # generation still in flight; bridge with a random unseen config
-            self.last_ask_info = {"phase": "random"}
-            return self._random_unseen()
+            return None
         slot_index, genome = ea.queue.pop(0)
         codes = decode_codes(self.task.space, genome[None, :], INDEX)
         if codes.tobytes() in self._seen:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .advisor import Advisor, TaskSpec
 from .errors import ExhaustedSpaceError, ObservationShapeError, SetupError
@@ -46,17 +49,28 @@ class OptResult:
     abandoned: int
 
 
+def _is_number(value) -> bool:
+    """Whether an objective's return value is a bare number: a Python or
+    numpy real scalar, or a 0-d integer or float array."""
+    if isinstance(value, numbers.Real):
+        return True
+    return isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind in "iuf"
+
+
 def _parse_result(result) -> tuple[list[float], list[float]]:
-    if isinstance(result, (int, float)):
+    if _is_number(result):
         return [float(result)], []
-    if (
-        isinstance(result, tuple)
-        and len(result) == 2
-        and not isinstance(result[0], (int, float))
-    ):
+    if isinstance(result, tuple) and len(result) == 2 and not _is_number(result[0]):
         objectives, constraints = result
         return [float(v) for v in objectives], [float(v) for v in constraints]
     return [float(v) for v in result], []
+
+
+def _failure(config: Configuration, state: TrialState, elapsed: float, error: str) -> Observation:
+    """A FAILED or TIMEOUT observation with its error message."""
+    return Observation(
+        config=config, trial_state=state, elapsed_time=elapsed, extra={"error": error}
+    )
 
 
 def evaluate_safe(
@@ -72,67 +86,56 @@ def evaluate_safe(
     when the deadline elapses (the worker thread is abandoned, not killed)
     or the objective raises TimeoutError, whose message is then kept.
     """
-    return _evaluate(objective, config, timeout, clock)[0]
+    return _evaluate_batch(objective, [config], timeout, clock)[0][0]
+
+
+def _evaluate_batch(
+    objective: Callable, batch: list, timeout: Optional[float], clock: Callable[[], float]
+) -> tuple[list[Observation], int]:
+    """The observations of a batch, in its order, and how many evaluations
+    were abandoned at the timeout, their worker threads possibly still
+    running. One configuration with no timeout runs in the calling thread;
+    otherwise each runs in a worker thread of one executor, all under one
+    deadline, and the executor is abandoned (not joined) only when the
+    deadline passes, so a hung objective cannot block the loop."""
+    if len(batch) == 1 and timeout is None:
+        return [_evaluate(objective, batch[0], clock)], 0
+    start = clock()
+    pool = ThreadPoolExecutor(max_workers=len(batch))
+    futures = [pool.submit(_evaluate, objective, config, clock) for config in batch]
+    unfinished = wait(futures, timeout=timeout).not_done
+    pool.shutdown(wait=not unfinished)
+    observations = [
+        _failure(config, TrialState.TIMEOUT, clock() - start, f"timed out after {timeout} s")
+        if future in unfinished
+        else future.result()
+        for config, future in zip(batch, futures)
+    ]
+    return observations, len(unfinished)
 
 
 def _evaluate(
-    objective: Callable, config: Configuration, timeout: Optional[float], clock: Callable[[], float]
-) -> tuple[Observation, bool]:
-    """:func:`evaluate_safe`'s observation, and whether the evaluation was
-    abandoned at its timeout, its worker thread possibly still running."""
+    objective: Callable, config: Configuration, clock: Callable[[], float]
+) -> Observation:
+    """One evaluation in the current thread."""
     start = clock()
-    abandoned = False
     try:
-        if timeout is None:
-            result = objective(config)
-        else:
-            pool = ThreadPoolExecutor(max_workers=1)
-            future = pool.submit(objective, config)
-            # abandon (not join) the worker so a hung objective cannot
-            # block the optimization loop
-            pool.shutdown(wait=False)
-            abandoned = not wait([future], timeout=timeout).done
-            if abandoned:
-                raise TimeoutError(f"timed out after {timeout} s")
-            result = future.result()
+        result = objective(config)
     except (TimeoutError, FuturesTimeoutError) as exc:  # distinct classes before 3.11
-        return Observation(
-            config=config,
-            trial_state=TrialState.TIMEOUT,
-            elapsed_time=clock() - start,
-            extra={"error": str(exc) or repr(exc)},
-        ), abandoned
+        return _failure(config, TrialState.TIMEOUT, clock() - start, str(exc) or repr(exc))
     except KeyboardInterrupt:
         raise
     except BaseException as exc:  # crash isolation: everything becomes FAILED
-        return Observation(
-            config=config,
-            trial_state=TrialState.FAILED,
-            elapsed_time=clock() - start,
-            extra={"error": repr(exc)},
-        ), False
-    return _observation(config, result, clock() - start), False
-
-
-def _observation(config: Configuration, result, elapsed: float) -> Observation:
-    """The observation of an objective's return value: SUCCESS, or FAILED
-    when the value is unusable or not finite."""
+        return _failure(config, TrialState.FAILED, clock() - start, repr(exc))
+    elapsed = clock() - start
     try:
         objectives, constraints = _parse_result(result)
     except (TypeError, ValueError) as exc:
-        return Observation(
-            config=config,
-            trial_state=TrialState.FAILED,
-            elapsed_time=elapsed,
-            extra={"error": f"unusable objective return value: {exc!r}"},
-        )
+        error = f"unusable objective return value: {exc!r}"
+        return _failure(config, TrialState.FAILED, elapsed, error)
     if not all(math.isfinite(v) for v in objectives + constraints):
-        return Observation(
-            config=config,
-            trial_state=TrialState.FAILED,
-            elapsed_time=elapsed,
-            extra={"error": "non-finite objective or constraint value"},
-        )
+        error = "non-finite objective or constraint value"
+        return _failure(config, TrialState.FAILED, elapsed, error)
     return Observation(
         config=config,
         objectives=objectives,
@@ -153,8 +156,11 @@ def run(
     """Optimize to budget with synchronous batch parallelism.
 
     Each round asks for min(parallelism, remaining budget) suggestions,
-    evaluates them (concurrently when parallelism > 1), and tells results
-    back in suggestion order so sequential runs are reproducible per seed.
+    evaluates them (one thread each, under one deadline, when there are
+    several or a timeout is set), and tells results back in suggestion
+    order so sequential runs are reproducible per seed. When the space runs
+    out mid-round, the suggestions already made are evaluated and told
+    before the run stops.
     ``parallelism`` defaults to the task's ``batch_size``. A
     ``wall_clock_limit`` must be > 0 s (``inf`` means none), and a
     ``timeout`` finite and > 0 s. The ``clock`` is injectable so tests can
@@ -183,38 +189,26 @@ def run(
     stop_reason = STOP_MAX_RUNS
     abandoned = 0
     try:
-        while advisor.num_told < task.max_runs:
+        while stop_reason == STOP_MAX_RUNS and advisor.num_told < task.max_runs:
             if wall_clock_limit is not None and clock() - start >= wall_clock_limit:
                 stop_reason = STOP_WALL_CLOCK
                 break
-            q = min(parallelism, task.max_runs - advisor.num_told)
+            batch = []
             try:
-                batch = advisor.ask_batch(q)
+                for _ in range(min(parallelism, task.max_runs - advisor.num_told)):
+                    batch.append(advisor.ask())
             except ExhaustedSpaceError:
-                stop_reason = STOP_EXHAUSTED
-                break
-            if q == 1:
-                outcomes = [_evaluate(objective, batch[0], timeout, clock)]
-            else:
-                with ThreadPoolExecutor(max_workers=q) as pool:
-                    futures = [
-                        pool.submit(_evaluate, objective, config, timeout, clock)
-                        for config in batch
-                    ]
-                    outcomes = [f.result() for f in futures]
-            abandoned += sum(gone for _, gone in outcomes)
-            for obs, _ in outcomes:  # told in suggestion order
+                stop_reason = STOP_EXHAUSTED  # the suggestions already claimed still run
+                if not batch:
+                    break
+            observations, gone = _evaluate_batch(objective, batch, timeout, clock)
+            abandoned += gone
+            for obs in observations:  # told in suggestion order
                 try:
                     advisor.tell(obs)
                 except ObservationShapeError as exc:  # the task's shape, checked by History
-                    advisor.tell(
-                        Observation(
-                            config=obs.config,
-                            trial_state=TrialState.FAILED,
-                            elapsed_time=obs.elapsed_time,
-                            extra={"error": str(exc)},
-                        )
-                    )
+                    obs = _failure(obs.config, TrialState.FAILED, obs.elapsed_time, str(exc))
+                    advisor.tell(obs)
     except KeyboardInterrupt:
         stop_reason = STOP_USER_ABORT
 

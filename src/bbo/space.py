@@ -139,19 +139,13 @@ class SearchSpace:
         if len(set(names)) != len(names):
             raise SpaceError("parameter names must be unique")
         self.parameters: tuple[ParameterSpec, ...] = tuple(parameters)
-        self._by_name = {p.name: p for p in self.parameters}
+        self._names = frozenset(names)
 
     def __len__(self) -> int:
         return len(self.parameters)
 
     def __iter__(self) -> Iterator[ParameterSpec]:
         return iter(self.parameters)
-
-    def __getitem__(self, name: str) -> ParameterSpec:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise InvalidConfigurationError(f"unknown parameter {name!r}") from None
 
     @property
     def dimensionality(self) -> int:
@@ -160,9 +154,9 @@ class SearchSpace:
 
     def validate(self, config: Configuration) -> None:
         """Raise InvalidConfigurationError unless ``config`` fits this space."""
-        if set(config.values) != set(self._by_name):
-            missing = set(self._by_name) - set(config.values)
-            extra = set(config.values) - set(self._by_name)
+        if config.values.keys() != self._names:
+            missing = self._names - config.values.keys()
+            extra = config.values.keys() - self._names
             raise InvalidConfigurationError(
                 f"configuration keys mismatch (missing={sorted(missing)}, unknown={sorted(extra)})"
             )
@@ -393,22 +387,3 @@ def space_from_dict(obj: Mapping[str, Any]) -> SearchSpace:
     params = [parameter_from_dict(p) for p in obj["parameters"]]
     return SearchSpace(params)
 
-
-def space_to_dict(space: SearchSpace) -> dict:
-    """Inverse of :func:`space_from_dict` (canonical field order)."""
-    out = []
-    for p in space.parameters:
-        entry: dict[str, Any] = {"name": p.name, "type": p.kind}
-        if p.kind in (FLOAT, INT):
-            entry["low"] = p.low
-            entry["high"] = p.high
-            if p.log_scale:
-                entry["log"] = True
-        elif p.kind == ORDINAL:
-            entry["levels"] = list(p.levels)
-        else:
-            entry["choices"] = list(p.choices)
-        if p.default is not None:
-            entry["default"] = p.default
-        out.append(entry)
-    return {"parameters": out}

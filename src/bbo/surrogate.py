@@ -11,7 +11,7 @@ Only the GP needs ``scipy.optimize`` (its L-BFGS hyperparameter fit) and
 half of what ``import bbo`` would otherwise cost. So GP code loads them on
 first use, through ``_load_gp_libraries``, and an ``Advisor`` whose plan
 uses a GP loads them when it is built; a forest, an evolutionary or random
-run, and a report never do. Both stay reachable as the module attributes
+run, and a report never do. Once loaded, they are the module attributes
 ``optimize`` and ``lapack``.
 """
 
@@ -118,13 +118,6 @@ def _load_gp_libraries() -> None:
         from scipy import optimize
     if "lapack" not in globals():
         from scipy.linalg import lapack
-
-
-def __getattr__(name: str):
-    if name in ("optimize", "lapack"):
-        _load_gp_libraries()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sq_dists_per_dim(X: np.ndarray) -> np.ndarray:

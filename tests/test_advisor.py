@@ -345,6 +345,44 @@ class TestRefitSchedule:
         assert [restarts for restarts, _ in fits[:11]] == [2] + [0] * 9 + [2]
 
 
+class TestRandomFallback:
+    """Every phase that yields no row falls back to one random unseen row."""
+
+    def test_gp_plan_whose_initial_design_failed(self):
+        task = TaskSpec(space=float_space(2), init_count=3, max_runs=20, algorithm="gp", seed=1)
+        advisor = Advisor(task)
+        for _ in range(3):
+            advisor.tell(Observation(config=advisor.ask(), trial_state=TrialState.FAILED))
+        advisor.ask()
+        assert advisor.last_ask_info["phase"] == "random"
+
+    def test_gp_plan_with_a_single_success(self):
+        task = TaskSpec(space=float_space(2), init_count=1, max_runs=20, algorithm="gp", seed=2)
+        advisor = told_advisor(task, lambda c: quadratic(c)[0], 1)
+        advisor.ask()
+        assert advisor.last_ask_info["phase"] == "random"
+
+    @pytest.mark.parametrize("algorithm", ["gp", "prf"])
+    def test_asks_past_the_initial_design_before_any_tell(self, algorithm):
+        task = TaskSpec(space=float_space(2), init_count=2, max_runs=20, algorithm=algorithm)
+        advisor = Advisor(task)
+        phases = []
+        for _ in range(4):
+            advisor.ask()
+            phases.append(advisor.last_ask_info["phase"])
+        assert phases == ["init", "init", "random", "random"]
+        assert advisor.num_pending == 4
+
+    def test_evolutionary_bridge(self):
+        task = TaskSpec(space=float_space(2), algorithm="ea", max_runs=20, seed=3)
+        advisor = Advisor(task)
+        for _ in range(advisor._ea.pop_size):
+            advisor.ask()
+            assert advisor.last_ask_info["phase"] == "ea"
+        advisor.ask()  # the whole generation is pending
+        assert advisor.last_ask_info["phase"] == "random"
+
+
 class TestThreeObjectives:
     def test_dtlz2_ehvi_asks_are_bounded(self):
         ref = (2.0, 2.0, 2.0)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from bbo import optimizer
 from bbo.advisor import TaskSpec
 from bbo.errors import SetupError
 from bbo.history import TrialState
@@ -76,6 +77,22 @@ class TestEvaluateSafe:
     def test_unusable_return_value(self):
         obs = evaluate_safe(lambda c: "not a number", Configuration({}))
         assert obs.trial_state == TrialState.FAILED
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(np.float32(1.5), 1.5), (np.int64(3), 3.0), (np.array(2.0), 2.0)],
+    )
+    def test_numpy_scalars_are_bare_numbers(self, value, expected):
+        obs = evaluate_safe(lambda c: value, Configuration({}))
+        assert obs.trial_state == TrialState.SUCCESS
+        assert obs.objectives == (expected,) and obs.constraints == ()
+
+    def test_a_pair_of_numpy_scalars_is_two_objectives(self):
+        for pair in ((np.float32(1.0), np.float32(2.0)), (np.array(1.0), np.int64(2))):
+            obs = evaluate_safe(lambda c: pair, Configuration({}))
+            assert obs.objectives == (1.0, 2.0) and obs.constraints == ()
+        obs = evaluate_safe(lambda c: (np.array([1.0]), np.array([-1.0])), Configuration({}))
+        assert obs.objectives == (1.0,) and obs.constraints == (-1.0,)
 
 
 class TestRun:
@@ -175,6 +192,42 @@ class TestRun:
         assert result.stop_reason == "max_runs"
         first_three = [o.objectives[0] for o in result.history.observations[:3]]
         assert result.incumbent.objectives[0] == min(first_three)
+
+    @pytest.mark.parametrize("algorithm", ["random", "ea", "gp", "prf"])
+    def test_exhaustion_mid_batch_evaluates_the_claimed_suggestions(self, algorithm):
+        space = SearchSpace(
+            [
+                ParameterSpec("a", "int", low=0, high=2),
+                ParameterSpec("c", "categorical", choices=("p", "q", "r", "s")),
+            ]
+        )
+        task = TaskSpec(space=space, max_runs=20, algorithm=algorithm, seed=4)
+        result = run(task, lambda c: float(c["a"] + "pqrs".index(c["c"])), parallelism=5)
+        assert result.stop_reason == "exhausted"
+        assert len(result.history) == 12
+        assert len(set(o.config for o in result.history.observations)) == 12
+
+    def test_one_executor_per_round_under_a_timeout(self, monkeypatch):
+        pools = []
+
+        class Recording(optimizer.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                pools.append((max_workers, self))
+
+        monkeypatch.setattr(optimizer, "ThreadPoolExecutor", Recording)
+        task = TaskSpec(space=float_space(2), max_runs=7, algorithm="random", seed=0)
+        threads = set()
+
+        def record_thread(config):
+            threads.add(threading.current_thread())
+            return quadratic(config)
+
+        result = run(task, record_thread, parallelism=3, timeout=5.0)
+        assert len(result.history) == 7 and result.abandoned == 0
+        assert [workers for workers, _ in pools] == [3, 3, 1]  # one executor a round
+        assert all(len(pool._threads) <= workers for workers, pool in pools)
+        assert threads <= set().union(*(pool._threads for _, pool in pools))
 
     def test_exhausted_space(self):
         space = SearchSpace([ParameterSpec("a", "categorical", choices=("u", "v"))])

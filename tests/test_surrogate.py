@@ -19,6 +19,7 @@ from bbo.surrogate import (
     _chol_with_jitter,
     _grow_tree,
     _lml_and_grad,
+    _load_gp_libraries,
     _sq_dists_per_dim,
     _sum_dims,
     fit_gp,
@@ -149,6 +150,7 @@ class TestStartRule:
     @pytest.fixture
     def starts(self, monkeypatch):
         calls = []
+        _load_gp_libraries()
         minimize = surrogate.optimize.minimize
 
         def counting(fun, x0, *args, **kwargs):
@@ -532,6 +534,7 @@ def unshared_lml_and_grad(y, log_hypers, d2):
     sqrt5 r formed twice, the noise added through an identity matrix, the
     diagonal halved through ``np.diag_indices`` and one gradient sum per
     lengthscale."""
+    _load_gp_libraries()
     d, n = d2.shape[0], d2.shape[1]
     ell = np.exp(log_hypers[:d])
     sf2 = math.exp(log_hypers[d])
@@ -570,6 +573,7 @@ def unblocked_matern52(X1, X2, lengthscales, signal_var):
 def unblocked_predict(model, Xq):
     """``GPModel.predict`` as it was before it scored the rows in blocks: one
     kernel over every query row, one solve and one product."""
+    _load_gp_libraries()
     k_star = unblocked_matern52(Xq, model.X, model.lengthscales, model.signal_var)
     mean = k_star @ model.alpha
     v, _ = surrogate.lapack.dtrtrs(model.L, k_star.T, lower=1)

@@ -6,18 +6,21 @@ Latin hypercube and random initial designs, random search (also until a
 12-configuration space is exhausted), differential evolution (also on that
 space, so the evolutionary bridge meets told points), NSGA-II with crashing
 evaluations in batches of three, GP + EIC under local penalization, GP +
-EHVI_C under constant liar, GP + EHVI on three objectives, and PRF batches
-on a mixed space. For each task it prints the task name and the first 16
-hex digits of the sha256 of the run's ``export_json`` text. A last line, ``async-workers``, digests GP on
-Branin and PRF on the mixed space driven through ``Advisor`` as three
-asynchronous workers would: three suggestions stay in flight and the oldest
-is told first, so every ask but the initial design's is made while others
-are pending. An ``hv`` line digests the hypervolume series
-``report.default_analyses`` computes for the two multi-objective task
-histories. A final line, ``importance``, digests the parameter
-importances it computes (a random forest fitted and queried for Shapley
-values) for three of the task histories, so a change to the forest or the
-analyses behind the report shows up even when no suggestion moves.
+EHVI_C under constant liar, GP + EHVI on three objectives, PRF batches on a
+mixed space, and NSGA-II on CONSTR into its third generation, so that its
+survivor selection runs. For each task it prints the task name and the
+first 16 hex digits of the sha256 of the run's ``export_json`` text. An
+``async-workers`` line digests GP on Branin and PRF on the mixed space
+driven through ``Advisor`` as three asynchronous workers would: three
+suggestions stay in flight and the oldest is told first, so every ask but
+the initial design's is made while others are pending. An ``hv`` line
+digests the hypervolume series ``report.default_analyses`` computes for the
+two bi-objective task histories, and an ``hv-m3`` line the one for the
+three-objective history, which takes the box-decomposition hypervolume. A
+final line, ``importance``, digests the parameter importances it computes
+(a random forest fitted and queried for Shapley values) for three of the
+task histories, so a change to the forest or the analyses behind the
+report shows up even when no suggestion moves.
 
 The ``gp-ehvic-cl-q2``, ``gp-ehvi-dtlz2-m3`` and ``hv`` lines differ by
 design between trees whose EHVI draws Monte Carlo samples from the
@@ -158,6 +161,12 @@ def tasks():
             1,
         ),
         ("prf-mixed-q3", TaskSpec(mixed_space(), max_runs=30, algorithm="prf", seed=20), mixed, 3),
+        (
+            "nsga2-constr-3gen",
+            TaskSpec(constr, num_objectives=2, num_constraints=2, max_runs=90, algorithm="ea", seed=24),
+            constr_evaluate,
+            1,
+        ),
     ]
 
 
@@ -176,22 +185,26 @@ def async_workers(task, objective, in_flight=3):
 
 IMPORTANCE_TASKS = ("gp-ei-lhs-init", "nsga2-constr-crashing-q3", "prf-mixed-q3")
 HV_TASKS = ("nsga2-constr-crashing-q3", "gp-ehvic-cl-q2")
+HV_M3_TASK = "gp-ehvi-dtlz2-m3"
 
 
 def main() -> None:
     importance = []
     hv = []
+    hv_m3 = []
     for name, task, objective, parallelism in tasks():
         result = run(task, objective, parallelism=parallelism, clock=lambda: 0.0)
         digest = hashlib.sha256(export_json(result.history).encode("utf-8")).hexdigest()
         print(f"{name:26s} {digest[:16]} ({len(result.history)} trials, {result.stop_reason})")
-        if name in IMPORTANCE_TASKS or name in HV_TASKS:
+        if name in IMPORTANCE_TASKS or name in HV_TASKS or name == HV_M3_TASK:
             analyses = default_analyses(result.history)
         if name in IMPORTANCE_TASKS:
             values = analyses.get("importance", {})
             importance.append({key: float(value) for key, value in values.items()})
         if name in HV_TASKS:
             hv.append([(int(i), float(value)) for i, value in analyses.get("hv", [])])
+        if name == HV_M3_TASK:
+            hv_m3 = [(int(i), float(value)) for i, value in analyses.get("hv", [])]
     histories = [
         async_workers(
             TaskSpec(branin_problem().space, max_runs=20, algorithm="gp", seed=21),
@@ -208,6 +221,8 @@ def main() -> None:
     digest = hashlib.sha256(repr(hv).encode("utf-8")).hexdigest()
     counts = "+".join(str(len(series)) for series in hv)
     print(f"{'hv':26s} {digest[:16]} ({counts} points)")
+    digest = hashlib.sha256(repr(hv_m3).encode("utf-8")).hexdigest()
+    print(f"{'hv-m3':26s} {digest[:16]} ({len(hv_m3)} points)")
     digest = hashlib.sha256(repr(importance).encode("utf-8")).hexdigest()
     counts = "+".join(str(len(values)) for values in importance)
     print(f"{'importance':26s} {digest[:16]} ({counts} parameters)")
