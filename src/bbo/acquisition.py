@@ -3,13 +3,14 @@
 Score functions are vectorized: they take one encoded row or an (n, d) batch
 and return a float or an (n,) array. The advisor scores a candidate by its
 improvement (:func:`expected_improvement` for one objective, :func:`ehvi`
-for several) times :meth:`AcquisitionContext.feasibility_product`, the
-product of the constraints' probabilities of feasibility. EHVI is exact: over
-the disjoint boxes [l, u] the front leaves undominated it is the sum over
-boxes of prod_j (G_j(u_j) - G_j(l_j)), with G_j(a) = E[(a - y_j)+] the
-expected improvement of objective j below a. The inner optimizer
-(:func:`maximize_acquisition`) scores random candidates and random
-neighbours of known configurations, then runs coordinate-wise local search.
+for several) times :func:`feasibility_product`, the product of the
+constraints' probabilities of feasibility. EHVI is exact: over the disjoint
+boxes [l, u] the front leaves undominated (:func:`bbo.moo.nondominated_boxes`)
+it is the sum over boxes of prod_j (G_j(u_j) - G_j(l_j)), with
+G_j(a) = E[(a - y_j)+] the expected improvement of objective j below a.
+The inner optimizer (:func:`maximize_acquisition`) scores random candidates
+and random neighbours of known configurations, then runs coordinate-wise
+local search.
 It works on code matrices only (see :mod:`bbo.space`): the known
 configurations arrive as snapped code rows, candidates are sampled,
 perturbed, snapped, deduplicated and excluded by the bytes of their rows
@@ -20,14 +21,12 @@ byte), and the one best row is returned for the caller to decode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.special import erfc, ndtr
 
-from . import moo
 from .errors import ExhaustedSpaceError
 from .space import (
     CATEGORICAL,
@@ -86,63 +85,22 @@ def probability_of_feasibility(mean, variance):
     return float(pof) if pof.ndim == 0 else pof
 
 
-@dataclass
-class AcquisitionContext:
-    """Everything a score function needs about the current task state."""
-
-    objective_models: list
-    constraint_models: list = field(default_factory=list)
-    eta: float | None = None
-    front: np.ndarray | None = None  # (k, m) Pareto objective vectors
-    ref_point: np.ndarray | None = None
-    # (lower, upper) box decomposition of the region the front leaves
-    # undominated below ref_point, built once per context for ehvi
-    boxes: tuple | None = field(init=False, default=None)
-
-    def __post_init__(self):
-        if self.front is not None:
-            self.front = np.atleast_2d(np.asarray(self.front, dtype=float))
-            if self.front.shape[0] == 0:
-                self.front = None
-        if self.ref_point is not None:
-            self.ref_point = np.asarray(self.ref_point, dtype=float)
-        if self.front is not None and self.ref_point is not None:
-            ok = np.all(self.front <= self.ref_point, axis=1) & np.any(
-                self.front < self.ref_point, axis=1
-            )
-            if not np.all(ok):
-                raise ValueError(
-                    "every front point must weakly dominate the reference point"
-                )
-        if self.ref_point is not None:
-            m = self.ref_point.shape[0]
-            front = self.front if self.front is not None else np.empty((0, m))
-            self.boxes = moo.nondominated_boxes(front, self.ref_point)
-
-    def predict_objectives(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked per-objective predictions, each (n, m)."""
-        means, variances = [], []
-        for model in self.objective_models:
-            mu, var = model.predict(X)
-            means.append(mu)
-            variances.append(var)
-        return np.column_stack(means), np.column_stack(variances)
-
-    def feasibility_product(self, X: np.ndarray) -> np.ndarray:
-        """Product of per-constraint probabilities of feasibility at each row."""
-        pof = np.ones(np.atleast_2d(X).shape[0])
-        for model in self.constraint_models:
-            mu, var = model.predict(X)
-            pof = pof * probability_of_feasibility(mu, var)
-        return pof
+def feasibility_product(constraint_models: list, X: np.ndarray) -> np.ndarray:
+    """Product of per-constraint probabilities of feasibility at each row."""
+    pof = np.ones(np.atleast_2d(X).shape[0])
+    for model in constraint_models:
+        mu, var = model.predict(X)
+        pof = pof * probability_of_feasibility(mu, var)
+    return pof
 
 
 # elements of each (boxes, rows) temporary while summing box volumes: 512 KB
 _EHVI_CHUNK_ELEMENTS = 1 << 16
 
 
-def ehvi(x_encoded, ctx: AcquisitionContext):
-    """Exact expected hypervolume improvement over the context's box decomposition.
+def ehvi(x_encoded, objective_models: list, boxes: tuple):
+    """Exact expected hypervolume improvement over the ``(lower, upper)``
+    boxes of :func:`bbo.moo.nondominated_boxes`, one model per objective.
 
     The objectives are independent Gaussians and the boxes [l, u] are
     disjoint, so the expected gain is the sum over boxes of
@@ -154,11 +112,11 @@ def ehvi(x_encoded, ctx: AcquisitionContext):
     distinct finite bound of each objective, and the box volumes are summed
     in chunks, so memory stays O(rows x chunk) however many boxes there are.
     """
-    if ctx.ref_point is None:
-        raise ValueError("ehvi needs a reference point")
     X = np.atleast_2d(np.asarray(x_encoded, dtype=float))
-    mu, var = ctx.predict_objectives(X)  # (q, m)
-    lower, upper = ctx.boxes
+    predictions = [model.predict(X) for model in objective_models]
+    mu = np.column_stack([mean for mean, _ in predictions])  # (q, m)
+    var = np.column_stack([variance for _, variance in predictions])
+    lower, upper = boxes
     q, m = mu.shape
     # per objective: G at each distinct finite bound, one row per bound and a
     # last row of zeros for -inf, and each box's row for its upper and lower bound

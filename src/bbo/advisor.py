@@ -25,12 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import evolution
+from . import evolution, moo
 from .acquisition import (
-    AcquisitionContext,
     ehvi,
     estimate_lipschitz,
     expected_improvement,
+    feasibility_product,
     local_penalization,
     maximize_acquisition,
 )
@@ -292,13 +292,23 @@ class Advisor:
         return self._claim(self._produce())
 
     def ask_batch(self, q: Optional[int] = None) -> list[Configuration]:
-        """Produce q mutually distinct pending configurations: q asks, so each
-        after the first is chosen around the ones before it (see ``ask``)."""
+        """Produce up to q mutually distinct pending configurations: q asks,
+        so each after the first is chosen around the ones before it (see
+        ``ask``). Fewer are returned when the space runs out mid-batch;
+        ``ExhaustedSpaceError`` is raised only when none could be claimed."""
         if q is None:
             q = self.task.batch_size
         if q < 1:
             raise ValueError("batch size must be >= 1")
-        return [self.ask() for _ in range(q)]
+        batch: list[Configuration] = []
+        for _ in range(q):
+            try:
+                batch.append(self.ask())
+            except ExhaustedSpaceError:
+                if not batch:
+                    raise
+                break
+        return batch
 
     # --- tell ---
 
@@ -393,15 +403,16 @@ class Advisor:
     def _fit(self, lies: list) -> tuple[list, list]:
         """One model per objective column, then one per constraint column, fit
         on the told rows followed by the ``lies`` (pending rows told at the
-        median observed values). Without lies this is the cached refit: it
-        needs 2 rows, counts toward the deep-fit schedule and warm-starts each
-        GP fit; with lies every GP fit is a cold multi-start search."""
+        median observed values). Either needs 2 told rows. Without lies this
+        is the cached refit: it counts toward the deep-fit schedule and
+        warm-starts each GP fit; with lies every GP fit is a cold multi-start
+        search."""
         Y, C = self._history.training_targets()
+        if Y.shape[0] < 2:
+            raise InsufficientDataError("need at least 2 told rows to fit surrogates")
         if lies:
             Y = np.vstack([Y, np.tile(np.median(Y, axis=0), (len(lies), 1))])
             C = np.vstack([C, np.tile(np.median(C, axis=0), (len(lies), 1))])
-        elif Y.shape[0] < 2:
-            raise InsufficientDataError("need at least 2 rows to fit surrogates")
         else:
             self._refit_count += 1
         X = self._encode(self._told + lies)
@@ -431,55 +442,36 @@ class Advisor:
             return model
         return fit_prf(X, y, rng=self._rng)
 
-    def _build_context(self, objective_models: list, constraint_models: list) -> AcquisitionContext:
-        m = self.task.num_objectives
-        eta = None
-        front = None
-        ref = None
-        if m == 1:
-            best = self._history.incumbent()
-            eta = float(best.objectives[0]) if best is not None else None
-        else:
-            ref = (
-                np.asarray(self.task.ref_point, dtype=float)
-                if self.task.ref_point is not None
-                else self._history.default_ref_point()
-            )
-            pareto = self._history.pareto_front()
-            if pareto:
-                pts = np.array([o.objectives for o in pareto])
-                inside = np.all(pts <= ref, axis=1) & np.any(pts < ref, axis=1)
-                pts = pts[inside]
-                front = pts if pts.shape[0] else None
-        return AcquisitionContext(
-            objective_models=objective_models,
-            constraint_models=constraint_models,
-            eta=eta,
-            front=front,
-            ref_point=ref,
-        )
-
-    def _score_function(self, ctx: AcquisitionContext):
-        """The improvement (EI for one objective, EHVI for several) times the
-        product of the constraints' probabilities of feasibility. With one
-        objective and no feasible point yet, the improvement is 1, so the
-        score is that product alone."""
+    def _score_function(self, objective_models: list, constraint_models: list):
+        """The score of a model-based ask, built from the history: the
+        improvement (EI below the incumbent for one objective; for several,
+        EHVI over the boxes left undominated by the feasible front's points
+        that weakly dominate the reference point) times the product of the
+        constraints' probabilities of feasibility. With one objective and no
+        feasible point yet, the score is that product alone."""
         if self.task.num_objectives > 1:
+            ref = self._history.reference_point()
+            front = np.array([o.objectives for o in self._history.pareto_front()])
+            front = front.reshape(-1, len(ref))
+            inside = np.all(front <= ref, axis=1) & np.any(front < ref, axis=1)
+            boxes = moo.nondominated_boxes(front[inside], ref)
 
             def improvement(X):
-                return ehvi(X, ctx)
-
-        elif ctx.eta is not None:
-
-            def improvement(X):
-                mu, var = ctx.objective_models[0].predict(X)
-                return expected_improvement(mu, var, ctx.eta)
+                return ehvi(X, objective_models, boxes)
 
         else:
-            return ctx.feasibility_product
-        if not ctx.constraint_models:
+            best = self._history.incumbent()
+            if best is None:
+                return lambda X: feasibility_product(constraint_models, X)
+            eta = best.objectives[0]
+
+            def improvement(X):
+                mu, var = objective_models[0].predict(X)
+                return expected_improvement(mu, var, eta)
+
+        if not constraint_models:
             return improvement
-        return lambda X: improvement(X) * ctx.feasibility_product(X)
+        return lambda X: improvement(X) * feasibility_product(constraint_models, X)
 
     def _model_based_ask(self) -> Optional[np.ndarray]:
         """The acquisition maximizer's row, or None while the told data
@@ -492,10 +484,9 @@ class Advisor:
                 self._models = models = self._models or self._fit([])
         except InsufficientDataError:
             return None
-        ctx = self._build_context(*models)
-        score_fn = self._score_function(ctx)
+        score_fn = self._score_function(*models)
         if strategy == LOCAL_PENALIZATION:
-            score_fn = self._penalized(score_fn, ctx.objective_models[0])
+            score_fn = self._penalized(score_fn, models[0][0])
         multi = self.task.num_objectives > 1
         codes = maximize_acquisition(
             score_fn,
@@ -506,7 +497,7 @@ class Advisor:
             encoding=self._encoding,
             known=np.array(list(self._seen.values())),
         )
-        self.last_ask_info = {"phase": "model", "score_fn": score_fn, "context": ctx}
+        self.last_ask_info = {"phase": "model", "score_fn": score_fn}
         return codes
 
     def _penalized(self, base, model):

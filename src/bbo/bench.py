@@ -195,6 +195,13 @@ def _score_run(problem: BenchmarkProblem, result) -> float:
     return moo.hypervolume_difference(front, problem.ref_point, optimal)
 
 
+def _average_ranks(scores: Sequence[float]) -> np.ndarray:
+    """1-based ranks with ties sharing their average: the number of smaller
+    scores plus the mean of the places the equal ones take."""
+    s = np.asarray(scores, dtype=float)
+    return np.array([np.sum(s < x) + (np.sum(s == x) + 1) / 2 for x in s])
+
+
 def run_benchmark(
     problems: Sequence,
     strategies: Sequence[str],
@@ -215,7 +222,6 @@ def run_benchmark(
         if s not in STRATEGIES:
             raise SetupError(f"unknown strategy {s!r}; valid strategies: {list(STRATEGIES)}")
     resolved = [get_problem(p) if isinstance(p, str) else p for p in problems]
-    from scipy.stats import rankdata  # most of a second to import; only benchmarks rank
 
     rows: list[dict] = []
     wins: dict[str, dict[str, int]] = {s: {} for s in strategies}
@@ -235,7 +241,7 @@ def run_benchmark(
                 )
                 result = run(task, problem.evaluate)
                 scores.append(_score_run(problem, result))
-            ranks = rankdata(scores, method="average")
+            ranks = _average_ranks(scores)
             best = ranks.min()
             for strategy, score, rank in zip(strategies, scores, ranks):
                 rows.append(

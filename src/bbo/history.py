@@ -173,6 +173,12 @@ class History:
         ref[worst == 0] += 0.1
         return ref
 
+    def reference_point(self) -> Optional[np.ndarray]:
+        """The task's reference point, else :meth:`default_ref_point`."""
+        if self.ref_point is not None:
+            return np.asarray(self.ref_point, dtype=float)
+        return self.default_ref_point()
+
     def training_targets(self) -> tuple[np.ndarray, np.ndarray]:
         """Surrogate training targets: (objective targets, constraint targets).
 

@@ -499,9 +499,7 @@ def default_analyses(history: History) -> dict:
     if history.num_objectives == 1:
         analyses["convergence"] = convergence_curve(history)
     else:
-        ref = history.ref_point
-        if ref is None:
-            ref = history.default_ref_point()
+        ref = history.reference_point()
         if ref is not None:
             analyses["hv"] = hv_over_time(history, ref)
         analyses["pareto"] = [o.objectives for o in history.pareto_front()]

@@ -14,7 +14,6 @@ from scipy.stats import norm
 import bbo
 from bbo import acquisition, moo
 from bbo.acquisition import (
-    AcquisitionContext,
     _hash_index,
     _neighbours,
     _unseen,
@@ -215,67 +214,50 @@ class TestBranchSelection:
         assert isinstance(probability_of_feasibility(0.2, 0.0), float)
 
 
-def advisor_score(ctx, x):
-    """The advisor's score under ctx at one encoded row, for a one-objective
-    task with one constraint per constraint model."""
+def advisor_score(objective_model, constraint_models, eta):
+    """The advisor's score at the encoded row 0, for a one-objective task with
+    one constraint per constraint model, whose incumbent is eta (None: no
+    feasible point told yet)."""
     space = SearchSpace([ParameterSpec("x", "float", low=0.0, high=1.0)])
-    advisor = Advisor(TaskSpec(space, num_constraints=len(ctx.constraint_models)))
-    return float(advisor._score_function(ctx)(np.atleast_2d(x))[0])
+    advisor = Advisor(TaskSpec(space, num_constraints=len(constraint_models)))
+    if eta is not None:
+        feasible = (-1.0,) * len(constraint_models)
+        advisor.tell(Observation(Configuration({"x": 0.5}), (eta,), feasible), external=True)
+    score_fn = advisor._score_function([objective_model], constraint_models)
+    return float(score_fn(np.zeros((1, 1)))[0])
 
 
 class TestConstrainedEI:
     """EI times the product of the constraints' probabilities of feasibility."""
 
     def test_pof_to_one_limit(self):
-        ctx = AcquisitionContext(
-            objective_models=[ConstantModel(0.0, 1.0)],
-            constraint_models=[ConstantModel(-10.0, 1.0)],
-            eta=0.5,
-        )
         plain = expected_improvement(0.0, 1.0, 0.5)
-        score = advisor_score(ctx, np.zeros(2))
+        score = advisor_score(ConstantModel(0.0, 1.0), [ConstantModel(-10.0, 1.0)], 0.5)
         assert 0.999 * plain <= score <= plain
 
     def test_pof_to_zero_limit(self):
-        ctx = AcquisitionContext(
-            objective_models=[ConstantModel(0.0, 1.0)],
-            constraint_models=[ConstantModel(10.0, 1.0)],
-            eta=0.5,
-        )
         plain = expected_improvement(0.0, 1.0, 0.5)
-        assert advisor_score(ctx, np.zeros(2)) <= 1e-12 * plain
+        score = advisor_score(ConstantModel(0.0, 1.0), [ConstantModel(10.0, 1.0)], 0.5)
+        assert score <= 1e-12 * plain
 
     def test_product_arithmetic(self):
         # choose constraint predictions with PoF exactly 0.5 each
-        ctx = AcquisitionContext(
-            objective_models=[ConstantModel(0.0, 1.0)],
-            constraint_models=[ConstantModel(0.0, 1.0), ConstantModel(0.0, 1.0)],
-            eta=0.5,
-        )
+        constraints = [ConstantModel(0.0, 1.0), ConstantModel(0.0, 1.0)]
         ei = expected_improvement(0.0, 1.0, 0.5)
-        assert advisor_score(ctx, np.zeros(1)) == pytest.approx(ei * 0.25)
+        score = advisor_score(ConstantModel(0.0, 1.0), constraints, 0.5)
+        assert score == pytest.approx(ei * 0.25)
 
     def test_feasibility_search_mode(self):
-        ctx = AcquisitionContext(
-            objective_models=[ConstantModel(0.0, 1.0)],
-            constraint_models=[ConstantModel(-1.0, 1.0)],
-            eta=None,
-        )
-        assert advisor_score(ctx, np.zeros(1)) == pytest.approx(
-            probability_of_feasibility(-1.0, 1.0)
-        )
+        score = advisor_score(ConstantModel(0.0, 1.0), [ConstantModel(-1.0, 1.0)], None)
+        assert score == pytest.approx(probability_of_feasibility(-1.0, 1.0))
 
     def test_never_exceeds_plain_ei(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             mu, var, eta = rng.normal(), rng.uniform(0.1, 2), rng.normal()
             cmu, cvar = rng.normal(), rng.uniform(0.1, 2)
-            ctx = AcquisitionContext(
-                objective_models=[ConstantModel(mu, var)],
-                constraint_models=[ConstantModel(cmu, cvar)],
-                eta=eta,
-            )
-            assert advisor_score(ctx, np.zeros(1)) <= expected_improvement(mu, var, eta) + 1e-12
+            score = advisor_score(ConstantModel(mu, var), [ConstantModel(cmu, cvar)], eta)
+            assert score <= expected_improvement(mu, var, eta) + 1e-12
 
 
 def exact_ehvi_2d(front, ref, mu, sigma):
@@ -364,60 +346,39 @@ def mc_ehvi(mu, var, front, ref, n_samples, seed):
 
 class TestEHVI:
     def test_dominated_mean_zero_variance(self):
-        ctx = AcquisitionContext(
-            objective_models=[ConstantModel(0.8, 0.0), ConstantModel(0.8, 0.0)],
-            front=np.array([[0.5, 0.5]]),
-            ref_point=np.array([2.0, 2.0]),
-        )
-        assert ehvi(np.zeros(2), ctx) == 0.0
+        models = [ConstantModel(0.8, 0.0), ConstantModel(0.8, 0.0)]
+        boxes = moo.nondominated_boxes(np.array([[0.5, 0.5]]), np.array([2.0, 2.0]))
+        assert ehvi(np.zeros(2), models, boxes) == 0.0
 
     def test_empty_front_degenerate(self):
-        ctx = AcquisitionContext(
-            objective_models=[ConstantModel(0.5, 0.0), ConstantModel(1.0, 0.0)],
-            front=None,
-            ref_point=np.array([2.0, 2.0]),
-        )
-        score = ehvi(np.zeros(2), ctx)
+        models = [ConstantModel(0.5, 0.0), ConstantModel(1.0, 0.0)]
+        boxes = moo.nondominated_boxes(np.empty((0, 2)), np.array([2.0, 2.0]))
+        score = ehvi(np.zeros(2), models, boxes)
         assert score == pytest.approx((2.0 - 0.5) * (2.0 - 1.0))
 
     def test_matches_exact_oracle(self):
         front = np.array([[1.0, 0.0], [0.0, 1.0]])
         ref = np.array([2.0, 2.0])
         mu, sigma = (0.5, 0.5), (0.1, 0.1)
-        ctx = AcquisitionContext(
-            objective_models=[ConstantModel(mu[0], sigma[0] ** 2), ConstantModel(mu[1], sigma[1] ** 2)],
-            front=front,
-            ref_point=ref,
-        )
+        models = [ConstantModel(mu[0], sigma[0] ** 2), ConstantModel(mu[1], sigma[1] ** 2)]
         exact = exact_ehvi_2d(front, ref, mu, sigma)
-        assert abs(ehvi(np.zeros(2), ctx) - exact) <= 1e-12 * exact
-
-    def test_missing_ref_point(self):
-        ctx = AcquisitionContext(objective_models=[ConstantModel(0, 1), ConstantModel(0, 1)])
-        with pytest.raises(ValueError):
-            ehvi(np.zeros(2), ctx)
+        got = ehvi(np.zeros(2), models, moo.nondominated_boxes(front, ref))
+        assert abs(got - exact) <= 1e-12 * exact
 
     def test_repeat_calls_equal(self):
-        ctx = AcquisitionContext(
-            objective_models=[ConstantModel(0.5, 0.04), ConstantModel(0.5, 0.04)],
-            front=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            ref_point=np.array([2.0, 2.0]),
-        )
-        single = ehvi(np.zeros(2), ctx)
-        assert single == ehvi(np.zeros(2), ctx)
+        models = [ConstantModel(0.5, 0.04), ConstantModel(0.5, 0.04)]
+        boxes = moo.nondominated_boxes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 2.0]))
+        single = ehvi(np.zeros(2), models, boxes)
+        assert single == ehvi(np.zeros(2), models, boxes)
         # enough rows that the three boxes' volumes are summed in two chunks
         X = np.zeros((30_000, 2))
-        batch = ehvi(X, ctx)
-        assert np.array_equal(batch, ehvi(X, ctx))
+        batch = ehvi(X, models, boxes)
+        assert np.array_equal(batch, ehvi(X, models, boxes))
         np.testing.assert_allclose(batch, single, rtol=1e-12)
 
     def test_three_objectives_path(self):
-        ctx = AcquisitionContext(
-            objective_models=[ConstantModel(0.4, 0.0)] * 3,
-            front=np.array([[0.6, 0.6, 0.6]]),
-            ref_point=np.array([1.0, 1.0, 1.0]),
-        )
-        score = ehvi(np.zeros(3), ctx)
+        boxes = moo.nondominated_boxes(np.array([[0.6, 0.6, 0.6]]), np.ones(3))
+        score = ehvi(np.zeros(3), [ConstantModel(0.4, 0.0)] * 3, boxes)
         # deterministic means: improvement = HV{(.4,.4,.4),(.6,.6,.6)} - HV{(.6,.6,.6)}
         assert score == pytest.approx(0.6**3 - 0.4**3)
 
@@ -427,7 +388,7 @@ class TestEHVI:
         ref = np.array([2.0, 3.0])
         for trial in range(60):
             if trial % 5 == 0:
-                front = None
+                front = np.empty((0, 2))
             else:
                 k = int(rng.integers(1, 8))
                 front = rng.uniform([-1.0, -1.0], ref, size=(k, 2))
@@ -437,10 +398,9 @@ class TestEHVI:
             mu = rng.uniform(-1.5, 3.5, size=(q, 2))
             var = rng.uniform(0.0, 1.0, size=(q, 2)) * (rng.uniform(size=(q, 2)) < 0.8)
             models = [TableModel(mu[:, 0], var[:, 0]), TableModel(mu[:, 1], var[:, 1])]
-            ctx = AcquisitionContext(objective_models=models, front=front, ref_point=ref)
             X = np.arange(q, dtype=float)[:, None]
-            got = ehvi(X, ctx)
-            pareto = np.empty((0, 2)) if ctx.front is None else ctx.front[moo._pareto_filter(ctx.front)]
+            got = ehvi(X, models, moo.nondominated_boxes(front, ref))
+            pareto = front[moo._pareto_filter(front)]
             want = np.array([exact_ehvi_2d(pareto, ref, mu[i], np.sqrt(var[i])) for i in range(q)])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(want.max(), 1e-300))
 
@@ -478,8 +438,8 @@ class TestEHVI:
             mu = rng.uniform(-0.2, 1.2, size=(q, m))
             mu[: q // 2] = np.round(mu[: q // 2], 1)  # means on box edges
             models = [TableModel(mu[:, j], np.zeros(q)) for j in range(m)]
-            ctx = AcquisitionContext(objective_models=models, front=front, ref_point=ref)
-            got = ehvi(np.arange(q, dtype=float)[:, None], ctx)
+            boxes = moo.nondominated_boxes(front, ref)
+            got = ehvi(np.arange(q, dtype=float)[:, None], models, boxes)
             base = inclusion_exclusion_hv(front, ref)
             want = [
                 inclusion_exclusion_hv(np.vstack([front, np.minimum(y, ref)]), ref) - base
@@ -497,18 +457,10 @@ class TestEHVI:
             mu = rng.uniform(0.0, 1.1, size=(q, m))
             var = rng.uniform(0.0, 0.1, size=(q, m))
             models = [TableModel(mu[:, j], var[:, j]) for j in range(m)]
-            ctx = AcquisitionContext(objective_models=models, front=front, ref_point=ref)
-            got = ehvi(np.arange(q, dtype=float)[:, None], ctx)
+            boxes = moo.nondominated_boxes(front, ref)
+            got = ehvi(np.arange(q, dtype=float)[:, None], models, boxes)
             want, error = mc_ehvi(mu, var, front, ref, 40_000, seed=trial)
             assert np.all(np.abs(got - want) <= 4 * error), (got, want, error)
-
-    def test_front_ref_consistency_checked(self):
-        with pytest.raises(ValueError):
-            AcquisitionContext(
-                objective_models=[ConstantModel(0, 1)] * 2,
-                front=np.array([[3.0, 3.0]]),
-                ref_point=np.array([2.0, 2.0]),
-            )
 
 
 class TestLocalPenalization:

@@ -8,6 +8,7 @@ import pytest
 
 import bbo.advisor
 from bbo import moo
+from bbo.acquisition import ehvi
 from bbo.advisor import EHVI, Advisor, AlgorithmPlan, TaskSpec, auto_select
 from bbo.errors import (
     ExhaustedSpaceError,
@@ -362,6 +363,22 @@ class TestRandomFallback:
         advisor.ask()
         assert advisor.last_ask_info["phase"] == "random"
 
+    @pytest.mark.parametrize("algorithm, num_objectives", [("prf", 1), ("gp", 2)])
+    def test_constant_liar_refit_needs_two_told_rows(self, algorithm, num_objectives):
+        task = TaskSpec(
+            space=float_space(2),
+            num_objectives=num_objectives,
+            init_count=1,
+            max_runs=20,
+            algorithm=algorithm,
+            seed=2,
+        )
+        advisor = told_advisor(task, lambda c: [quadratic(c)[0][0]] * num_objectives, 1)
+        assert advisor.plan.batch_strategy == "constant_liar_median"
+        for _ in range(2):  # nothing pending, then one pending row
+            advisor.ask()
+            assert advisor.last_ask_info["phase"] == "random"
+
     @pytest.mark.parametrize("algorithm", ["gp", "prf"])
     def test_asks_past_the_initial_design_before_any_tell(self, algorithm):
         task = TaskSpec(space=float_space(2), init_count=2, max_runs=20, algorithm=algorithm)
@@ -401,6 +418,33 @@ class TestThreeObjectives:
         objectives = np.array([o.objectives for o in advisor.get_history().observations])
         initial = moo.hypervolume(objectives[: task.init_count], ref)
         assert moo.hypervolume(objectives, ref) > initial
+
+
+class TestScoreFunction:
+    def test_ehvi_over_the_front_within_the_task_reference_point(self):
+        ref = np.array([1.0, 1.0])
+        task = TaskSpec(
+            space=float_space(2),
+            num_objectives=2,
+            init_count=2,
+            max_runs=20,
+            algorithm="gp",
+            ref_point=tuple(ref),
+            seed=4,
+        )
+        advisor = Advisor(task)
+        front = [[0.3, 0.6], [0.6, 0.3], [0.05, 1.5]]  # the last is beyond ref
+        for x, objectives in zip([0.2, 0.5, 0.8], front):
+            advisor.tell(success(Configuration({"x0": x, "x1": x}), objectives), external=True)
+        advisor.ask()
+        assert advisor.last_ask_info["phase"] == "model"
+        X = np.random.default_rng(0).uniform(size=(50, 2))
+        objective_models = advisor._models[0]
+        inside = moo.nondominated_boxes(np.array(front[:2]), ref)
+        got = advisor.last_ask_info["score_fn"](X)
+        assert np.array_equal(got, ehvi(X, objective_models, inside))
+        everything = moo.nondominated_boxes(np.array(front), ref)
+        assert not np.array_equal(got, ehvi(X, objective_models, everything))
 
 
 class TestAskBatch:
@@ -483,6 +527,18 @@ class TestAskBatch:
         asked = [a.ask() for _ in range(3)]
         assert asked == b.ask_batch(3)
         assert len(set(asked)) == 3 and a.num_pending == b.num_pending == 3
+
+    def test_partial_batch_when_the_space_runs_out(self):
+        space = SearchSpace(
+            [ParameterSpec("a", "int", low=0, high=2), ParameterSpec("b", "int", low=0, high=3)]
+        )
+        task = TaskSpec(space=space, init_count=2, max_runs=40, algorithm="prf", seed=5)
+        advisor = Advisor(task)
+        assert [len(advisor.ask_batch(5)) for _ in range(3)] == [5, 5, 2]
+        assert advisor.num_pending == 12
+        with pytest.raises(ExhaustedSpaceError):
+            advisor.ask_batch(5)
+        assert advisor.num_pending == 12
 
     def test_constant_liar_follower_describes_itself(self):
         task = TaskSpec(space=float_space(2), init_count=4, max_runs=40, algorithm="prf", seed=3)

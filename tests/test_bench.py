@@ -188,6 +188,18 @@ class TestRankArithmetic:
             assert total == k * (k + 1) / 2
 
 
+class TestAverageRanks:
+    def test_matches_scipy_rankdata(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(0)
+        values = np.array([-1.0, 0.0, 0.5, 2.0, math.inf])
+        for _ in range(2000):
+            scores = list(rng.choice(values, size=int(rng.integers(2, 6))))
+            ranks = bench._average_ranks(scores)
+            assert ranks.tobytes() == rankdata(scores, method="average").tobytes()
+
+
 class TestRunBenchmarkEndToEnd:
     def test_reproducible_rows(self):
         kwargs = dict(

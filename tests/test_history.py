@@ -161,6 +161,28 @@ class TestParetoFront:
         assert len(got) == len(expected)
         assert all(a is b for a, b in zip(got, expected))
 
+class TestReferencePoint:
+    def test_task_point(self):
+        h = History("t", num_objectives=2, ref_point=(2, 3))
+        h.record(obs(0.1, [5.0, 5.0]))
+        ref = h.reference_point()
+        assert ref.dtype == float and list(ref) == [2.0, 3.0]
+
+    def test_default_worst_plus_ten_percent(self):
+        h = History("t", num_objectives=2)
+        h.record(obs(0.1, [1.0, -2.0]))
+        h.record(obs(0.2, [4.0, -4.0]))
+        h.record(obs(0.3, None, state=TrialState.FAILED))
+        assert list(h.reference_point()) == pytest.approx([4.4, -1.8])
+        assert np.array_equal(h.reference_point(), h.default_ref_point())
+
+    def test_none_before_any_success(self):
+        h = History("t", num_objectives=2)
+        assert h.reference_point() is None
+        h.record(obs(0.3, None, state=TrialState.FAILED))
+        assert h.reference_point() is None
+
+
 class TestTrainingTargets:
     def test_impute_worst_arithmetic(self):
         h = History("t", num_objectives=1)
