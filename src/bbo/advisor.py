@@ -403,10 +403,10 @@ class Advisor:
     def _fit(self, lies: list) -> tuple[list, list]:
         """One model per objective column, then one per constraint column, fit
         on the told rows followed by the ``lies`` (pending rows told at the
-        median observed values). Either needs 2 told rows. Without lies this
-        is the cached refit: it counts toward the deep-fit schedule and
-        warm-starts each GP fit; with lies every GP fit is a cold multi-start
-        search."""
+        median observed values). Either needs 2 told rows. Each GP fit
+        warm-starts from the store of hyperparameters; without lies this is
+        the cached refit, which counts toward the deep-fit schedule and alone
+        writes the store."""
         Y, C = self._history.training_targets()
         if Y.shape[0] < 2:
             raise InsufficientDataError("need at least 2 told rows to fit surrogates")
@@ -416,17 +416,18 @@ class Advisor:
         else:
             self._refit_count += 1
         X = self._encode(self._told + lies)
+        write_store = not lies
         objective_models = [
-            self._fit_one(X, Y[:, j], None if lies else ("obj", j)) for j in range(Y.shape[1])
+            self._fit_one(X, Y[:, j], ("obj", j), write_store) for j in range(Y.shape[1])
         ]
         constraint_models = [
-            self._fit_one(X, C[:, j], None if lies else ("con", j)) for j in range(C.shape[1])
+            self._fit_one(X, C[:, j], ("con", j), write_store) for j in range(C.shape[1])
         ]
         return objective_models, constraint_models
 
-    def _fit_one(self, X: np.ndarray, y: np.ndarray, warm_key: Optional[tuple]):
+    def _fit_one(self, X: np.ndarray, y: np.ndarray, warm_key: tuple, write_store: bool):
         if self.plan.surrogate_kind == GP:
-            warm = self._warm_hypers.get(warm_key) if warm_key is not None else None
+            warm = self._warm_hypers.get(warm_key)
             # the first fit and every 10th refit run the full multi-start
             # search to escape hyperparameter local optima (see README)
             deep = warm is None or self._refit_count % 10 == 1
@@ -437,7 +438,7 @@ class Advisor:
                 rng=self._rng,
                 extra_inits=(warm,) if warm is not None else (),
             )
-            if warm_key is not None:
+            if write_store:
                 self._warm_hypers[warm_key] = model.log_hypers
             return model
         return fit_prf(X, y, rng=self._rng)

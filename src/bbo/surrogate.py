@@ -38,6 +38,7 @@ NOISE_VAR_BOUNDS = (1e-8, 1e-1)
 
 JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 _LBFGS_MAXITER = 60  # iterations per hyperparameter start
+_LBFGS_STOP_NATS = 1e-3  # an L-BFGS start stops once an iteration gains less LML
 _FEATURE_FRACTION = 0.8  # share of features each forest split considers
 _N_TREES = 10
 _MIN_SAMPLES_LEAF = 3
@@ -370,7 +371,11 @@ def fit_gp(
     y_std = (y - y_mean) / y_scale
     d2 = _sq_dists_per_dim(X)
 
+    first = []  # (start, value): the start's own evaluation, handed to minimize once
+
     def objective(theta):
+        if first and np.array_equal(theta, first[0][0]):
+            return first.pop()[1]
         try:
             lml, grad = _lml_and_grad(y_std, theta, d2)
         except NumericError:
@@ -392,13 +397,21 @@ def fit_gp(
 
     best_theta, best_val = None, np.inf
     for theta0 in inits:
+        start_value = objective(theta0)
+        first[:] = [(theta0, start_value)]
+        # L-BFGS-B stops when (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ftol;
+        # scaling ftol by the start's |f| stops an iteration that gains under
+        # _LBFGS_STOP_NATS while |LML| stays near its start value, as in a
+        # warm refit. Where |LML| grows during a deep start the threshold is
+        # looser. Never tighter than 1e-8, which a 1e25 penalty start keeps.
+        ftol = max(1e-8, _LBFGS_STOP_NATS / max(1.0, abs(start_value[0])))
         res = optimize.minimize(
             objective,
             theta0,
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": _LBFGS_MAXITER, "ftol": 1e-8, "gtol": 1e-4},
+            options={"maxiter": _LBFGS_MAXITER, "ftol": ftol, "gtol": 1e-4},
         )
         if res.fun < best_val:
             best_val = res.fun

@@ -345,6 +345,41 @@ class TestRefitSchedule:
         assert fits[10] == (2, 1)
         assert [restarts for restarts, _ in fits[:11]] == [2] + [0] * 9 + [2]
 
+    def test_constant_liar_follower_reads_the_warm_store_only(self, monkeypatch):
+        from bbo import advisor as advisor_module
+        from bbo import surrogate
+
+        task = TaskSpec(
+            space=float_space(2), num_objectives=2, init_count=4, max_runs=40, algorithm="gp", seed=7
+        )
+        advisor = told_advisor(task, lambda c: [c["x0"], 1.0 - c["x0"] + c["x1"]], 6)
+        advisor.ask()  # the leader: the cached refit writes the store
+        assert advisor.plan.batch_strategy == "constant_liar_median"
+        stored = {key: value.copy() for key, value in advisor._warm_hypers.items()}
+        assert sorted(stored) == [("obj", 0), ("obj", 1)]
+
+        first_starts = []
+        fit_gp, minimize = advisor_module.fit_gp, surrogate.optimize.minimize
+
+        def recording_fit(X, y, **kwargs):
+            first_starts.append(None)
+            return fit_gp(X, y, **kwargs)
+
+        def recording_minimize(fun, x0, *args, **kwargs):
+            if first_starts[-1] is None:
+                first_starts[-1] = np.array(x0, copy=True)
+            return minimize(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(advisor_module, "fit_gp", recording_fit)
+        monkeypatch.setattr(surrogate.optimize, "minimize", recording_minimize)
+        advisor.ask()  # a follower: one pending lie
+        assert len(first_starts) == 2
+        for j, start in enumerate(first_starts):
+            np.testing.assert_array_equal(start, stored[("obj", j)])
+        assert advisor._warm_hypers.keys() == stored.keys()
+        for key, value in stored.items():
+            np.testing.assert_array_equal(advisor._warm_hypers[key], value)
+
 
 class TestRandomFallback:
     """Every phase that yields no row falls back to one random unseen row."""

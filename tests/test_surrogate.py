@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from bbo import surrogate
@@ -189,6 +190,90 @@ class TestStartRule:
         assert len(starts) == 4
         np.testing.assert_array_equal(starts[0], self.WARM)
         np.testing.assert_array_equal(starts[1], self.DEFAULT)
+
+
+class TestStopRule:
+    """Each L-BFGS start stops once an iteration gains under about 1e-3 nats."""
+
+    @pytest.fixture
+    def results(self, monkeypatch):
+        """(ftol, result) of every optimize.minimize call."""
+        calls = []
+        _load_gp_libraries()
+        minimize = surrogate.optimize.minimize
+
+        def recording(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            calls.append((kwargs["options"]["ftol"], res))
+            return res
+
+        monkeypatch.setattr(surrogate.optimize, "minimize", recording)
+        return calls
+
+    @staticmethod
+    def linear_rows(seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(39, 2))
+        return X, 6.0 - (5.0 * X[:, 1] + 8.1 * X[:, 0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_warm_refit_on_noiseless_linear_targets(self, seed, results):
+        X, y = self.linear_rows(seed)
+        warm = fit_gp(X[:38], y[:38]).log_hypers
+        results.clear()
+        fit_gp(X, y, restarts=0, extra_inits=(warm,))
+        ((_, res),) = results
+        assert res.message.startswith("CONVERGENCE"), res.message
+        assert res.nfev <= 20
+
+        # reference: the same start run by scipy with a tight relative stop
+        y_std = (y - y.mean()) / y.std()
+        d2 = _sq_dists_per_dim(X)
+
+        def negative_lml(theta):
+            lml, grad = _lml_and_grad(y_std, theta, d2)
+            return -lml, -grad
+
+        lower, upper = np.log(
+            [surrogate.LENGTHSCALE_BOUNDS] * 2 + [surrogate.SIGNAL_VAR_BOUNDS, surrogate.NOISE_VAR_BOUNDS]
+        ).T
+        reference = scipy.optimize.minimize(
+            negative_lml,
+            warm,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(lower, upper)),
+            options={"maxiter": surrogate._LBFGS_MAXITER, "ftol": 1e-12, "gtol": 1e-4},
+        )
+        assert -res.fun >= -reference.fun - 1e-3
+
+    def test_start_value_is_evaluated_once(self, results, monkeypatch):
+        evaluations = []
+
+        def counting(*args):
+            evaluations.append(1)
+            return _lml_and_grad(*args)
+
+        monkeypatch.setattr(surrogate, "_lml_and_grad", counting)
+        fit_gp(*TestStartRule.problem(), restarts=2, extra_inits=(TestStartRule.WARM,))
+        assert len(results) == 4
+        assert len(evaluations) == sum(res.nfev for _, res in results)
+
+    def test_penalized_start_keeps_the_relative_stop(self, results, monkeypatch):
+        evaluations = []
+
+        def failing_first(y, theta, d2):
+            evaluations.append(1)
+            if len(evaluations) == 1:
+                raise NumericError("not positive definite")
+            return _lml_and_grad(y, theta, d2)
+
+        monkeypatch.setattr(surrogate, "_lml_and_grad", failing_first)
+        fit_gp(*TestStartRule.problem(), restarts=1, extra_inits=(TestStartRule.WARM,))
+        assert results[0][0] == 1e-8
+        assert results[0][1].fun == 1e25
+        # the other starts scale the stop by their start's likelihood
+        assert all(ftol > 1e-8 for ftol, _ in results[1:])
 
 
 class TestPRF:

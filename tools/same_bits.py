@@ -31,6 +31,11 @@ estimator draws one permutation and one background row per sample and
 trees that draw each explicand's permutations as one matrix with a
 stratified background; compare it only between trees that draw alike.
 
+Every line with a GP in it (the ``gp-*``, ``async-workers``, ``hv``,
+``hv-m3`` and ``importance`` lines) differs by design between trees whose
+GP hyperparameter fits stop on different rules or warm-start constant-liar
+refits differently; the random, DE, NSGA-II and PRF lines do not.
+
 Two source trees whose advisors suggest the same configurations print the
 same lines, so a refactor that claims identical suggestions can be checked
 by running this script once per tree:
