@@ -25,15 +25,14 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, ndtr
 
 from .errors import ExhaustedSpaceError
 from .space import (
     CATEGORICAL,
     FLOAT,
     SearchSpace,
+    _GRID,
     _code_bounds,
-    _snap_unit,
     all_codes,
     encode_codes,
     sample_codes,
@@ -42,6 +41,15 @@ from .space import (
 
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def _load_special() -> None:
+    """Bind scipy.special's ``erfc`` and ``ndtr`` as module globals on first
+    use, unless already bound (so a test's stand-in stays in place): loading
+    scipy.special takes most of what ``import bbo`` would otherwise cost."""
+    global erfc, ndtr
+    if "ndtr" not in globals():
+        from scipy.special import erfc, ndtr
 
 
 def _gaussian_ei(improve, sigma):
@@ -71,6 +79,7 @@ def expected_improvement(mean, variance, eta):
 
     Degenerates to max(eta - mean, 0) at zero variance.
     """
+    _load_special()
     improve = eta - np.asarray(mean, dtype=float)
     sigma = np.sqrt(np.maximum(np.asarray(variance, dtype=float), 0.0))
     out = np.maximum(_by_sigma(improve, sigma, _gaussian_ei, lambda a: np.maximum(a, 0.0)), 0.0)
@@ -79,6 +88,7 @@ def expected_improvement(mean, variance, eta):
 
 def probability_of_feasibility(mean, variance):
     """P(c <= 0) under a Gaussian predictive; indicator(mean <= 0) at sigma = 0."""
+    _load_special()
     mean = np.asarray(mean, dtype=float)
     sigma = np.sqrt(np.maximum(np.asarray(variance, dtype=float), 0.0))
     pof = _by_sigma(mean, sigma, lambda a, s: ndtr(-a / s), lambda a: a <= 0)
@@ -98,9 +108,27 @@ def feasibility_product(constraint_models: list, X: np.ndarray) -> np.ndarray:
 _EHVI_CHUNK_ELEMENTS = 1 << 16
 
 
-def ehvi(x_encoded, objective_models: list, boxes: tuple):
-    """Exact expected hypervolume improvement over the ``(lower, upper)``
-    boxes of :func:`bbo.moo.nondominated_boxes`, one model per objective.
+def ehvi_tables(boxes: tuple) -> list:
+    """The front's part of :func:`ehvi`, built once per front from the
+    ``(lower, upper)`` boxes of :func:`bbo.moo.nondominated_boxes`: for
+    each objective, its distinct finite bounds in ascending order, and each
+    box's row into them for its upper and for its lower bound, where the
+    row past the last bound stands for -inf."""
+    lower, upper = boxes
+    tables = []
+    for j in range(upper.shape[1]):
+        bounds = np.concatenate([upper[:, j], lower[:, j]])
+        finite = np.isfinite(bounds)
+        values, rows = np.unique(bounds[finite], return_inverse=True)
+        index = np.full(len(bounds), len(values))
+        index[finite] = rows
+        tables.append((values[:, None], index[: len(upper)], index[len(upper) :]))
+    return tables
+
+
+def ehvi(x_encoded, objective_models: list, tables: list):
+    """Exact expected hypervolume improvement over the boxes of a front,
+    given as its :func:`ehvi_tables`, one model per objective.
 
     The objectives are independent Gaussians and the boxes [l, u] are
     disjoint, so the expected gain is the sum over boxes of
@@ -113,31 +141,20 @@ def ehvi(x_encoded, objective_models: list, boxes: tuple):
     in chunks, so memory stays O(rows x chunk) however many boxes there are.
     """
     X = np.atleast_2d(np.asarray(x_encoded, dtype=float))
-    predictions = [model.predict(X) for model in objective_models]
-    mu = np.column_stack([mean for mean, _ in predictions])  # (q, m)
-    var = np.column_stack([variance for _, variance in predictions])
-    lower, upper = boxes
-    q, m = mu.shape
-    # per objective: G at each distinct finite bound, one row per bound and a
-    # last row of zeros for -inf, and each box's row for its upper and lower bound
-    tables = []
-    for j in range(m):
-        bounds = np.concatenate([upper[:, j], lower[:, j]])
-        finite = np.isfinite(bounds)
-        values, rows = np.unique(bounds[finite], return_inverse=True)
-        G = np.zeros((len(values) + 1, q))
-        G[:-1] = expected_improvement(mu[:, j], var[:, j], values[:, None])
-        index = np.full(len(bounds), len(values))
-        index[finite] = rows
-        tables.append((G, index[: len(upper)], index[len(upper) :]))
+    q = X.shape[0]
+    G = []  # per objective: G at each bound, one row per bound, then zeros for -inf
+    for model, (values, _, _) in zip(objective_models, tables):
+        mean, variance = model.predict(X)
+        G.append(np.zeros((len(values) + 1, q)))
+        G[-1][:-1] = expected_improvement(mean, variance, values)
 
     scores = np.zeros(q)
     chunk = max(1, _EHVI_CHUNK_ELEMENTS // q)
-    for start in range(0, len(upper), chunk):
+    for start in range(0, len(tables[0][1]), chunk):
         box = slice(start, start + chunk)
         volume = 1.0
-        for G, up, lo in tables:
-            volume = volume * (G[up[box]] - G[lo[box]])
+        for G_j, (_, up, lo) in zip(G, tables):
+            volume = volume * (G_j[up[box]] - G_j[lo[box]])
         scores += volume.sum(axis=0)
     scores = np.maximum(scores, 0.0)  # G is monotone, but its rounding need not be
     return float(scores[0]) if np.ndim(x_encoded) == 1 else scores
@@ -178,6 +195,7 @@ def local_penalization(
         raise ValueError("Lipschitz estimate must be > 0")
     if not len(pending):
         return score
+    _load_special()
     X = np.atleast_2d(np.asarray(x_encoded, dtype=float))
     P = np.vstack(pending)
     mu_p, var_p = model.predict(P)
@@ -257,10 +275,15 @@ def _unseen(codes: np.ndarray, known: tuple, distinct: bool) -> np.ndarray:
     for byte (:func:`_first_equal`), so a collision costs time, never a row."""
     h = _row_hashes(codes)
     known_hashes, known_rows = known
-    shared = _member(h, known_hashes)
+    # the shared hashes: the known ones found among the rows' sorted hashes
+    # and, when distinct, those that occur twice; usually there are none, and
+    # no row is searched for
+    ranked = np.sort(h)
+    shared_hashes = known_hashes[_member(known_hashes, ranked)]
     if distinct:
-        _, inverse, counts = np.unique(h, return_inverse=True, return_counts=True)
-        shared |= counts[inverse] > 1
+        twice = ranked[1:][ranked[1:] == ranked[:-1]]
+        shared_hashes = np.sort(np.concatenate([shared_hashes, twice]))
+    shared = _member(h, shared_hashes)
     keep = ~shared
     suspects = np.flatnonzero(shared)
     if len(suspects):
@@ -292,20 +315,22 @@ def _jittered(space: SearchSpace, codes: np.ndarray, rng: np.random.Generator) -
 
 @lru_cache(maxsize=16)
 def _move_table(space: SearchSpace) -> tuple:
-    """The coordinate moves of the local search, in neighbour order, as
-    arrays: each move's column, its sign (add +-delta to a float, +-1 to an
-    int value or ordinal rank; 0 sets a category), the category it sets,
-    whether the column is a float, and the column's code bounds."""
+    """The coordinate moves of the local search, in neighbour order: each
+    move's column, then (moves, 1) arrays that broadcast over a (moves, rows)
+    array of the moved column's values: the factor on the old value (0 where
+    a move sets a category), the sign of a float's +-delta step, the
+    constant added (+-1 to an int value or ordinal rank, the category set),
+    and the column's code bounds."""
     moves = []
     for j, spec in enumerate(space.parameters):
         if spec.kind == FLOAT:
-            moves += [(j, 1.0, 0, True, 0, 1), (j, -1.0, 0, True, 0, 1)]
+            moves += [(j, 1, 1, 0, 0, 1), (j, 1, -1, 0, 0, 1)]
         elif spec.kind == CATEGORICAL:
-            moves += [(j, 0.0, c, False, 0, spec.n_values() - 1) for c in range(spec.n_values())]
+            moves += [(j, 0, 0, c, 0, spec.n_values() - 1) for c in range(spec.n_values())]
         else:
-            moves += [(j, sign, 0, False, *_code_bounds(spec)) for sign in (-1.0, 1.0)]
-    column, sign, value, is_float, lo, hi = (np.array(field) for field in zip(*moves))
-    return column, sign, value.astype(float), is_float, lo.astype(float), hi.astype(float)
+            moves += [(j, 1, 0, sign, *_code_bounds(spec)) for sign in (-1, 1)]
+    column, *fields = zip(*moves)
+    return (np.array(column), *(np.array(field, dtype=float)[:, None] for field in fields))
 
 
 def _neighbours(space: SearchSpace, codes: np.ndarray, deltas: np.ndarray):
@@ -314,17 +339,28 @@ def _neighbours(space: SearchSpace, codes: np.ndarray, deltas: np.ndarray):
     and ordinal ranks, every other choice on categoricals. All moves are
     made as one (moves, rows) array of the moved column's new values, and
     only that column is snapped; neighbours equal to their row are dropped."""
-    column, sign, value, is_float, lo, hi = _move_table(space)
+    column, keep, step, add, lo, hi = _move_table(space)
     current = codes[:, column].T
-    step = np.where(is_float[:, None], deltas, 1.0)
-    moved = np.where(sign[:, None] != 0, current + sign[:, None] * step, value[:, None])
-    moved = np.clip(moved, lo[:, None], hi[:, None])
-    moved[is_float] = _snap_unit(moved[is_float])
+    moved = np.minimum(np.maximum(current * keep + step * deltas + add, lo), hi)
+    # onto the float grid; integer codes are on it already, and stay as they are
+    moved = np.rint(moved * _GRID) / _GRID + 0.0
     changed = moved != current
     move, origin = np.nonzero(changed)
     neighbours = codes[origin]
     neighbours[np.arange(len(origin)), column[move]] = moved[changed]
     return neighbours, origin
+
+
+def _top(scores: np.ndarray, k: int) -> np.ndarray:
+    """The first k indices of ``np.argsort(-scores, kind="stable")``: larger
+    scores first, ties to the lower index, -0.0 equal to 0.0 and NaN after
+    every number. Without NaN, only the scores at or above the k-th largest
+    are sorted."""
+    n = len(scores)
+    if k >= n or np.isnan(scores).any():
+        return np.argsort(-scores, kind="stable")[:k]
+    chosen = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    return chosen[np.argsort(-scores[chosen], kind="stable")[:k]]
 
 
 def maximize_acquisition(
@@ -345,7 +381,8 @@ def maximize_acquisition(
     ``max(n_candidates, 100000)`` configurations, all of them), runs
     coordinate-wise local search from the best ``n_local_starts``, and
     returns the best-scoring row as a (1, #parameters) code matrix (the
-    first one scored on ties).
+    first one scored on ties). Scores rank as in :func:`_top`, so a NaN
+    score ranks below every number.
 
     No scored row equals a known row, and the pool holds each row once.
     Rows are keyed by their bytes through a 64-bit hash per row: the known
@@ -378,31 +415,39 @@ def maximize_acquisition(
     found, found_scores = [pool], [pool_scores]
 
     if not exhaustive and n_local_starts > 0:
-        starts = np.argsort(-pool_scores, kind="stable")[:n_local_starts]
+        # the starts still improving: their rows, scores and step sizes
+        # (every parameter's step starts at _STEP_INIT and halves together)
+        starts = _top(pool_scores, n_local_starts)
         current, current_score = pool[starts], pool_scores[starts]
-        # every parameter's step starts at _STEP_INIT and halves together
         deltas = np.full(len(starts), _STEP_INIT)
-        active = np.arange(len(starts))
         for _ in range(_LOCAL_STEPS):
-            if not len(active):
+            if not len(current):
                 break
-            moved, origin = _neighbours(space, current[active], deltas[active])
+            moved, origin = _neighbours(space, current, deltas)
             keep = _unseen(moved, known_index, distinct=False)
-            moved, origin = moved[keep], origin[keep]
+            if not keep.all():
+                moved, origin = moved[keep], origin[keep]
             scores = score(moved) if len(moved) else np.empty(0)
             found.append(moved)
             found_scores.append(scores)
             # best neighbour of each start, the first generated on ties
-            order = np.lexsort((np.arange(len(scores)), -scores, origin))
-            first = order[np.diff(origin[order], prepend=-1) != 0]
-            best = np.full(len(active), -np.inf)
-            best[origin[first]] = scores[first]
-            improved = best > current_score[active]
-            winners = first[improved[origin[first]]]
-            current[active[origin[winners]]] = moved[winners]
-            current_score[active[improved]] = best[improved]
-            deltas[active[~improved]] *= 0.5
-            active = active[improved | (deltas[active] >= _STEP_MIN)]
+            order = np.lexsort((-scores, origin))
+            ranked = origin[order]
+            leads = np.ones(len(order), dtype=bool)  # the first of each origin's run
+            leads[1:] = ranked[1:] != ranked[:-1]
+            first, ranked = order[leads], ranked[leads]
+            best = np.full(len(current), -np.inf)
+            best[ranked] = scores[first]
+            improved = best > current_score
+            current[improved] = moved[first[improved[ranked]]]
+            current_score[improved] = best[improved]
+            deltas[~improved] *= 0.5
+            going = improved | (deltas >= _STEP_MIN)
+            current, current_score, deltas = current[going], current_score[going], deltas[going]
 
-    top = np.argsort(-np.concatenate(found_scores), kind="stable")[0]
-    return np.vstack(found)[top : top + 1]
+    # the first best row scored, sliced out of its own block
+    (top,) = _top(np.concatenate(found_scores), 1)
+    for rows in found:
+        if top < len(rows):
+            return rows[top : top + 1]
+        top -= len(rows)

@@ -27,7 +27,9 @@ import numpy as np
 
 from . import evolution, moo
 from .acquisition import (
+    _load_special,
     ehvi,
+    ehvi_tables,
     estimate_lipschitz,
     expected_improvement,
     feasibility_product,
@@ -257,8 +259,11 @@ class Advisor:
         self._warm_hypers: dict = {}
         self._refit_count = 0
         self._encoding = ONE_HOT if self.plan.surrogate_kind == GP else INDEX
+        # import scipy's normal CDF (and for a GP its optimizer and LAPACK)
+        # now, not in the first model-based ask
+        if self.plan.surrogate_kind != NONE:
+            _load_special()
         if self.plan.surrogate_kind == GP:
-            # import scipy's optimizer and LAPACK now, not in the first model-based ask
             _load_gp_libraries()
         self.last_ask_info: dict = {}
 
@@ -447,18 +452,19 @@ class Advisor:
         """The score of a model-based ask, built from the history: the
         improvement (EI below the incumbent for one objective; for several,
         EHVI over the boxes left undominated by the feasible front's points
-        that weakly dominate the reference point) times the product of the
-        constraints' probabilities of feasibility. With one objective and no
-        feasible point yet, the score is that product alone."""
+        that weakly dominate the reference point, tabulated once per ask)
+        times the product of the constraints' probabilities of feasibility.
+        With one objective and no feasible point yet, the score is that
+        product alone."""
         if self.task.num_objectives > 1:
             ref = self._history.reference_point()
             front = np.array([o.objectives for o in self._history.pareto_front()])
             front = front.reshape(-1, len(ref))
             inside = np.all(front <= ref, axis=1) & np.any(front < ref, axis=1)
-            boxes = moo.nondominated_boxes(front[inside], ref)
+            tables = ehvi_tables(moo.nondominated_boxes(front[inside], ref))
 
             def improvement(X):
-                return ehvi(X, objective_models, boxes)
+                return ehvi(X, objective_models, tables)
 
         else:
             best = self._history.incumbent()

@@ -238,8 +238,9 @@ def snap_codes(space: SearchSpace, codes: np.ndarray) -> np.ndarray:
 def encode_codes(space: SearchSpace, codes: np.ndarray, encoding: str = ONE_HOT) -> np.ndarray:
     """Unit-cube rows of snapped codes: floats as they are, ints linearly or
     in log10, ranks over (levels - 1) or as one-hot blocks."""
-    X = np.zeros((len(codes), space.encoded_width(encoding)))
-    for j, (spec, start, width) in enumerate(_layout(space, encoding)):
+    layout = _layout(space, encoding)
+    X = np.zeros((len(codes), sum(width for _, _, width in layout)))
+    for j, (spec, start, width) in enumerate(layout):
         col = codes[:, j]
         if width > 1:
             X[np.arange(len(codes)), start + col.astype(np.intp)] = 1.0

@@ -367,7 +367,8 @@ def fit_gp(
     n, d = X.shape
 
     y_mean = y.mean()
-    y_scale = y.std() if y.std() > 1e-12 else 1.0
+    y_scale = y.std()
+    y_scale = y_scale if y_scale > 1e-12 else 1.0
     y_std = (y - y_mean) / y_scale
     d2 = _sq_dists_per_dim(X)
 

@@ -16,8 +16,10 @@ from bbo import acquisition, moo
 from bbo.acquisition import (
     _hash_index,
     _neighbours,
+    _top,
     _unseen,
     ehvi,
+    ehvi_tables,
     estimate_lipschitz,
     expected_improvement,
     local_penalization,
@@ -61,14 +63,17 @@ def mc_ei(mean, sigma, eta, n_samples=10**6, seed=0):
     return np.maximum(eta - draws, 0.0).mean()
 
 
-def loaded_scipy_packages(code: str) -> list:
-    """Which of scipy.stats, scipy.optimize and scipy.linalg are loaded after
-    running ``code`` in a fresh interpreter with this tree's bbo on its path."""
+def loaded_scipy_packages(
+    code: str, packages: tuple = ("scipy.stats", "scipy.optimize", "scipy.linalg")
+) -> list:
+    """Which of ``packages`` (by default scipy.stats, scipy.optimize and
+    scipy.linalg) are loaded after running ``code`` in a fresh interpreter
+    with this tree's bbo on its path."""
     src = str(Path(bbo.__file__).resolve().parents[1])
     probe = (
         f"{code}\nimport json, sys\n"
         "print(json.dumps(sorted({'.'.join(k.split('.')[:2]) for k in sys.modules} & "
-        "{'scipy.stats', 'scipy.optimize', 'scipy.linalg'})))"
+        f"{set(packages)!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -111,6 +116,29 @@ advisor = Advisor(TaskSpec(SearchSpace([ParameterSpec("x", "float", low=0.0, hig
 assert advisor.plan.surrogate_kind == "GP"
 """
     assert loaded_scipy_packages(gp_advisor) == ["scipy.linalg", "scipy.optimize"]
+
+
+def test_scipy_special_loads_with_model_based_plans():
+    # EI, PoF and local penalization take erfc and ndtr from scipy.special,
+    # which would cost most of `import bbo`; a GP or PRF advisor loads it
+    # when built, and a random run and its report never do
+    special = ("scipy.special",)
+    assert loaded_scipy_packages("import bbo.cli", special) == []
+    random_run = """
+from bbo import TaskSpec, run
+from bbo.report import default_analyses
+from bbo.space import ParameterSpec, SearchSpace
+space = SearchSpace([ParameterSpec("x", "float", low=0.0, high=1.0)])
+default_analyses(run(TaskSpec(space, max_runs=6, algorithm="random"), lambda c: c["x"]).history)
+"""
+    assert loaded_scipy_packages(random_run, special) == []
+    for algorithm in ("gp", "prf"):
+        advisor = f"""
+from bbo import Advisor, TaskSpec
+from bbo.space import ParameterSpec, SearchSpace
+Advisor(TaskSpec(SearchSpace([ParameterSpec("x", "float", low=0.0, high=1.0)]), algorithm={algorithm!r}))
+"""
+        assert loaded_scipy_packages(advisor, special) == ["scipy.special"], algorithm
 
 
 class TestExpectedImprovement:
@@ -348,12 +376,12 @@ class TestEHVI:
     def test_dominated_mean_zero_variance(self):
         models = [ConstantModel(0.8, 0.0), ConstantModel(0.8, 0.0)]
         boxes = moo.nondominated_boxes(np.array([[0.5, 0.5]]), np.array([2.0, 2.0]))
-        assert ehvi(np.zeros(2), models, boxes) == 0.0
+        assert ehvi(np.zeros(2), models, ehvi_tables(boxes)) == 0.0
 
     def test_empty_front_degenerate(self):
         models = [ConstantModel(0.5, 0.0), ConstantModel(1.0, 0.0)]
         boxes = moo.nondominated_boxes(np.empty((0, 2)), np.array([2.0, 2.0]))
-        score = ehvi(np.zeros(2), models, boxes)
+        score = ehvi(np.zeros(2), models, ehvi_tables(boxes))
         assert score == pytest.approx((2.0 - 0.5) * (2.0 - 1.0))
 
     def test_matches_exact_oracle(self):
@@ -362,23 +390,23 @@ class TestEHVI:
         mu, sigma = (0.5, 0.5), (0.1, 0.1)
         models = [ConstantModel(mu[0], sigma[0] ** 2), ConstantModel(mu[1], sigma[1] ** 2)]
         exact = exact_ehvi_2d(front, ref, mu, sigma)
-        got = ehvi(np.zeros(2), models, moo.nondominated_boxes(front, ref))
+        got = ehvi(np.zeros(2), models, ehvi_tables(moo.nondominated_boxes(front, ref)))
         assert abs(got - exact) <= 1e-12 * exact
 
     def test_repeat_calls_equal(self):
         models = [ConstantModel(0.5, 0.04), ConstantModel(0.5, 0.04)]
         boxes = moo.nondominated_boxes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 2.0]))
-        single = ehvi(np.zeros(2), models, boxes)
-        assert single == ehvi(np.zeros(2), models, boxes)
+        single = ehvi(np.zeros(2), models, ehvi_tables(boxes))
+        assert single == ehvi(np.zeros(2), models, ehvi_tables(boxes))
         # enough rows that the three boxes' volumes are summed in two chunks
         X = np.zeros((30_000, 2))
-        batch = ehvi(X, models, boxes)
-        assert np.array_equal(batch, ehvi(X, models, boxes))
+        batch = ehvi(X, models, ehvi_tables(boxes))
+        assert np.array_equal(batch, ehvi(X, models, ehvi_tables(boxes)))
         np.testing.assert_allclose(batch, single, rtol=1e-12)
 
     def test_three_objectives_path(self):
         boxes = moo.nondominated_boxes(np.array([[0.6, 0.6, 0.6]]), np.ones(3))
-        score = ehvi(np.zeros(3), [ConstantModel(0.4, 0.0)] * 3, boxes)
+        score = ehvi(np.zeros(3), [ConstantModel(0.4, 0.0)] * 3, ehvi_tables(boxes))
         # deterministic means: improvement = HV{(.4,.4,.4),(.6,.6,.6)} - HV{(.6,.6,.6)}
         assert score == pytest.approx(0.6**3 - 0.4**3)
 
@@ -399,7 +427,7 @@ class TestEHVI:
             var = rng.uniform(0.0, 1.0, size=(q, 2)) * (rng.uniform(size=(q, 2)) < 0.8)
             models = [TableModel(mu[:, 0], var[:, 0]), TableModel(mu[:, 1], var[:, 1])]
             X = np.arange(q, dtype=float)[:, None]
-            got = ehvi(X, models, moo.nondominated_boxes(front, ref))
+            got = ehvi(X, models, ehvi_tables(moo.nondominated_boxes(front, ref)))
             pareto = front[moo._pareto_filter(front)]
             want = np.array([exact_ehvi_2d(pareto, ref, mu[i], np.sqrt(var[i])) for i in range(q)])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(want.max(), 1e-300))
@@ -439,7 +467,7 @@ class TestEHVI:
             mu[: q // 2] = np.round(mu[: q // 2], 1)  # means on box edges
             models = [TableModel(mu[:, j], np.zeros(q)) for j in range(m)]
             boxes = moo.nondominated_boxes(front, ref)
-            got = ehvi(np.arange(q, dtype=float)[:, None], models, boxes)
+            got = ehvi(np.arange(q, dtype=float)[:, None], models, ehvi_tables(boxes))
             base = inclusion_exclusion_hv(front, ref)
             want = [
                 inclusion_exclusion_hv(np.vstack([front, np.minimum(y, ref)]), ref) - base
@@ -458,9 +486,55 @@ class TestEHVI:
             var = rng.uniform(0.0, 0.1, size=(q, m))
             models = [TableModel(mu[:, j], var[:, j]) for j in range(m)]
             boxes = moo.nondominated_boxes(front, ref)
-            got = ehvi(np.arange(q, dtype=float)[:, None], models, boxes)
+            got = ehvi(np.arange(q, dtype=float)[:, None], models, ehvi_tables(boxes))
             want, error = mc_ehvi(mu, var, front, ref, 40_000, seed=trial)
             assert np.all(np.abs(got - want) <= 4 * error), (got, want, error)
+
+
+def per_batch_ehvi(X, models, boxes):
+    """EHVI with its bound tables rebuilt from the boxes on every call, as
+    ``ehvi`` built them before they were built once per front."""
+    mu, var = (np.column_stack(column) for column in zip(*(m.predict(X) for m in models)))
+    lower, upper = boxes
+    tables = []
+    for j in range(mu.shape[1]):
+        bounds = np.concatenate([upper[:, j], lower[:, j]])
+        finite = np.isfinite(bounds)
+        values, rows = np.unique(bounds[finite], return_inverse=True)
+        G = np.zeros((len(values) + 1, len(X)))
+        G[:-1] = expected_improvement(mu[:, j], var[:, j], values[:, None])
+        index = np.full(len(bounds), len(values))
+        index[finite] = rows
+        tables.append((G, index[: len(upper)], index[len(upper) :]))
+    scores = np.zeros(len(X))
+    chunk = max(1, acquisition._EHVI_CHUNK_ELEMENTS // len(X))
+    for start in range(0, len(upper), chunk):
+        volume = 1.0
+        for G, up, lo in tables:
+            volume = volume * (G[up[start : start + chunk]] - G[lo[start : start + chunk]])
+        scores += volume.sum(axis=0)
+    return np.maximum(scores, 0.0)
+
+
+class TestEHVITables:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_table_set_serves_every_batch(self, m):
+        rng = np.random.default_rng(300 + m)
+        ref = np.ones(m)
+        for trial in range(6):
+            front = np.round(rng.uniform(size=(3 * trial, m)), 1)  # shared coordinates
+            boxes = moo.nondominated_boxes(front, ref)
+            if not trial:  # the empty front: one box, unbounded below
+                assert len(boxes[0]) == 1 and np.all(boxes[0] == -np.inf)
+            tables = ehvi_tables(boxes)
+            for q in (1, 600, 1, 600):
+                mu = rng.uniform(-0.2, 1.2, size=(q, m))
+                var = rng.uniform(0.0, 0.05, size=(q, m)) * (rng.uniform(size=(q, m)) < 0.8)
+                models = [TableModel(mu[:, j], var[:, j]) for j in range(m)]
+                X = np.arange(q, dtype=float)[:, None]
+                got = ehvi(X, models, tables)
+                assert got.tobytes() == ehvi(X, models, ehvi_tables(boxes)).tobytes()
+                assert got.tobytes() == per_batch_ehvi(X, models, boxes).tobytes()
 
 
 class TestLocalPenalization:
@@ -798,3 +872,69 @@ class TestNeighbourMoves:
         assert len(moved) == 2 + 3 + 2 + 3
         assert np.all(moved >= low)
 
+
+
+def tied_scores(rng, n):
+    """n scores on a coarse grid, so many tie exactly, with some entries
+    set to +inf, -inf, NaN and -0.0 (next to the grid's own 0.0)."""
+    scores = rng.integers(-3, 4, size=n) * 0.5
+    for value in (np.inf, -np.inf, np.nan, -0.0):
+        scores[rng.uniform(size=n) < rng.choice([0.0, 0.1, 0.5])] = value
+    return scores
+
+
+class TestSelectionContract:
+    """The search ranks scores as np.argsort(-scores, kind="stable") does:
+    larger first, ties to the lower index, -0.0 equal to 0.0, and NaN after
+    every number."""
+
+    def test_top_matches_stable_argsort(self):
+        rng = np.random.default_rng(70)
+        for _ in range(500):
+            scores = tied_scores(rng, int(rng.integers(1, 60)))
+            reference = np.argsort(-scores, kind="stable")
+            for k in {1, 2, 5, len(scores) - 1, len(scores), len(scores) + 3} - {0}:
+                np.testing.assert_array_equal(_top(scores, k), reference[:k])
+
+    def search(self, space, seed, n_local_starts=4):
+        """One search under a quantized score with NaN (and, on some seeds,
+        +inf or NaN everywhere), and the (rows, scores) of every scored block."""
+        rng = np.random.default_rng(seed)
+        peak = rng.uniform(size=space.encoded_width("one_hot"))
+        blocks = []
+
+        def score(X):
+            s = np.round(-8.0 * np.sum((X - peak) ** 2, axis=1), 1)  # -0.0 near the peak
+            s[X[:, 0] > 0.8] = np.nan
+            if seed % 5 == 1:
+                s[X[:, -1] < 0.1] = np.inf
+            if seed % 7 == 2:
+                s[:] = np.nan
+            blocks.append((X.copy(), s))
+            return s
+
+        known = sample_codes(space, 5, rng)
+        result = maximize_acquisition(
+            score, space, rng, n_candidates=200, n_local_starts=n_local_starts, known=known
+        )
+        return result, blocks, known
+
+    def test_search_returns_first_best_scored_row(self):
+        for space in (TestMaximizeAcquisition().space_2floats(), mixed12_kind_space()):
+            for seed in range(30):
+                result, blocks, _ = self.search(space, seed)
+                rows = np.vstack([X for X, _ in blocks])
+                scores = np.concatenate([s for _, s in blocks])
+                want = rows[np.argsort(-scores, kind="stable")[0]]
+                assert encode_codes(space, result)[0].tobytes() == want.tobytes(), seed
+
+    def test_local_search_starts_from_the_stable_ranking(self):
+        # floats encode as their codes, so the scored rows are code rows
+        space = TestMaximizeAcquisition().space_2floats()
+        for seed in range(30):
+            _, blocks, known = self.search(space, seed)
+            pool, pool_scores = blocks[0]
+            starts = pool[np.argsort(-pool_scores, kind="stable")[:4]]
+            moved, _ = _neighbours(space, starts, np.full(4, acquisition._STEP_INIT))
+            moved = moved[_unseen(moved, _hash_index(known), distinct=False)]
+            assert blocks[1][0].tobytes() == moved.tobytes(), seed

@@ -8,7 +8,7 @@ import pytest
 
 import bbo.advisor
 from bbo import moo
-from bbo.acquisition import ehvi
+from bbo.acquisition import ehvi, ehvi_tables
 from bbo.advisor import EHVI, Advisor, AlgorithmPlan, TaskSpec, auto_select
 from bbo.errors import (
     ExhaustedSpaceError,
@@ -477,9 +477,9 @@ class TestScoreFunction:
         objective_models = advisor._models[0]
         inside = moo.nondominated_boxes(np.array(front[:2]), ref)
         got = advisor.last_ask_info["score_fn"](X)
-        assert np.array_equal(got, ehvi(X, objective_models, inside))
+        assert np.array_equal(got, ehvi(X, objective_models, ehvi_tables(inside)))
         everything = moo.nondominated_boxes(np.array(front), ref)
-        assert not np.array_equal(got, ehvi(X, objective_models, everything))
+        assert not np.array_equal(got, ehvi(X, objective_models, ehvi_tables(everything)))
 
 
 class TestAskBatch:
