@@ -162,12 +162,14 @@ def importance_shapley(
     ex_idx = rng.permutation(n)[:_N_EXPLICANDS]
     background = X[bg_idx]
     bg_pred, _ = model.predict(background)
+    ex_pred, _ = model.predict(X[ex_idx])
     baseline = float(bg_pred.mean())
 
     ranks = np.tile(np.arange(d), (n_permutations, 1))
     n_bg = background.shape[0]
     bg_rows = np.tile(np.arange(n_bg), (-(-n_permutations // n_bg), 1))
-    steps = np.arange(d + 1)[None, :, None]
+    steps = np.arange(1, d)[None, :, None]
+    preds = np.empty((n_permutations, d + 1))
     phi = np.zeros((len(ex_idx), d))
     residuals = np.empty(len(ex_idx))
     tolerances = np.empty(len(ex_idx))
@@ -176,9 +178,12 @@ def importance_shapley(
         rank = rng.permuted(ranks, axis=1)
         # stratified background: whole shuffles of the rows, cut to S samples
         z_idx = rng.permuted(bg_rows, axis=1).ravel()[:n_permutations]
+        # hybrids 0 and d are the background row and the explicand, already
+        # predicted; the forest's predictions do not depend on the call's rows
         hybrids = np.where(rank[:, None, :] < steps, X[i], background[z_idx][:, None, :])
-        preds, _ = model.predict(hybrids.reshape(-1, d))
-        preds = preds.reshape(n_permutations, d + 1)
+        preds[:, 0] = bg_pred[z_idx]
+        preds[:, 1:d] = model.predict(hybrids.reshape(-1, d))[0].reshape(n_permutations, d - 1)
+        preds[:, d] = ex_pred[row]
         # marginal of feature f in sample s: the step that added it
         marginals = np.take_along_axis(np.diff(preds, axis=1), rank, axis=1)
         # cumsum adds sample by sample, the order of the per-sample

@@ -3,8 +3,11 @@
 Both map unit-cube encoded configurations to a predictive (mean, variance)
 pair. Targets are handled in raw units; the GP standardizes internally and
 un-standardizes on prediction. The forest keeps all its trees in one node
-table of ``[feature, threshold, left, right, mean, var]`` rows, grown,
-split and walked as arrays.
+table of ``[feature, threshold, left, right, mean, var]`` rows, grown and
+split as arrays. It predicts by stepping one walker per (tree, query row)
+through walk tables built once per forest, a fixed number of passes (the
+forest's depth), and by adding the trees' leaf values in tree order, so a
+row's prediction is the same bits whatever other rows share the call.
 
 Only the GP needs ``scipy.optimize`` (its L-BFGS hyperparameter fit) and
 ``scipy.linalg`` (its LAPACK Cholesky routines), and the two take about
@@ -437,6 +440,13 @@ class PRFModel:
     ``[feature, threshold, left, right, mean, var]`` per node; leaves have
     feature -1, and ``left``/``right`` are row indices into the same table.
     ``roots`` holds the row of each tree's root, in tree order.
+
+    The constructor derives walk tables from the node table once: a feature
+    and threshold per node, and its children in (right, left) order. A leaf
+    tests feature 0 against +inf and both its children are itself, so a
+    walker that reaches a leaf stays there. ``depth`` is the longest
+    root-to-leaf path from the given roots, the number of passes ``predict``
+    makes.
     """
 
     def __init__(self, nodes: np.ndarray, roots: np.ndarray):
@@ -444,29 +454,53 @@ class PRFModel:
             raise ValueError("forest needs at least one tree")
         self.nodes = np.asarray(nodes, dtype=float)
         self.roots = np.asarray(roots, dtype=np.int64)
+        leaf = self.nodes[:, 0] < 0
+        self._feature = np.where(leaf, 0, self.nodes[:, 0]).astype(np.int64)
+        self._threshold = np.where(leaf, np.inf, self.nodes[:, 1])
+        itself = np.arange(len(self.nodes))
+        right, left = (np.where(leaf, itself, self.nodes[:, c]).astype(np.int64) for c in (3, 2))
+        # walker at node k goes to _children[2k + (x <= threshold)]
+        self._children = np.column_stack([right, left]).ravel()
+        self.depth = 0
+        level = self.roots[~leaf[self.roots]]
+        while level.size:
+            self.depth += 1
+            level = np.concatenate([left[level], right[level]])
+            level = level[~leaf[level]]
 
     def predict(self, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ensemble mean and law-of-total-variance variance per query row."""
+        """Ensemble mean and law-of-total-variance variance per query row.
+
+        One walker per (tree, query row) steps one level a pass, ``depth``
+        passes in all. A walker goes right exactly when ``x <= threshold``
+        is false, so a NaN feature value goes right at every split. The
+        trees' leaf values are added in tree order, so a row's result does
+        not depend on the other rows of the call."""
         Xq = np.atleast_2d(np.asarray(X_query, dtype=float))
         n, d = Xq.shape
-        feature = self.nodes[:, 0].astype(np.int64)
-        children = self.nodes[:, 2:4].astype(np.int64).ravel()  # left, right per row
-        threshold, leaf_mean, leaf_var = self.nodes[:, [1, 4, 5]].T
-        # one walker per (tree, query row), all trees stepped one level a pass
         node = np.repeat(self.roots, n)
         offset = np.tile(np.arange(n) * d, len(self.roots))
         flat = Xq.ravel()
-        active = np.flatnonzero(feature[node] >= 0)
-        while active.size:
-            at = node[active]
-            go_left = flat[offset[active] + feature[at]] <= threshold[at]
-            node[active] = at = children[2 * at + ~go_left]
-            active = active[feature[at] >= 0]
+        for _ in range(self.depth):
+            go_left = flat[offset + self._feature[node]] <= self._threshold[node]
+            node = self._children[2 * node + go_left]
         shape = (len(self.roots), n)
-        means = leaf_mean[node].reshape(shape)
-        mean = means.mean(axis=0)
-        var = (leaf_var[node].reshape(shape) + means**2).mean(axis=0) - mean**2
+        means = self.nodes[node, 4].reshape(shape)
+        mean = _tree_mean(means)
+        var = _tree_mean(self.nodes[node, 5].reshape(shape) + means**2) - mean**2
         return mean, np.maximum(var, 1e-12)
+
+
+def _tree_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over axis 0 of a (trees, rows) array, the trees added in order.
+
+    This is ``values.mean(axis=0)`` bit for bit when there are two or more
+    rows; for one row numpy would add the trees pairwise instead, so the
+    row's result would depend on the call's row count."""
+    total = values[0].copy()
+    for row in values[1:]:
+        total += row
+    return total / len(values)
 
 
 def _grow_tree(

@@ -20,7 +20,7 @@ from bbo.report import (
     render_html,
 )
 from bbo.space import Configuration
-from bbo.surrogate import fit_prf
+from bbo.surrogate import PRFModel, fit_prf
 
 
 def obs(values, objectives, constraints=None, state=TrialState.SUCCESS, extra=None):
@@ -278,13 +278,23 @@ class TestImportanceShapley:
                 h.record(obs(config, [float(y)]))
         return h
 
+    def one_float_history(self, n, seed):
+        rng = np.random.default_rng(seed)
+        h = History("t", num_objectives=1)
+        for x in rng.uniform(size=n):
+            h.record(obs({"x": float(x)}, [float(np.sin(6.0 * x) + 0.1 * rng.normal())]))
+        return h
+
     @pytest.mark.parametrize(
         "case, n_permutations",
-        [("two-floats", 64), ("mixed-40", 2), ("mixed-120", 37), ("mixed-15", 16)],
+        [("two-floats", 64), ("mixed-40", 2), ("mixed-120", 37), ("mixed-15", 16), ("one-float", 64)],
     )
     def test_matches_per_sample_reference(self, case, n_permutations):
         if case == "two-floats":
             h = self.make_history(lambda a, b: float(a + 0.3 * b + a * b), n=80, seed=4)
+        elif case == "one-float":
+            # d = 1: no hybrid lies between a sample's background row and the explicand
+            h = self.one_float_history(30, seed=3)
         else:
             n = int(case.split("-")[1])
             h = self.mixed_history(n, seed=n)
@@ -295,6 +305,21 @@ class TestImportanceShapley:
         assert np.array_equal(list(result.per_parameter.values()), importance)
         assert np.array_equal(result.row_residuals, residuals)
         assert np.array_equal(result.row_tolerances, tolerances)
+
+    def test_predicts_each_hybrid_once(self, monkeypatch):
+        # the background (32 rows) and the explicands (64) are predicted
+        # once each; per explicand only hybrids 1 .. d - 1 of its samples
+        predict = PRFModel.predict
+        rows = []
+
+        def counting_predict(self, X_query):
+            rows.append(len(np.atleast_2d(X_query)))
+            return predict(self, X_query)
+
+        monkeypatch.setattr(PRFModel, "predict", counting_predict)
+        h = self.make_history(lambda a, b: float(a + 0.3 * b + a * b), n=80, seed=4)
+        importance_shapley(h, n_permutations=64, rng=np.random.default_rng(9))
+        assert sum(rows) == 32 + 64 + 64 * 64 * 1
 
 
 class TestJsonRoundTrip:

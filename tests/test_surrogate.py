@@ -516,6 +516,110 @@ def random_forest_problem(rng):
     return X, y, queries
 
 
+def reference_walk(model, queries):
+    """The forest's prediction walked one row and one tree at a time through
+    the node table (left when ``x <= threshold``, so a NaN goes right), the
+    trees' leaf values added in tree order as Python floats."""
+    nodes, trees = model.nodes, len(model.roots)
+    mean, var = np.empty(len(queries)), np.empty(len(queries))
+    for r, x in enumerate(queries):
+        leaves = []
+        for root in model.roots:
+            k = int(root)
+            while nodes[k, 0] >= 0:
+                k = int(nodes[k, 2] if x[int(nodes[k, 0])] <= nodes[k, 1] else nodes[k, 3])
+            leaves.append((float(nodes[k, 4]), float(nodes[k, 5])))
+        total, second = leaves[0][0], leaves[0][1] + leaves[0][0] * leaves[0][0]
+        for leaf_mean, leaf_var in leaves[1:]:
+            total += leaf_mean
+            second += leaf_var + leaf_mean * leaf_mean
+        mean[r] = total / trees
+        var[r] = max(second / trees - mean[r] * mean[r], 1e-12)
+    return mean, var
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def leaf_and_chain_table(n):
+    """A node table of two trees: a single leaf (root row 0) and a chain on
+    the rows x_i = i / (n - 1) whose every split peels off one row, its
+    feature alternating between 0 and 1. Children are appended before their
+    parent, so the chain's root is the last row."""
+    nodes = [[-1, 0.0, -1, -1, 7.0, 0.25]]
+    below = len(nodes)
+    nodes.append([-1, 0.0, -1, -1, float(n - 1), 0.0])
+    for j in range(n - 2, -1, -1):
+        nodes.append([-1, 0.0, -1, -1, float(j), 0.0])
+        nodes.append([j % 2, (j + 0.5) / (n - 1), len(nodes) - 1, below, j + 1.0, 2.0])
+        below = len(nodes) - 1
+    return np.array(nodes), 0, below
+
+
+class TestForestWalk:
+    """The fixed-pass walk against a per-row walker, and the row
+    independence the Shapley importance's reuse of predictions relies on."""
+
+    def test_rows_predict_alone_as_in_any_call(self):
+        for seed in range(60):
+            problem = np.random.default_rng(seed)
+            X, y, queries = random_forest_problem(problem)
+            model = fit_prf(X, y, rng=np.random.default_rng(seed))
+            mean, var = model.predict(queries)
+            idx = problem.integers(len(queries), size=int(problem.integers(2, 40)))
+            assert_same_bits(model.predict(queries[idx]), (mean[idx], var[idx]))
+            for i in problem.integers(len(queries), size=5):
+                assert_same_bits(model.predict(queries[i]), (mean[i : i + 1], var[i : i + 1]))
+                assert_same_bits(model.predict(queries[i : i + 1]), (mean[i : i + 1], var[i : i + 1]))
+
+    def test_matches_reference_walker_one_row_at_a_time(self):
+        for seed in range(30):
+            problem = np.random.default_rng(seed)
+            X, y, queries = random_forest_problem(problem)
+            model = fit_prf(X, y, rng=np.random.default_rng(seed))
+            assert_same_bits(model.predict(queries), reference_walk(model, queries))
+            assert_same_bits(model.predict(queries[:1]), reference_walk(model, queries[:1]))
+
+    def test_nan_goes_right_at_every_split(self):
+        for seed in range(30):
+            problem = np.random.default_rng(seed)
+            X, y, queries = random_forest_problem(problem)
+            model = fit_prf(X, y, rng=np.random.default_rng(seed))
+            queries = queries.copy()
+            queries[problem.random(queries.shape) < 0.3] = np.nan
+            queries = np.vstack([queries, np.full(X.shape[1], np.nan)])
+            assert_same_bits(model.predict(queries), reference_walk(model, queries))
+        # a one-split tree sends NaN to its right leaf
+        nodes = np.array([[0, 0.5, 1, 2, 0.0, 0.0], [-1, 0.0, -1, -1, -1.0, 0.0], [-1, 0.0, -1, -1, 1.0, 0.0]])
+        mean, _ = PRFModel(nodes, [0]).predict(np.array([[np.nan], [0.2], [0.9]]))
+        assert mean.tolist() == [1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_hand_built_leaf_and_chain_trees(self, n):
+        nodes, leaf_root, chain_root = leaf_and_chain_table(n)
+        grid = np.linspace(0.0, 1.0, n)
+        thresholds = (np.arange(n - 1) + 0.5) / (n - 1)
+        rng = np.random.default_rng(n)
+        queries = np.vstack(
+            [
+                np.column_stack([grid, grid]),
+                np.column_stack([thresholds, thresholds]),
+                rng.uniform(-0.5, 1.5, size=(40, 2)),
+                [[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]],
+            ]
+        )
+        forest = PRFModel(nodes, [leaf_root, chain_root])
+        leaf, chain = PRFModel(nodes, [leaf_root]), PRFModel(nodes, [chain_root])
+        assert (forest.depth, leaf.depth, chain.depth) == (n - 1, 0, n - 1)
+        for model in (forest, leaf, chain):
+            assert_same_bits(model.predict(queries), reference_walk(model, queries))
+        # the chain leaves each training row in its own leaf
+        assert chain.predict(np.column_stack([grid, grid]))[0].tolist() == list(range(n))
+        assert np.all(leaf.predict(queries)[0] == 7.0)
+
+
 # --- oracles: the GP linear algebra through scipy's checked wrappers and an
 # (n, n, d) distance tensor, as the kernels were before they called LAPACK
 # directly on a dimension-major tensor ---
