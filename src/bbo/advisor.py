@@ -51,7 +51,7 @@ from .space import (
     sample_codes,
     to_codes,
 )
-from .surrogate import _load_gp_libraries, fit_gp, fit_prf, one_blas_thread
+from .surrogate import GPModel, _load_gp_libraries, fit_gp, fit_prf, one_blas_thread
 
 GP = "GP"
 PRF = "PRF"
@@ -231,11 +231,11 @@ class Advisor:
     """Stateful ask-and-tell suggestion engine for one task.
 
     Each suggestion passes a phase gate and, once the initial design is
-    told, a model-based ask: models (the cached refit, or a constant-liar
-    refit while suggestions of that strategy are pending), then a score
-    (locally penalized around the pending points under that strategy), then
-    one acquisition maximization. ``last_ask_info`` describes the latest
-    suggestion.
+    told, a model-based ask: models (the fit on the told rows, or, while
+    suggestions of the constant-liar strategy are pending, models that also
+    train on them), then a score (locally penalized around the pending
+    points under that strategy), then one acquisition maximization.
+    ``last_ask_info`` describes the latest suggestion.
     """
 
     def __init__(self, task: TaskSpec):
@@ -254,9 +254,10 @@ class Advisor:
         self._pending: dict[bytes, np.ndarray] = {}
         # the code row of every observation, in tell order: the training inputs
         self._told: list[np.ndarray] = []
-        # (objective models, constraint models) fit on the told rows; tell clears it
+        # (objective models, constraint models) last fit on the told rows, and
+        # whether no tell has come since; later fits start from it
         self._models: Optional[tuple[list, list]] = None
-        self._warm_hypers: dict = {}
+        self._models_current = False
         self._refit_count = 0
         self._encoding = ONE_HOT if self.plan.surrogate_kind == GP else INDEX
         # import scipy's normal CDF (and for a GP its optimizer and LAPACK)
@@ -331,7 +332,7 @@ class Advisor:
         self._told.append(row)
         self._pending.pop(key, None)
         self._seen.setdefault(key, row)
-        self._models = None
+        self._models_current = False
         if self._ea is not None:
             self._ea.receive(key, obs)
 
@@ -406,12 +407,11 @@ class Advisor:
         return encode_codes(self.task.space, np.array(rows), self._encoding)
 
     def _fit(self, lies: list) -> tuple[list, list]:
-        """One model per objective column, then one per constraint column, fit
-        on the told rows followed by the ``lies`` (pending rows told at the
-        median observed values). Either needs 2 told rows. Each GP fit
-        warm-starts from the store of hyperparameters; without lies this is
-        the cached refit, which counts toward the deep-fit schedule and alone
-        writes the store."""
+        """One model per objective column, then one per constraint column, on
+        the told rows followed by the ``lies`` (pending rows told at the
+        median observed values). Either needs 2 told rows. Without lies this
+        is the told fit, which counts toward the deep-fit schedule and
+        becomes ``_models``."""
         Y, C = self._history.training_targets()
         if Y.shape[0] < 2:
             raise InsufficientDataError("need at least 2 told rows to fit surrogates")
@@ -421,32 +421,27 @@ class Advisor:
         else:
             self._refit_count += 1
         X = self._encode(self._told + lies)
-        write_store = not lies
-        objective_models = [
-            self._fit_one(X, Y[:, j], ("obj", j), write_store) for j in range(Y.shape[1])
-        ]
-        constraint_models = [
-            self._fit_one(X, C[:, j], ("con", j), write_store) for j in range(C.shape[1])
-        ]
-        return objective_models, constraint_models
+        last = self._models or ([None] * Y.shape[1], [None] * C.shape[1])
+        models = tuple(
+            [self._fit_one(X, t, told, bool(lies)) for t, told in zip(T.T, told_models)]
+            for T, told_models in zip((Y, C), last)
+        )
+        if not lies:
+            self._models, self._models_current = models, True
+        return models
 
-    def _fit_one(self, X: np.ndarray, y: np.ndarray, warm_key: tuple, write_store: bool):
-        if self.plan.surrogate_kind == GP:
-            warm = self._warm_hypers.get(warm_key)
-            # the first fit and every 10th refit run the full multi-start
-            # search to escape hyperparameter local optima (see README)
-            deep = warm is None or self._refit_count % 10 == 1
-            model = fit_gp(
-                X,
-                y,
-                restarts=2 if deep else 0,
-                rng=self._rng,
-                extra_inits=(warm,) if warm is not None else (),
-            )
-            if write_store:
-                self._warm_hypers[warm_key] = model.log_hypers
-            return model
-        return fit_prf(X, y, rng=self._rng)
+    def _fit_one(self, X: np.ndarray, y: np.ndarray, told, lies: bool):
+        """A forest, or a GP: with lies, the ``told`` fit's model conditioned
+        on them at its hyperparameters (constant liar); else fit, warm from
+        ``told``. A fit with no ``told`` and every 10th refit run the full
+        multi-start search to escape hyperparameter local optima (README)."""
+        if self.plan.surrogate_kind != GP:
+            return fit_prf(X, y, rng=self._rng)
+        if told is not None and lies:
+            return GPModel(X, y, told.lengthscales, told.signal_var, told.noise_var)
+        deep = told is None or self._refit_count % 10 == 1
+        warm = () if told is None else (told.log_hypers,)
+        return fit_gp(X, y, restarts=2 if deep else 0, rng=self._rng, extra_inits=warm)
 
     def _score_function(self, objective_models: list, constraint_models: list):
         """The score of a model-based ask, built from the history: the
@@ -488,7 +483,7 @@ class Advisor:
             if strategy == CONSTANT_LIAR_MEDIAN:
                 models = self._fit(list(self._pending.values()))
             else:
-                self._models = models = self._models or self._fit([])
+                models = self._models if self._models_current else self._fit([])
         except InsufficientDataError:
             return None
         score_fn = self._score_function(*models)

@@ -155,12 +155,12 @@ def run(
 ) -> OptResult:
     """Optimize to budget with synchronous batch parallelism.
 
-    Each round asks for min(parallelism, remaining budget) suggestions,
-    evaluates them (one thread each, under one deadline, when there are
-    several or a timeout is set), and tells results back in suggestion
-    order so sequential runs are reproducible per seed. When the space runs
-    out mid-round, the suggestions already made are evaluated and told
-    before the run stops.
+    Each round claims min(parallelism, remaining budget) suggestions with
+    ``Advisor.ask_batch``, evaluates them (one thread each, under one
+    deadline, when there are several or a timeout is set), and tells results
+    back in suggestion order so sequential runs are reproducible per seed.
+    When the space runs out mid-round, the suggestions already made are
+    evaluated and told before the run stops.
     ``parallelism`` defaults to the task's ``batch_size``. A
     ``wall_clock_limit`` must be > 0 s (``inf`` means none), and a
     ``timeout`` finite and > 0 s. The ``clock`` is injectable so tests can
@@ -193,14 +193,14 @@ def run(
             if wall_clock_limit is not None and clock() - start >= wall_clock_limit:
                 stop_reason = STOP_WALL_CLOCK
                 break
-            batch = []
+            q = min(parallelism, task.max_runs - advisor.num_told)
             try:
-                for _ in range(min(parallelism, task.max_runs - advisor.num_told)):
-                    batch.append(advisor.ask())
+                batch = advisor.ask_batch(q)
             except ExhaustedSpaceError:
+                stop_reason = STOP_EXHAUSTED
+                break
+            if len(batch) < q:
                 stop_reason = STOP_EXHAUSTED  # the suggestions already claimed still run
-                if not batch:
-                    break
             observations, gone = _evaluate_batch(objective, batch, timeout, clock)
             abandoned += gone
             for obs in observations:  # told in suggestion order

@@ -88,6 +88,20 @@ def told_advisor(task, objective, n):
     return advisor
 
 
+def scored_models(monkeypatch, advisor):
+    """A list that collects the objective models of every score the advisor
+    builds from now on."""
+    scored = []
+    score_function = advisor._score_function
+
+    def recording(objective_models, constraint_models):
+        scored.append(objective_models)
+        return score_function(objective_models, constraint_models)
+
+    monkeypatch.setattr(advisor, "_score_function", recording)
+    return scored
+
+
 def design(task):
     """The Latin hypercube an Advisor draws first from its seeded generator."""
     codes = latin_hypercube(task.space, task.init_count, np.random.default_rng(task.seed))
@@ -345,40 +359,103 @@ class TestRefitSchedule:
         assert fits[10] == (2, 1)
         assert [restarts for restarts, _ in fits[:11]] == [2] + [0] * 9 + [2]
 
-    def test_constant_liar_follower_reads_the_warm_store_only(self, monkeypatch):
+    def test_constant_liar_follower_conditions_the_told_fit(self, monkeypatch):
         from bbo import advisor as advisor_module
-        from bbo import surrogate
 
         task = TaskSpec(
             space=float_space(2), num_objectives=2, init_count=4, max_runs=40, algorithm="gp", seed=7
         )
         advisor = told_advisor(task, lambda c: [c["x0"], 1.0 - c["x0"] + c["x1"]], 6)
-        advisor.ask()  # the leader: the cached refit writes the store
+        leader = advisor.ask()  # fits the told rows
         assert advisor.plan.batch_strategy == "constant_liar_median"
-        stored = {key: value.copy() for key, value in advisor._warm_hypers.items()}
-        assert sorted(stored) == [("obj", 0), ("obj", 1)]
+        told_models = advisor._models[0]
+        attributes = ("X", "y", "L", "alpha", "lengthscales", "signal_var", "noise_var")
+        before = [{name: np.copy(getattr(m, name)) for name in attributes} for m in told_models]
 
-        first_starts = []
-        fit_gp, minimize = advisor_module.fit_gp, surrogate.optimize.minimize
+        fits = []
+        monkeypatch.setattr(advisor_module, "fit_gp", lambda *a, **k: fits.append(k))
+        scored = scored_models(monkeypatch, advisor)
+        advisor.ask()  # a follower: the leader is pending
+        assert fits == []
+        configs = [o.config for o in advisor.get_history().observations] + [leader]
+        rows = encode_matrix(task.space, configs, "one_hot")
+        for follower, told, saved in zip(scored[0], told_models, before):
+            assert follower is not told
+            assert follower.X.tobytes() == rows.tobytes()
+            np.testing.assert_array_equal(follower.lengthscales, told.lengthscales)
+            assert (follower.signal_var, follower.noise_var) == (told.signal_var, told.noise_var)
+            for name, value in saved.items():
+                np.testing.assert_array_equal(getattr(told, name), value)
+        assert advisor._models[0] == told_models
 
-        def recording_fit(X, y, **kwargs):
-            first_starts.append(None)
+    def test_follower_before_any_told_fit_fits_told_and_lies_deep(self, monkeypatch):
+        from bbo import advisor as advisor_module
+
+        task = TaskSpec(
+            space=float_space(2), num_objectives=2, init_count=4, max_runs=40, algorithm="gp", seed=7
+        )
+        advisor = Advisor(task)
+        design = [advisor.ask() for _ in range(4)]
+        for config in design[:3]:
+            advisor.tell(success(config, [config["x0"], 1.0 - config["x0"]]))
+        fits = []
+        fit_gp = advisor_module.fit_gp
+
+        def recording(X, y, **kwargs):
+            fits.append((len(X), kwargs["restarts"], kwargs["extra_inits"]))
             return fit_gp(X, y, **kwargs)
 
-        def recording_minimize(fun, x0, *args, **kwargs):
-            if first_starts[-1] is None:
-                first_starts[-1] = np.array(x0, copy=True)
-            return minimize(fun, x0, *args, **kwargs)
+        monkeypatch.setattr(advisor_module, "fit_gp", recording)
+        advisor.ask()  # the fourth design point is pending, nothing was fit yet
+        assert advisor.last_ask_info["phase"] == "model"
+        assert fits == [(4, 2, ())] * 2
+        assert advisor._models is None
 
-        monkeypatch.setattr(advisor_module, "fit_gp", recording_fit)
-        monkeypatch.setattr(surrogate.optimize, "minimize", recording_minimize)
-        advisor.ask()  # a follower: one pending lie
-        assert len(first_starts) == 2
-        for j, start in enumerate(first_starts):
-            np.testing.assert_array_equal(start, stored[("obj", j)])
-        assert advisor._warm_hypers.keys() == stored.keys()
-        for key, value in stored.items():
-            np.testing.assert_array_equal(advisor._warm_hypers[key], value)
+    def test_follower_near_a_told_row_builds_through_jitter(self, monkeypatch):
+        """A lie a few grid steps from a told row. The fit's noise floor
+        keeps such a pair positive definite in floating point, so a
+        stand-in LAPACK declines each follower model's unjittered
+        factorization, as dpotrf does for a matrix left indefinite."""
+        from bbo import advisor as advisor_module
+        from bbo import surrogate
+        from bbo.surrogate import JITTERS
+
+        task = TaskSpec(
+            space=float_space(2), num_objectives=2, init_count=4, max_runs=40, algorithm="gp", seed=7
+        )
+        advisor = told_advisor(task, lambda c: [c["x0"], 1.0 - c["x0"] + c["x1"]], 6)
+        near = advisor._told[2].copy()
+        near[0] += 3 * 2.0**-40 if near[0] < 0.5 else -3 * 2.0**-40
+        maximize = advisor_module.maximize_acquisition
+        monkeypatch.setattr(advisor_module, "maximize_acquisition", lambda *a, **k: near[None, :])
+        leader = advisor.ask()  # fits the told rows, then claims the near row
+        monkeypatch.setattr(advisor_module, "maximize_acquisition", maximize)
+        assert leader not in [o.config for o in advisor.get_history().observations]
+
+        lapack, calls = surrogate.lapack, []
+
+        class DecliningLapack:
+            """Reports a non-positive leading minor on the first try of every
+            factorization of the follower's 7 rows."""
+
+            def __getattr__(self, name):
+                return getattr(lapack, name)
+
+            def dpotrf(self, a, lower):
+                if len(a) == 7:
+                    calls.append(len(calls) % 2 == 0)
+                    if calls[-1]:
+                        return a, 1
+                return lapack.dpotrf(a, lower=lower)
+
+        monkeypatch.setattr(surrogate, "lapack", DecliningLapack())
+        scored = scored_models(monkeypatch, advisor)
+        config = advisor.ask()
+        assert [model.jitter for model in scored[0]] == [JITTERS[1]] * 2
+        assert calls == [True, False] * 2
+        told = [o.config for o in advisor.get_history().observations]
+        assert config not in told + [leader]
+        assert advisor.num_pending == 2
 
 
 class TestRandomFallback:

@@ -13,7 +13,11 @@ first 16 hex digits of the sha256 of the run's ``export_json`` text. An
 ``async-workers`` line digests GP on Branin and PRF on the mixed space
 driven through ``Advisor`` as three asynchronous workers would: three
 suggestions stay in flight and the oldest is told first, so every ask but
-the initial design's is made while others are pending. An ``hv`` line
+the initial design's is made while others are pending. An ``async-ehvi``
+line digests GP + EHVI on CONSTR's two objectives, without its constraints,
+driven the same way: no ask is made with nothing pending, so no fit on the
+told rows alone exists and every constant-liar ask fits told and pending
+rows afresh. An ``hv`` line
 digests the hypervolume series ``report.default_analyses`` computes for the
 two bi-objective task histories, and an ``hv-m3`` line the one for the
 three-objective history, which takes the box-decomposition hypervolume. A
@@ -31,10 +35,15 @@ estimator draws one permutation and one background row per sample and
 trees that draw each explicand's permutations as one matrix with a
 stratified background; compare it only between trees that draw alike.
 
-Every line with a GP in it (the ``gp-*``, ``async-workers``, ``hv``,
-``hv-m3`` and ``importance`` lines) differs by design between trees whose
-GP hyperparameter fits stop on different rules or warm-start constant-liar
+Every line with a GP in it (the ``gp-*``, ``async-*``, ``hv``, ``hv-m3``
+and ``importance`` lines) differs by design between trees whose GP
+hyperparameter fits stop on different rules or warm-start constant-liar
 refits differently; the random, DE, NSGA-II and PRF lines do not.
+
+The ``gp-ehvic-cl-q2`` and ``hv`` lines differ by design between trees
+whose constant-liar GP followers refit their hyperparameters and trees
+whose followers condition the last fit on the told rows at its
+hyperparameters; the ``async-ehvi`` line takes neither path and stays.
 
 Two source trees whose advisors suggest the same configurations print the
 same lines, so a refactor that claims identical suggestions can be checked
@@ -223,6 +232,19 @@ def main() -> None:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     trials = "+".join(str(len(h)) for h in histories)
     print(f"{'async-workers':26s} {digest[:16]} ({trials} trials, max_runs)")
+    history = async_workers(
+        TaskSpec(
+            constr_problem().space,
+            num_objectives=2,
+            max_runs=20,
+            algorithm="gp",
+            ref_point=(10.0, 10.0),
+            seed=25,
+        ),
+        lambda c: constr_evaluate(c)[0],
+    )
+    digest = hashlib.sha256(export_json(history).encode("utf-8")).hexdigest()
+    print(f"{'async-ehvi':26s} {digest[:16]} ({len(history)} trials, max_runs)")
     digest = hashlib.sha256(repr(hv).encode("utf-8")).hexdigest()
     counts = "+".join(str(len(series)) for series in hv)
     print(f"{'hv':26s} {digest[:16]} ({counts} points)")
