@@ -123,6 +123,8 @@ class TaskSpec:
             raise SetupError("init_count must be >= 1")
         if self.ref_point is not None and len(self.ref_point) != self.num_objectives:
             raise SetupError("ref_point length must equal num_objectives")
+        if self.ref_point is not None and not np.isfinite(self.ref_point).all():
+            raise SetupError(f"ref_point must be finite, got {self.ref_point!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ aggregates competition ranks with ties averaged.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -23,7 +22,6 @@ from .optimizer import run
 from .space import Configuration, ParameterSpec, SearchSpace
 
 CONSTR_REF_POINT = (10.0, 10.0)
-CONSTR_GRID = 2000
 
 STRATEGIES = ("auto", "gp", "prf", "ea", "random")
 
@@ -36,7 +34,7 @@ class BenchmarkProblem:
     num_constraints: int
     evaluate: Callable[[Configuration], tuple[list, list]]
     ref_point: Optional[tuple] = None  # multi-objective problems
-    optimal_hv: Optional[Callable[[], float]] = None  # lazy, cached provider
+    optimal_hv: Optional[float] = None  # multi-objective problems
 
 
 # --- CONSTR: minimize (x1, (1+x2)/x1) s.t. x2 + 9 x1 >= 6 and 9 x1 - x2 >= 1 ---
@@ -61,24 +59,12 @@ def _constr_space() -> SearchSpace:
     )
 
 
-@functools.lru_cache(maxsize=4)
-def compute_constr_reference(grid: int = CONSTR_GRID) -> tuple[tuple, float]:
-    """Reference point and optimal hypervolume for CONSTR.
-
-    The optimum is computed once by dense evaluation: the non-dominated
-    feasible set over a grid x grid sweep of the input box, measured against
-    the fixed reference point (10, 10).
-    """
-    x1 = np.linspace(0.1, 1.0, grid)
-    x2 = np.linspace(0.0, 5.0, grid)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    X1 = X1.ravel()
-    X2 = X2.ravel()
-    feasible = (6.0 - (X2 + 9.0 * X1) <= 0) & (1.0 - (9.0 * X1 - X2) <= 0)
-    f1 = X1[feasible]
-    f2 = (1.0 + X2[feasible]) / f1
-    hv = moo.hypervolume(np.column_stack([f1, f2]), CONSTR_REF_POINT)
-    return CONSTR_REF_POINT, float(hv)
+def compute_constr_reference() -> tuple[tuple, float]:
+    """Reference point (10, 10) and CONSTR's optimal hypervolume against it."""
+    # The front is x2 = max(0, 6 - 9 x1), x1 in [7/18, 1]: f2 = 7/f1 - 9 on [7/18, 2/3]
+    # and 1/f1 on [2/3, 1]; integrate 10 - f2 over both, plus the 9 x 9 square right of f1 = 1.
+    hv = 81.0 + 95.0 / 18.0 - 7.0 * math.log(12.0 / 7.0) + 10.0 / 3.0 - math.log(1.5)
+    return CONSTR_REF_POINT, hv
 
 
 def constr_problem() -> BenchmarkProblem:
@@ -89,7 +75,7 @@ def constr_problem() -> BenchmarkProblem:
         num_constraints=2,
         evaluate=constr_evaluate,
         ref_point=CONSTR_REF_POINT,
-        optimal_hv=lambda: compute_constr_reference()[1],
+        optimal_hv=compute_constr_reference()[1],
     )
 
 
@@ -191,8 +177,7 @@ def _score_run(problem: BenchmarkProblem, result) -> float:
             return math.inf
         return float(result.incumbent.objectives[0])
     front = [o.objectives for o in result.pareto_front]
-    optimal = problem.optimal_hv() if problem.optimal_hv is not None else 0.0
-    return moo.hypervolume_difference(front, problem.ref_point, optimal)
+    return moo.hypervolume_difference(front, problem.ref_point, problem.optimal_hv or 0.0)
 
 
 def _average_ranks(scores: Sequence[float]) -> np.ndarray:

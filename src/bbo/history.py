@@ -96,6 +96,8 @@ class History:
         self.ref_point = tuple(float(v) for v in ref_point) if ref_point is not None else None
         if self.ref_point is not None and len(self.ref_point) != self.num_objectives:
             raise ObservationShapeError("ref_point length must equal num_objectives")
+        if self.ref_point is not None and not np.isfinite(self.ref_point).all():
+            raise ValueError(f"ref_point must be finite, got {self.ref_point!r}")
         self.observations: list[Observation] = []
 
     def __len__(self) -> int:

@@ -163,6 +163,11 @@ class TestAutoSelect:
         with pytest.raises(SetupError):
             TaskSpec(space=float_space(2), algorithm="annealing")
 
+    @pytest.mark.parametrize("ref_point", [(math.nan, 10.0), (math.inf, 10.0), (10.0, -math.inf)])
+    def test_non_finite_ref_point_rejected(self, ref_point):
+        with pytest.raises(SetupError, match="ref_point must be finite"):
+            TaskSpec(space=float_space(2), num_objectives=2, ref_point=ref_point)
+
 
 class TestAskTell:
     def test_init_design_served_in_order(self):

@@ -1,6 +1,7 @@
 """Tests for benchmark problems and the rank-table runner."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from bbo.bench import (
     branin_evaluate,
     compute_constr_reference,
     constr_evaluate,
+    constr_problem,
     get_problem,
     rank_table_csv,
     run_benchmark,
 )
 from bbo.errors import SetupError
-from bbo.moo import _pareto_filter
+from bbo.moo import _pareto_filter, hypervolume
 from bbo.space import Configuration
 
 
@@ -51,16 +53,51 @@ class TestConstr:
         assert feasible > 0
 
 
+def constr_grid_sweep_hv(grid):
+    """Hypervolume of the feasible points of a grid x grid sweep of CONSTR's
+    input box; each x1 row keeps its lowest feasible x2, which dominates the
+    rest of the row, so the sweep needs no grid x grid objective arrays."""
+    x1 = np.linspace(0.1, 1.0, grid)[:, None]
+    x2 = np.linspace(0.0, 5.0, grid)[None, :]
+    feasible = (6.0 - (x2 + 9.0 * x1) <= 0) & (1.0 - (9.0 * x1 - x2) <= 0)
+    rows = feasible.any(axis=1)
+    f1 = x1[rows, 0]
+    f2 = (1.0 + x2[0, feasible[rows].argmax(axis=1)]) / f1
+    return hypervolume(np.column_stack([f1, f2]), (10.0, 10.0))
+
+
 class TestConstrReference:
     def test_positive_hv(self):
-        ref, hv = compute_constr_reference(500)
+        ref, hv = compute_constr_reference()
         assert ref == (10.0, 10.0)
         assert hv > 0
 
-    def test_grid_refinement_convergence(self):
-        _, coarse = compute_constr_reference(500)
-        _, fine = compute_constr_reference(1000)
-        assert abs(fine - coarse) / fine < 0.001
+    def test_matches_trapezoid_of_the_front(self):
+        # the front: x2 = max(0, 6 - 9 x1) for x1 in [7/18, 1], so f2 = max(7/f1 - 9, 1/f1)
+        f1 = np.linspace(7.0 / 18.0, 1.0, 2_000_001)
+        f2 = np.maximum(7.0 / f1 - 9.0, 1.0 / f1)
+        gap = 10.0 - f2
+        area = float(np.sum((gap[1:] + gap[:-1]) / 2.0 * np.diff(f1)))
+        _, hv = compute_constr_reference()
+        assert hv == pytest.approx(81.0 + area, abs=1e-9)
+
+    def test_bounds_the_grid_sweeps(self):
+        _, hv = compute_constr_reference()
+        sweeps = [constr_grid_sweep_hv(grid) for grid in (500, 1000, 2000)]
+        assert all(hv >= sweep for sweep in sweeps)
+        assert hv - sweeps[-1] < 3e-3
+
+    def test_allocates_under_a_megabyte(self):
+        tracemalloc.start()
+        try:
+            compute_constr_reference()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_problem_carries_the_optimum(self):
+        assert constr_problem().optimal_hv == compute_constr_reference()[1]
 
     def test_front_dominates_feasible_grid(self):
         grid = 300

@@ -250,6 +250,8 @@ class TestRunCommand:
             ("ref_point", ["a"]),
             ("task_id", {"a": 1}),
             ("task_id", 5),
+            ("ref_point", [float("nan")]),  # json reads NaN and Infinity
+            ("ref_point", [float("inf")]),
         ],
     )
     def test_mistyped_task_field_rejected(self, tmp_path, capsys, field, value):

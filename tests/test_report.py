@@ -392,6 +392,8 @@ class TestJsonRoundTrip:
             ("ref_point", 5),
             ("observations", {"0": {}}),
             ("observations", 3),
+            ("ref_point", [float("nan"), 5.0]),
+            ("ref_point", [5.0, float("inf")]),
         ],
     )
     def test_malformed_field_is_parse_error(self, field, value):
