@@ -215,8 +215,7 @@ class _EAState:
     def advance(self) -> None:
         """Fold the collected evaluations into the next set of trial genomes."""
         columns = zip(*(self.collected.pop(i) for i in range(self.pop_size)))
-        # the initial design is generation 0; selection numbers the rest
-        pop = evolution.Population(*map(np.array, columns), generation=0)
+        pop = evolution.Population(*map(np.array, columns))
         if self.kind == DE:
             if self.parents is not None:
                 pop = evolution.de_select(self.parents, pop)

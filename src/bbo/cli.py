@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import shlex
 import signal
@@ -36,7 +35,7 @@ from pathlib import Path
 from . import bench, report
 from .advisor import TaskSpec
 from .errors import BBOError, SetupError
-from .optimizer import run
+from .optimizer import _check_timeout, run
 from .report import _is_number
 from .space import Configuration, space_from_dict
 
@@ -117,8 +116,7 @@ def subprocess_objective(command: str, timeout: float | None = None):
     argv = shlex.split(command)
     if not argv:
         raise SetupError("empty command")
-    if timeout is not None and not 0 < timeout < math.inf:
-        raise SetupError(f"timeout must be finite and > 0 s, got {timeout}")
+    _check_timeout(timeout)
     counter = itertools.count()
     lock = threading.Lock()
 

@@ -38,7 +38,6 @@ class Population(NamedTuple):
     genomes: np.ndarray  # (n, d) rows in the unit cube
     objectives: np.ndarray  # (n, m)
     violations: np.ndarray  # (n,) total violation, 0 iff feasible
-    generation: int
 
 
 def _deb_dominates(obj_a, viol_a, obj_b, viol_b) -> np.ndarray:
@@ -50,13 +49,12 @@ def _deb_dominates(obj_a, viol_a, obj_b, viol_b) -> np.ndarray:
 
 
 def _stack(pop: Population, offspring: Population) -> Population:
-    """The rows of pop over those of offspring, one generation on."""
-    columns = (np.concatenate(pair) for pair in zip(pop[:3], offspring[:3]))
-    return Population(*columns, pop.generation + 1)
+    """The rows of pop over those of offspring."""
+    return Population(*(np.concatenate(pair) for pair in zip(pop, offspring)))
 
 
 def _take(pop: Population, rows) -> Population:
-    return Population(pop.genomes[rows], pop.objectives[rows], pop.violations[rows], pop.generation)
+    return Population(*(field[rows] for field in pop))
 
 
 # --- differential evolution (rand/1/bin) ---

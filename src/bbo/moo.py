@@ -1,10 +1,10 @@
 """Multi-objective mathematics: dominance, sorting, crowding, hypervolume.
 
 Minimization convention throughout. The region a front leaves undominated
-splits into disjoint boxes by slicing one objective at a time; expected
-hypervolume improvement scores against these boxes, and exact hypervolume at
-three or more objectives is the volume they leave of the box from the ideal
-point to the reference point. Two objectives use a sweep.
+splits into disjoint boxes by slicing one objective at a time down to the
+last two, which close in one step; expected hypervolume improvement scores
+against these boxes, and exact hypervolume is the volume they leave of the
+box from the ideal point to the reference point.
 """
 
 from __future__ import annotations
@@ -105,37 +105,30 @@ def _pareto_filter(pts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(dominated | earlier_dup))
 
 
-def _hv_sweep_2d(pts: np.ndarray, ref: np.ndarray) -> float:
-    order = np.argsort(pts[:, 0], kind="stable")
-    total = 0.0
-    cur = ref[1]
-    for a, b in pts[order]:
-        if b < cur:
-            total += (ref[0] - a) * (cur - b)
-            cur = b
-    return float(total)
-
-
 def nondominated_boxes(pts: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint boxes (lower, upper), each (b, m), that tile the part of
     {z <= ref} no row of pts weakly dominates, so a new point y adds
     hypervolume sum over boxes of prod_j (upper_j - max(lower_j, y_j))+.
+    Needs m >= 2.
 
     Slices on the first objective: the slab between consecutive front
     values of f1 times the boxes of the (m-1)-objective front of the points
-    left of it. At m=1 the one box is (-inf, min] (or (-inf, ref] with no
-    points), so the last objective's lower bound is always -inf.
+    left of it. At m=2 that front's one box is (-inf, least f2], so the last
+    objective's lower bound is always -inf.
     """
-    if ref.shape[0] == 1:
-        upper = pts[:, 0].min() if pts.shape[0] else ref[0]
-        return np.array([[-np.inf]]), np.array([[upper]])
     pts = pts[_pareto_filter(pts)]
     order = np.argsort(pts[:, 0], kind="stable")
     edges = np.concatenate([[-np.inf], pts[order, 0], [ref[0]]])
+    # empty slabs come from tied f1 values or a point on the reference
+    keep = np.flatnonzero(edges[1:] > edges[:-1])
+    if ref.shape[0] == 2:
+        # f2 falls strictly as f1 rises on the filtered front, so the least
+        # f2 left of slab i is that of its left edge's point
+        tops = np.concatenate([[ref[1]], pts[order, 1]])
+        lower = np.column_stack([edges[:-1], np.full(len(tops), -np.inf)])
+        return lower[keep], np.column_stack([edges[1:], tops])[keep]
     lowers, uppers = [], []
-    for i in range(len(edges) - 1):
-        if edges[i + 1] <= edges[i]:
-            continue  # empty slab: tied f1 values or a point on the reference
+    for i in keep:
         sub_lower, sub_upper = nondominated_boxes(pts[order[:i], 1:], ref[1:])
         lowers.append(np.column_stack([np.full(len(sub_lower), edges[i]), sub_lower]))
         uppers.append(np.column_stack([np.full(len(sub_upper), edges[i + 1]), sub_upper]))
@@ -157,9 +150,9 @@ def hypervolume(points, ref_point) -> float:
 
     ``points`` is an (n, m) array, or one point of length m, with m the
     length of ``ref_point``. Points with any component beyond the reference
-    point are filtered out first. Two objectives use a sweep; three or more
-    subtract the undominated boxes that expected hypervolume improvement
-    scores against from the box between the ideal and the reference point.
+    point are filtered out first. The undominated boxes that expected
+    hypervolume improvement scores against are subtracted from the box
+    between the ideal and the reference point.
     """
     ref = np.asarray(ref_point, dtype=float)
     if ref.ndim != 1 or ref.shape[0] < 2:
@@ -174,8 +167,6 @@ def hypervolume(points, ref_point) -> float:
     pts = pts[np.all(pts <= ref, axis=1)]
     if pts.shape[0] == 0:
         return 0.0
-    if ref.shape[0] == 2:
-        return _hv_sweep_2d(pts[_pareto_filter(pts)], ref)
     return _hv_boxes(pts, ref)  # nondominated_boxes filters the front itself
 
 

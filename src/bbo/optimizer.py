@@ -73,6 +73,11 @@ def _failure(config: Configuration, state: TrialState, elapsed: float, error: st
     )
 
 
+def _check_timeout(timeout: Optional[float]) -> None:
+    if timeout is not None and not 0 < timeout < math.inf:  # nan fails too
+        raise SetupError(f"timeout must be finite and > 0 s, got {timeout}")
+
+
 def evaluate_safe(
     objective: Callable,
     config: Configuration,
@@ -84,8 +89,10 @@ def evaluate_safe(
     Returns SUCCESS with measured elapsed time on a normal, finite return;
     FAILED when the objective raises or returns non-finite values; TIMEOUT
     when the deadline elapses (the worker thread is abandoned, not killed)
-    or the objective raises TimeoutError, whose message is then kept.
+    or the objective raises TimeoutError, whose message is then kept. A
+    ``timeout`` must be finite and > 0 s (SetupError otherwise).
     """
+    _check_timeout(timeout)
     return _evaluate_batch(objective, [config], timeout, clock)[0][0]
 
 
@@ -179,8 +186,7 @@ def run(
         parallelism = task.batch_size
     if parallelism < 1:
         raise SetupError("parallelism must be >= 1")
-    if timeout is not None and not 0 < timeout < math.inf:
-        raise SetupError(f"timeout must be finite and > 0 s, got {timeout}")
+    _check_timeout(timeout)
     if wall_clock_limit is not None and not wall_clock_limit > 0:  # nan fails too
         raise SetupError(f"wall-clock limit must be > 0 s, got {wall_clock_limit}")
 

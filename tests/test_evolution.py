@@ -46,24 +46,22 @@ def sphere(genome):
     return [float(np.sum((genome - 0.3) ** 2))], []
 
 
-def evaluate_all(genomes, evaluate, generation=0):
+def evaluate_all(genomes, evaluate):
     objectives, violations = [], []
     for g in genomes:
         obj, constraints = evaluate(np.asarray(g))
         objectives.append(obj)
         violations.append(total_violation(constraints))
-    return Population(
-        np.array(genomes, dtype=float), np.array(objectives), np.array(violations), generation
-    )
+    return Population(np.array(genomes, dtype=float), np.array(objectives), np.array(violations))
 
 
 def de_generation(pop, F, CR, evaluate, rng):
-    trials = evaluate_all(de_propose(pop, F, CR, rng), evaluate, pop.generation + 1)
+    trials = evaluate_all(de_propose(pop, F, CR, rng), evaluate)
     return de_select(pop, trials)
 
 
 def nsga2_generation(pop, evaluate, rng):
-    offspring = evaluate_all(nsga2_propose(pop, rng), evaluate, pop.generation + 1)
+    offspring = evaluate_all(nsga2_propose(pop, rng), evaluate)
     return nsga2_select(pop, offspring)
 
 
@@ -117,10 +115,9 @@ class TestDE:
         rng = np.random.default_rng(12)
         for _ in range(50):
             n = int(rng.integers(4, 20))
-            parents = Population(rng.uniform(size=(n, 2)), *random_rows(rng, n, 1), 3)
-            trials = Population(rng.uniform(size=(n, 2)), *random_rows(rng, n, 1), 4)
+            parents = Population(rng.uniform(size=(n, 2)), *random_rows(rng, n, 1))
+            trials = Population(rng.uniform(size=(n, 2)), *random_rows(rng, n, 1))
             survivors = de_select(parents, trials)
-            assert survivors.generation == 4
             for i in range(n):
                 keep = deb_better(
                     parents.objectives[i], parents.violations[i],
@@ -224,7 +221,7 @@ def population_of(objectives, violations=None):
     n = len(objectives)
     genomes = np.column_stack([np.arange(n) / max(n, 1), np.full(n, 0.5)])
     violations = np.zeros(n) if violations is None else np.asarray(violations, dtype=float)
-    return Population(genomes, np.asarray(objectives, dtype=float), violations, 0)
+    return Population(genomes, np.asarray(objectives, dtype=float), violations)
 
 
 class TestNSGA2:
@@ -270,7 +267,6 @@ class TestNSGA2:
         parents = population_of(parent_objectives)
         offspring = population_of([[5.0, 5.0]] * 4)._replace(genomes=np.full((4, 2), 0.9))
         pop = nsga2_select(parents, offspring)
-        assert pop.generation == 1
         assert {tuple(o) for o in pop.objectives} == {tuple(o) for o in parent_objectives}
 
     def test_hand_traced_environmental_selection(self):
@@ -286,8 +282,8 @@ class TestNSGA2:
             (2.0, 2.0),  # front 2
         ]
         pop = population_of(objs)
-        parents = Population(*(field[:4] for field in pop[:3]), 0)
-        offspring = Population(*(field[4:] for field in pop[:3]), 1)
+        parents = Population(*(field[:4] for field in pop))
+        offspring = Population(*(field[4:] for field in pop))
         pop = nsga2_select(parents, offspring)
         got = {tuple(o) for o in pop.objectives}
         # all of front 0, plus the boundary point of front 1 (infinite crowding)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from bbo.moo import (
-    _hv_boxes,
     _pareto_filter,
     crowding_distance,
     dominates,
     hypervolume,
     hypervolume_difference,
     non_dominated_sort,
+    nondominated_boxes,
 )
 
 
@@ -57,6 +57,38 @@ def inclusion_exclusion_hv(points, ref):
     corners = np.where(masks[:, :, None], pts[None, :, :], -np.inf).max(axis=1, initial=-np.inf)
     signs = np.where(masks.sum(axis=1) % 2 == 1, 1.0, -1.0)
     return math.fsum(signs * np.prod(ref - corners, axis=1))
+
+
+def boxes_oracle(pts, ref):
+    """Independent oracle: the slab recursion of nondominated_boxes carried
+    down to one objective, whose one box is (-inf, min] (or (-inf, ref] with
+    no points)."""
+    if ref.shape[0] == 1:
+        upper = pts[:, 0].min() if pts.shape[0] else ref[0]
+        return np.array([[-np.inf]]), np.array([[upper]])
+    pts = pts[_pareto_filter(pts)]
+    order = np.argsort(pts[:, 0], kind="stable")
+    edges = np.concatenate([[-np.inf], pts[order, 0], [ref[0]]])
+    lowers, uppers = [], []
+    for i in range(len(edges) - 1):
+        if edges[i + 1] <= edges[i]:
+            continue
+        sub_lower, sub_upper = boxes_oracle(pts[order[:i], 1:], ref[1:])
+        lowers.append(np.column_stack([np.full(len(sub_lower), edges[i]), sub_lower]))
+        uppers.append(np.column_stack([np.full(len(sub_upper), edges[i + 1]), sub_upper]))
+    return np.vstack(lowers), np.vstack(uppers)
+
+
+def sweep_hv_2d(points, ref):
+    """Independent oracle: two-objective hypervolume by a sweep in f1 order."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.all(pts <= ref, axis=1)]
+    total, cur = 0.0, ref[1]
+    for a, b in pts[np.argsort(pts[:, 0], kind="stable")]:
+        if b < cur:
+            total += (ref[0] - a) * (cur - b)
+            cur = b
+    return total
 
 
 def mc_hypervolume(points, ref, n_samples, seed=0):
@@ -183,10 +215,12 @@ class TestHypervolume:
 
     def test_sweep_matches_boxes_m2(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
+        for trial in range(200):
             pts = rng.uniform(size=(rng.integers(1, 15), 2))
-            ref = np.full(2, 1.3)
-            assert abs(hypervolume(pts, ref) - _hv_boxes(pts, ref)) <= 1e-12
+            if trial % 2:
+                pts = np.round(pts, 1)  # ties, duplicates and points on the reference
+            ref = np.full(2, 1.3 if trial % 4 < 2 else 0.9)
+            assert abs(hypervolume(pts, ref) - sweep_hv_2d(pts, ref)) <= 1e-12
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_matches_inclusion_exclusion(self, m):
@@ -223,6 +257,24 @@ class TestHypervolume:
     def test_point_on_ref_boundary_zero_slab(self):
         assert hypervolume([(1.0, 0.0)], (1.0, 1.0)) == 0.0
         assert hypervolume([(0.0, 0.0), (1.0, 0.0)], (1.0, 1.0)) == pytest.approx(1.0)
+
+
+class TestNondominatedBoxes:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_bits_match_the_one_objective_recursion(self, m):
+        rng = np.random.default_rng(40 + m)
+        ref = np.full(m, 0.9)
+        for trial in range(1000):
+            n = int(rng.integers(0, 13 if m == 4 else 25))
+            pts = rng.uniform(0.0, 1.0, size=(n, m))
+            if trial % 2:
+                pts = np.round(pts, 1)  # ties, duplicates and points on the reference
+            if trial % 5 == 0 and n:
+                pts = np.vstack([pts, pts[rng.integers(0, n, size=2)]])
+                pts[-1, rng.integers(0, m)] = ref[0]
+            lower, upper = nondominated_boxes(pts, ref)
+            want_lower, want_upper = boxes_oracle(pts, ref)
+            assert np.array_equal(lower, want_lower) and np.array_equal(upper, want_upper)
 
 
 class TestHypervolumeDifference:

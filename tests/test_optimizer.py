@@ -55,6 +55,13 @@ class TestEvaluateSafe:
         obs = evaluate_safe(lambda c: float("nan"), Configuration({}))
         assert obs.trial_state == TrialState.FAILED
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        calls = []
+        with pytest.raises(SetupError, match="timeout must be finite"):
+            evaluate_safe(lambda c: calls.append(c) or 1.0, Configuration({}), timeout=timeout)
+        assert calls == []  # rejected before any worker thread starts
+
     def test_timeout(self):
         def slow(config):
             time.sleep(2.0)

@@ -7,9 +7,11 @@ Latin hypercube and random initial designs, random search (also until a
 space, so the evolutionary bridge meets told points), NSGA-II with crashing
 evaluations in batches of three, GP + EIC under local penalization, GP +
 EHVI_C under constant liar, GP + EHVI on three objectives, PRF batches on a
-mixed space, and NSGA-II on CONSTR into its third generation, so that its
-survivor selection runs. For each task it prints the task name and the
-first 16 hex digits of the sha256 of the run's ``export_json`` text. An
+mixed space, NSGA-II on CONSTR into its third generation, so that its
+survivor selection runs, and GP + EHVI on four objectives, whose box
+decomposition slices twice before its two-objective base. For each task it
+prints the task name and the first 16 hex digits of the sha256 of the run's
+``export_json`` text. An
 ``async-workers`` line digests GP on Branin and PRF on the mixed space
 driven through ``Advisor`` as three asynchronous workers would: three
 suggestions stay in flight and the oldest is told first, so every ask but
@@ -25,6 +27,10 @@ final line, ``importance``, digests the parameter importances it computes
 (a random forest fitted and queried for Shapley values) for three of the
 task histories, so a change to the forest or the analyses behind the
 report shows up even when no suggestion moves.
+
+The ``hv`` line differs by design between trees whose two-objective
+hypervolume is a sweep and trees that take it from the box decomposition,
+as three or more objectives do; its values agree to about 1e-14.
 
 The ``gp-ehvic-cl-q2``, ``gp-ehvi-dtlz2-m3`` and ``hv`` lines differ by
 design between trees whose EHVI draws Monte Carlo samples from the
@@ -111,25 +117,29 @@ def constr_crashing(config):
     return constr_evaluate(config)
 
 
-def dtlz2_m3(config):
-    """Three-objective DTLZ2 (Deb et al. 2005): the first two parameters
-    place a point on the unit sphere's positive orthant, the rest scale it
-    out by 1 + g."""
+def dtlz2(config, m):
+    """m-objective DTLZ2 (Deb et al. 2005): the first m - 1 parameters place
+    a point on the unit sphere's positive orthant, the rest scale it out by
+    1 + g."""
     x = list(config.values.values())
-    g = sum((v - 0.5) ** 2 for v in x[2:])
-    half_pi = math.pi / 2
-    return [
-        (1 + g) * math.cos(x[0] * half_pi) * math.cos(x[1] * half_pi),
-        (1 + g) * math.cos(x[0] * half_pi) * math.sin(x[1] * half_pi),
-        (1 + g) * math.sin(x[0] * half_pi),
-    ]
+    g = sum((v - 0.5) ** 2 for v in x[m - 1 :])
+    angles = [v * math.pi / 2 for v in x[: m - 1]]
+    values = []
+    for i in range(m):
+        value = 1 + g
+        for angle in angles[: m - 1 - i]:
+            value *= math.cos(angle)
+        if i:
+            value *= math.sin(angles[m - 1 - i])
+        values.append(value)
+    return values
 
 
 def tasks():
     """(name, task, objective, parallelism) for every suggestion path."""
     branin = branin_problem().space
     constr = constr_problem().space
-    floats4 = SearchSpace([ParameterSpec(f"x{i}", "float", low=0.0, high=1.0) for i in range(4)])
+    floats = [ParameterSpec(f"x{i}", "float", low=0.0, high=1.0) for i in range(5)]
     return [
         ("random-branin", TaskSpec(branin, max_runs=30, algorithm="random", seed=11), branin_evaluate, 1),
         ("random-grid12-exhaust", TaskSpec(grid12_space(), max_runs=20, algorithm="random", seed=12), grid12, 1),
@@ -170,8 +180,8 @@ def tasks():
         ),
         (
             "gp-ehvi-dtlz2-m3",
-            TaskSpec(floats4, num_objectives=3, max_runs=20, algorithm="gp", seed=23),
-            dtlz2_m3,
+            TaskSpec(SearchSpace(floats[:4]), num_objectives=3, max_runs=20, algorithm="gp", seed=23),
+            lambda c: dtlz2(c, 3),
             1,
         ),
         ("prf-mixed-q3", TaskSpec(mixed_space(), max_runs=30, algorithm="prf", seed=20), mixed, 3),
@@ -179,6 +189,12 @@ def tasks():
             "nsga2-constr-3gen",
             TaskSpec(constr, num_objectives=2, num_constraints=2, max_runs=90, algorithm="ea", seed=24),
             constr_evaluate,
+            1,
+        ),
+        (
+            "gp-ehvi-dtlz2-m4",
+            TaskSpec(SearchSpace(floats), num_objectives=4, max_runs=16, algorithm="gp", seed=26),
+            lambda c: dtlz2(c, 4),
             1,
         ),
     ]
