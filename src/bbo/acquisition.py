@@ -13,9 +13,8 @@ and random neighbours of known configurations, then runs coordinate-wise
 local search.
 It works on code matrices only (see :mod:`bbo.space`): the known
 configurations arrive as snapped code rows, candidates are sampled,
-perturbed, snapped, deduplicated and excluded by the bytes of their rows
-(keyed by a 64-bit hash of each row, with shared hashes compared byte for
-byte), and the one best row is returned for the caller to decode.
+perturbed, snapped, and deduplicated and excluded through sets of the bytes
+of their rows, and the one best row is returned for the caller to decode.
 """
 
 from __future__ import annotations
@@ -215,83 +214,24 @@ _STEP_INIT = 0.05
 _STEP_MIN = 1e-3
 
 
-# splitmix64's multipliers and shift (Steele, Lea & Flood 2014), as uint64
-# scalars so that products wrap and shifts stay unsigned under NEP 50
-_HASH_KEY = np.uint64(0xBF58476D1CE4E5B9)
-_HASH_MIX = np.uint64(0x94D049BB133111EB)
-_HASH_SHIFT = np.uint64(31)
-_HALF_WORD = np.uint64(32)
+def _row_keys(codes: np.ndarray) -> list:
+    """The bytes of each float64 code row, read through one ``np.void`` view."""
+    rows = np.ascontiguousarray(codes, dtype=float)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
-def _row_hashes(codes: np.ndarray) -> np.ndarray:
-    """One 64-bit hash per code row, mixed from the row's uint64 words:
-    each word folded and multiplied by an odd key of its column, the
-    products xor-ed together and finalized, so equal rows hash equally."""
-    words = np.ascontiguousarray(codes, dtype=float).view(np.uint64)
-    keys = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * _HASH_KEY
-    h = np.zeros(len(words), dtype=np.uint64)
-    for word, key in zip(words.T, keys):
-        h ^= (word ^ (word >> _HALF_WORD)) * key
-    h ^= h >> _HASH_SHIFT
-    h *= _HASH_MIX
-    h ^= h >> _HASH_SHIFT
-    return h
+def _unseen_mask(codes: np.ndarray, known_keys: set) -> np.ndarray:
+    """Whether the bytes of each row of ``codes`` are not in ``known_keys``."""
+    return np.array([key not in known_keys for key in _row_keys(codes)], dtype=bool)
 
 
-def _hash_index(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows' hashes in ascending order, and the rows in that order."""
-    h = _row_hashes(rows)
-    order = np.argsort(h, kind="stable")
-    return h[order], rows[order]
-
-
-def _member(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Whether each value occurs in the ascending array ``table``."""
-    if not len(table):
-        return np.zeros(len(values), dtype=bool)
-    return table[np.minimum(np.searchsorted(table, values), len(table) - 1)] == values
-
-
-def _first_equal(rows: np.ndarray) -> np.ndarray:
-    """For each row, the index of the first row with the same bytes, found
-    by one stable sort over the rows' uint64 words."""
-    words = np.ascontiguousarray(rows, dtype=float).view(np.uint64)
-    order = np.lexsort(words.T[::-1])
-    ranked = words[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    first = np.empty(len(order), dtype=np.intp)
-    first[order] = order[starts][np.cumsum(starts) - 1]
-    return first
-
-
-def _unseen(codes: np.ndarray, known: tuple, distinct: bool) -> np.ndarray:
-    """Mask of the rows of ``codes`` that equal no known row and, when
-    ``distinct``, no earlier row of ``codes``; rows compare by their bytes.
-    ``known`` is the :func:`_hash_index` of the known rows.
-
-    A row whose hash no known row (and, when ``distinct``, no other row)
-    has is kept as it stands. Rows whose hash is shared are compared byte
-    for byte (:func:`_first_equal`), so a collision costs time, never a row."""
-    h = _row_hashes(codes)
-    known_hashes, known_rows = known
-    # the shared hashes: the known ones found among the rows' sorted hashes
-    # and, when distinct, those that occur twice; usually there are none, and
-    # no row is searched for
-    ranked = np.sort(h)
-    shared_hashes = known_hashes[_member(known_hashes, ranked)]
-    if distinct:
-        twice = ranked[1:][ranked[1:] == ranked[:-1]]
-        shared_hashes = np.sort(np.concatenate([shared_hashes, twice]))
-    shared = _member(h, shared_hashes)
-    keep = ~shared
-    suspects = np.flatnonzero(shared)
-    if len(suspects):
-        rivals = known_rows[_member(known_hashes, np.sort(h[suspects]))]
-        first = _first_equal(np.concatenate([rivals, codes[suspects]]))[len(rivals) :]
-        own = np.arange(len(rivals), len(rivals) + len(suspects))
-        keep[suspects] = first == own if distinct else first >= len(rivals)
-    return keep
+def _unseen_rows(codes: np.ndarray, known_keys: set) -> np.ndarray:
+    """The rows of ``codes`` whose bytes are not in ``known_keys``, each kept
+    once, at its first occurrence, in order."""
+    kept = dict.fromkeys(_row_keys(codes))
+    for key in known_keys:
+        kept.pop(key, None)
+    return np.frombuffer(b"".join(kept), dtype=float).reshape(-1, codes.shape[1])
 
 
 def _jittered(space: SearchSpace, codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -384,33 +324,29 @@ def maximize_acquisition(
     first one scored on ties). Scores rank as in :func:`_top`, so a NaN
     score ranks below every number.
 
-    No scored row equals a known row, and the pool holds each row once.
-    Rows are keyed by their bytes through a 64-bit hash per row: the known
-    rows' hashes are sorted once per call, and only rows whose hash is
-    shared are compared byte for byte (see :func:`_unseen`).
+    No scored row equals a known row, and the pool holds each row once. Rows
+    compare by their bytes (:func:`_row_keys`), so -0.0 and 0.0 differ.
     """
     if n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
     known_codes = np.reshape(np.asarray(known, dtype=float), (-1, len(space)))
-    known_index = _hash_index(known_codes)
+    known_keys = set(_row_keys(known_codes))
 
     def score(codes: np.ndarray) -> np.ndarray:
         return np.asarray(score_fn(encode_codes(space, codes, encoding)), dtype=float).ravel()
 
-    def unseen(codes: np.ndarray) -> np.ndarray:
-        return codes[_unseen(codes, known_index, distinct=True)]
-
     total = space.n_configurations()
     exhaustive = total is not None and total <= max(n_candidates, _ENUMERATION_CAP)
     if exhaustive:
-        pool = unseen(all_codes(space))
+        pool = _unseen_rows(all_codes(space), known_keys)
         if not len(pool):
             raise ExhaustedSpaceError("all configurations have been suggested")
     else:
         seeds = _jittered(space, np.vstack([known_codes, known_codes]), rng)
-        pool = unseen(np.vstack([sample_codes(space, n_candidates, rng), seeds]))
+        candidates = np.vstack([sample_codes(space, n_candidates, rng), seeds])
+        pool = _unseen_rows(candidates, known_keys)
         while not len(pool):  # pathological: resample until an unseen row appears
-            pool = unseen(sample_codes(space, n_candidates, rng))
+            pool = _unseen_rows(sample_codes(space, n_candidates, rng), known_keys)
     pool_scores = score(pool)
     found, found_scores = [pool], [pool_scores]
 
@@ -424,7 +360,7 @@ def maximize_acquisition(
             if not len(current):
                 break
             moved, origin = _neighbours(space, current, deltas)
-            keep = _unseen(moved, known_index, distinct=False)
+            keep = _unseen_mask(moved, known_keys)
             if not keep.all():
                 moved, origin = moved[keep], origin[keep]
             scores = score(moved) if len(moved) else np.empty(0)
@@ -449,5 +385,5 @@ def maximize_acquisition(
     (top,) = _top(np.concatenate(found_scores), 1)
     for rows in found:
         if top < len(rows):
-            return rows[top : top + 1]
+            return rows[top : top + 1].copy()  # the pool is a read-only view of its keys
         top -= len(rows)

@@ -36,7 +36,7 @@ from . import bench, report
 from .advisor import TaskSpec
 from .errors import BBOError, SetupError
 from .optimizer import _check_timeout, run
-from .report import _is_number
+from .report import _is_number, _is_number_list
 from .space import Configuration, space_from_dict
 
 EXIT_OK = 0
@@ -53,10 +53,7 @@ _TYPED_FIELDS = {
     "task_id": (lambda v: isinstance(v, str), "a string"),
     "init_count": (lambda v: v is None or _is_number(v, int), "an integer or null"),
     "timeout": (lambda v: v is None or _is_number(v), "a number or null"),
-    "ref_point": (
-        lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
-        "a list of numbers or null",
-    ),
+    "ref_point": (_is_number_list, "a list of numbers or null"),
 }
 _TASK_FIELDS = {"parameters", "algorithm", "init_design", *_TYPED_FIELDS}
 

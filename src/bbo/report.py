@@ -229,6 +229,11 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _is_number_list(value) -> bool:
+    """Whether ``value`` is null or a list of numbers."""
+    return value is None or (isinstance(value, list) and all(map(_is_number, value)))
+
+
 def _check_observation(entry, names: Optional[set], where: str) -> None:
     """Raise HistoryParseError unless entry's config is an object with
     scalar values (and the keys ``names``, when given) and its objectives
@@ -250,11 +255,9 @@ def _check_observation(entry, names: Optional[set], where: str) -> None:
                 field=f"{where}.config",
             )
     for key in ("objectives", "constraints"):
-        values = entry.get(key)
-        if values is not None and not (isinstance(values, list) and all(map(_is_number, values))):
-            raise HistoryParseError(
-                f"must be null or a list of numbers, got {values!r}", field=f"{where}.{key}"
-            )
+        if not _is_number_list(entry.get(key)):
+            message = f"must be null or a list of numbers, got {entry[key]!r}"
+            raise HistoryParseError(message, field=f"{where}.{key}")
 
 
 def import_json(text: str) -> History:
@@ -281,6 +284,9 @@ def import_json(text: str) -> History:
         raise HistoryParseError(f"must be a string, got {doc['task_id']!r}", field="task_id")
     if not isinstance(doc["observations"], list):
         raise HistoryParseError("must be a list", field="observations")
+    if not _is_number_list(doc.get("ref_point")):
+        message = f"must be null or a list of numbers, got {doc['ref_point']!r}"
+        raise HistoryParseError(message, field="ref_point")
     try:
         history = History(
             task_id=doc["task_id"],

@@ -360,15 +360,25 @@ def encode_matrix(
 # --- JSON search-space file format (used by the CLI) ---
 
 _PARAM_FIELDS = {"name", "type", "low", "high", "log", "levels", "choices", "default"}
+_SCALARS = (str, int, float, type(None))  # bool is an int
 
 
 def parameter_from_dict(obj: Mapping[str, Any]) -> ParameterSpec:
     """Build a ParameterSpec from one entry of the JSON ``parameters`` list."""
+    if not isinstance(obj, Mapping) or "name" not in obj or "type" not in obj:
+        raise SpaceError(f"each parameter must be an object with 'name' and 'type', got {obj!r}")
     unknown = set(obj) - _PARAM_FIELDS
     if unknown:
         raise SpaceError(f"unknown parameter fields {sorted(unknown)}")
-    if "name" not in obj or "type" not in obj:
-        raise SpaceError("each parameter needs 'name' and 'type'")
+    if not isinstance(obj["name"], str):
+        raise SpaceError(f"parameter name must be a string, got {obj['name']!r}")
+    for key in ("low", "high"):
+        if isinstance(obj.get(key), (bool, str, list, dict)):  # JSON, not a number or null
+            raise SpaceError(f"{obj['name']!r}: {key} must be a number, got {obj[key]!r}")
+    for key in ("levels", "choices"):
+        items = obj.get(key, ())
+        if not isinstance(items, (list, tuple)) or not all(isinstance(v, _SCALARS) for v in items):
+            raise SpaceError(f"{obj['name']!r}: {key} must be a list of scalars, got {items!r}")
     return ParameterSpec(
         name=obj["name"],
         kind=obj["type"],
@@ -383,7 +393,7 @@ def parameter_from_dict(obj: Mapping[str, Any]) -> ParameterSpec:
 
 def space_from_dict(obj: Mapping[str, Any]) -> SearchSpace:
     """Build a SearchSpace from the JSON object {"parameters": [...]}."""
-    if "parameters" not in obj:
+    if not isinstance(obj.get("parameters"), list):
         raise SpaceError("search-space object needs a 'parameters' list")
     params = [parameter_from_dict(p) for p in obj["parameters"]]
     return SearchSpace(params)

@@ -14,10 +14,11 @@ from scipy.stats import norm
 import bbo
 from bbo import acquisition, moo
 from bbo.acquisition import (
-    _hash_index,
     _neighbours,
+    _row_keys,
     _top,
-    _unseen,
+    _unseen_mask,
+    _unseen_rows,
     ehvi,
     ehvi_tables,
     estimate_lipschitz,
@@ -732,8 +733,9 @@ class TestMaximizeAcquisition:
 
 
 def byte_keyed_unseen(codes, known, distinct):
-    """The row screen as it was before rows were hashed: a dict of byte keys
-    for the first occurrences and a set of the known rows' byte keys."""
+    """Mask of the rows the search keeps, from a per-row ``tobytes`` loop: a
+    dict of byte keys for the first occurrences and a set of the known rows'
+    byte keys."""
     excluded = {row.tobytes() for row in known}
     if not distinct:
         return np.array([row.tobytes() not in excluded for row in codes], dtype=bool)
@@ -789,6 +791,8 @@ def bounded_codes(space, rng):
 
 
 class TestHashedExclusion:
+    """Rows are excluded through Python sets and dicts of their byte keys."""
+
     def pool(self, rng):
         space = mixed12_kind_space()
         codes = bounded_codes(space, rng)
@@ -800,28 +804,17 @@ class TestHashedExclusion:
         pool = np.vstack([pool, signed, signed])
         return pool[rng.permutation(len(pool))], known
 
-    def check(self, rng):
+    def test_matches_byte_keys(self):
+        rng = np.random.default_rng(50)
         for _ in range(20):
             pool, known = self.pool(rng)
-            for distinct in (True, False):
-                got = _unseen(pool, _hash_index(known), distinct)
-                np.testing.assert_array_equal(got, byte_keyed_unseen(pool, known, distinct))
-
-    def test_matches_byte_keys(self):
-        self.check(np.random.default_rng(50))
-
-    def test_every_row_colliding(self, monkeypatch):
-        monkeypatch.setattr(acquisition, "_row_hashes", lambda codes: np.zeros(len(codes), np.uint64))
-        self.check(np.random.default_rng(51))
-
-    def test_unequal_rows_colliding(self, monkeypatch):
-        hashes = acquisition._row_hashes
-        # equal rows still hash equally, but -0.0 meets 0.0 and every row
-        # shares its hash with about a third of the others
-        monkeypatch.setattr(
-            acquisition, "_row_hashes", lambda codes: hashes(codes + 0.0) % np.uint64(3)
-        )
-        self.check(np.random.default_rng(52))
+            known_keys = set(_row_keys(known))
+            # the candidate pool: each unseen row once, in order, -0.0 kept as it is
+            want = pool[byte_keyed_unseen(pool, known, distinct=True)]
+            assert _unseen_rows(pool, known_keys).tobytes() == want.tobytes()
+            # a local-search step: every unseen row, repeats too
+            want = byte_keyed_unseen(pool, known, distinct=False)
+            np.testing.assert_array_equal(_unseen_mask(pool, known_keys), want)
 
     def test_no_known_rows_and_empty_pool(self):
         space = mixed12_kind_space()
@@ -829,26 +822,29 @@ class TestHashedExclusion:
         pool = sample_codes(space, 20, rng)
         pool = np.vstack([pool, pool[:5]])
         none = np.empty((0, len(space)))
-        assert _unseen(pool, _hash_index(none), True).tolist() == [True] * 20 + [False] * 5
-        assert _unseen(none, _hash_index(pool), True).shape == (0,)
+        assert _unseen_rows(pool, set()).tobytes() == pool[:20].tobytes()
+        assert _unseen_mask(pool, set()).tolist() == [True] * 25
+        assert _unseen_rows(none, set(_row_keys(pool))).shape == (0, len(space))
+        assert _unseen_mask(none, set(_row_keys(pool))).shape == (0,)
 
-    def test_collisions_leave_the_search_unchanged(self, monkeypatch):
-        space = mixed12_kind_space()
-        known = sample_codes(space, 30, np.random.default_rng(54))
-
-        def search():
-            return maximize_acquisition(
-                lambda X: -np.sum((np.atleast_2d(X) - 0.3) ** 2, axis=1),
-                space,
-                np.random.default_rng(55),
-                n_candidates=300,
-                n_local_starts=3,
-                known=known,
-            )
-
-        want = search()
-        monkeypatch.setattr(acquisition, "_row_hashes", lambda codes: np.zeros(len(codes), np.uint64))
-        assert search().tobytes() == want.tobytes()
+    def test_row_keys_are_the_rows_bytes(self):
+        rng = np.random.default_rng(56)
+        codes = rng.uniform(size=(6, 4))
+        codes[1] = 0.0
+        codes[2] = -0.0
+        cases = [
+            codes,
+            np.empty((0, 4)),
+            codes[:, 1:3],  # a column slice: not C-contiguous
+            np.asfortranarray(codes),
+            codes[[4, 1, 4, 2]],
+        ]
+        for rows in cases:
+            keys = _row_keys(rows)
+            assert keys == [row.tobytes() for row in rows]
+            assert all(type(key) is bytes for key in keys)
+        # -0.0 and 0.0 are equal numbers but different keys
+        assert _row_keys(codes)[1] != _row_keys(codes)[2]
 
 
 class TestNeighbourMoves:
@@ -936,5 +932,5 @@ class TestSelectionContract:
             pool, pool_scores = blocks[0]
             starts = pool[np.argsort(-pool_scores, kind="stable")[:4]]
             moved, _ = _neighbours(space, starts, np.full(4, acquisition._STEP_INIT))
-            moved = moved[_unseen(moved, _hash_index(known), distinct=False)]
+            moved = moved[_unseen_mask(moved, set(_row_keys(known)))]
             assert blocks[1][0].tobytes() == moved.tobytes(), seed

@@ -263,6 +263,26 @@ class TestRunCommand:
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "parameters",
+        [
+            5,
+            [5],
+            [{"name": "a", "type": "float", "low": "a", "high": 1.0}],
+            [{"name": "a", "type": "ordinal", "levels": 5}],
+            [{"name": ["x"], "type": "float", "low": 0.0, "high": 1.0}],
+            [{"name": "c", "type": "categorical", "choices": [[1], [2]]}],
+        ],
+    )
+    def test_malformed_parameters_rejected(self, tmp_path, capsys, parameters):
+        task = write_task(tmp_path, parameters=parameters)
+        cmd = write_stub(tmp_path, "obj.py", SUM_STUB)
+        code = main(["run", "--task", task, "--cmd", cmd, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_missing_task_file(self, tmp_path):
         cmd = write_stub(tmp_path, "obj.py", SUM_STUB)
         code = main(["run", "--task", str(tmp_path / "nope.json"), "--cmd", cmd])

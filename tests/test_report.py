@@ -394,6 +394,9 @@ class TestJsonRoundTrip:
             ("observations", 3),
             ("ref_point", [float("nan"), 5.0]),
             ("ref_point", [5.0, float("inf")]),
+            ("ref_point", "12"),
+            ("ref_point", ["1", "2"]),
+            ("ref_point", [True, 2]),
         ],
     )
     def test_malformed_field_is_parse_error(self, field, value):

@@ -8,14 +8,18 @@ space, so the evolutionary bridge meets told points), NSGA-II with crashing
 evaluations in batches of three, GP + EIC under local penalization, GP +
 EHVI_C under constant liar, GP + EHVI on three objectives, PRF batches on a
 mixed space, NSGA-II on CONSTR into its third generation, so that its
-survivor selection runs, and GP + EHVI on four objectives, whose box
-decomposition slices twice before its two-objective base. For each task it
-prints the task name and the first 16 hex digits of the sha256 of the run's
-``export_json`` text. An
-``async-workers`` line digests GP on Branin and PRF on the mixed space
-driven through ``Advisor`` as three asynchronous workers would: three
-suggestions stay in flight and the oldest is told first, so every ask but
-the initial design's is made while others are pending. An ``async-ehvi``
+survivor selection runs, GP + EHVI on four objectives, whose box
+decomposition slices twice before its two-objective base, PRF until the
+12-configuration space is exhausted (``prf-grid12-exhaust``, so the
+acquisition search scores the enumerated pool of the unseen
+configurations), and PRF on six ints (``prf-ints6``, no float, so every
+sampled candidate pool holds repeated rows that the search drops). For each
+task it prints the task name and the first 16 hex digits of the sha256 of
+the run's ``export_json`` text. An ``async-workers`` line digests GP on
+Branin and PRF on the mixed space driven through ``Advisor`` as three
+asynchronous workers would: three suggestions stay in flight and the
+oldest is told first, so every ask but the initial design's is made while
+others are pending. An ``async-ehvi``
 line digests GP + EHVI on CONSTR's two objectives, without its constraints,
 driven the same way: no ask is made with nothing pending, so no fit on the
 told rows alone exists and every constant-liar ask fits told and pending
@@ -85,6 +89,14 @@ def grid12_space() -> SearchSpace:
 
 def grid12(config):
     return float((config["a"] - 1) ** 2 + 0.5 * "pqrs".index(config["c"]))
+
+
+def ints6_space() -> SearchSpace:
+    return SearchSpace([ParameterSpec(f"i{k}", "int", low=0, high=9) for k in range(6)])
+
+
+def ints6(config):
+    return float(sum((config[f"i{k}"] - k) ** 2 for k in range(6)))
 
 
 def mixed_space() -> SearchSpace:
@@ -197,6 +209,8 @@ def tasks():
             lambda c: dtlz2(c, 4),
             1,
         ),
+        ("prf-grid12-exhaust", TaskSpec(grid12_space(), max_runs=20, algorithm="prf", seed=27), grid12, 1),
+        ("prf-ints6", TaskSpec(ints6_space(), max_runs=30, algorithm="prf", seed=28), ints6, 1),
     ]
 
 
