@@ -14,7 +14,9 @@ local search.
 It works on code matrices only (see :mod:`bbo.space`): the known
 configurations arrive as snapped code rows, candidates are sampled,
 perturbed, snapped, and deduplicated and excluded through sets of the bytes
-of their rows, and the one best row is returned for the caller to decode.
+of their rows, the score function it is handed takes code rows (so the
+caller, which chose the surrogates' encoding, encodes them), and the one
+best row is returned for the caller to decode.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .space import (
     _GRID,
     _code_bounds,
     all_codes,
-    encode_codes,
     sample_codes,
     snap_codes,
 )
@@ -309,12 +310,11 @@ def maximize_acquisition(
     rng: np.random.Generator,
     n_candidates: int = 5000,
     n_local_starts: int = 10,
-    encoding: str = "one_hot",
     known: np.ndarray = (),
 ) -> np.ndarray:
-    """Maximize a batched score function over the rows the ``known`` code
-    rows (told and pending configurations, see :func:`bbo.space.to_codes`)
-    leave free.
+    """Maximize a batched score function of code rows over the rows the
+    ``known`` code rows (told and pending configurations, see
+    :func:`bbo.space.to_codes`) leave free.
 
     Scores ``n_candidates`` random samples plus two random neighbours of
     each known row (or, when the space has at most
@@ -333,7 +333,7 @@ def maximize_acquisition(
     known_keys = set(_row_keys(known_codes))
 
     def score(codes: np.ndarray) -> np.ndarray:
-        return np.asarray(score_fn(encode_codes(space, codes, encoding)), dtype=float).ravel()
+        return np.asarray(score_fn(codes), dtype=float).ravel()
 
     total = space.n_configurations()
     exhaustive = total is not None and total <= max(n_candidates, _ENUMERATION_CAP)

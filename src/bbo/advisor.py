@@ -176,7 +176,9 @@ def auto_select(task: TaskSpec) -> AlgorithmPlan:
 
 
 class _EAState:
-    """Generation-buffered evolutionary algorithm behind ask/tell."""
+    """Generation-buffered evolutionary algorithm behind ask/tell. It files
+    each claimed member under its code-row key and keeps no told results:
+    :meth:`advance` reads them from the advisor's told rows and history."""
 
     def __init__(self, task: TaskSpec, kind: str, rng: np.random.Generator):
         self.kind = kind
@@ -190,32 +192,27 @@ class _EAState:
         # slots keep trial order stable even when tells arrive out of order
         self.queue: list[tuple[int, np.ndarray]] = []
         # (slot, genome) of the suggestion being claimed, which the claim
-        # files in open under its code-row key until its observation arrives
+        # files in members under its code-row key
         self.proposed: Optional[tuple[int, np.ndarray]] = None
-        self.open: dict[bytes, tuple[int, np.ndarray]] = {}
-        # slot -> (genome, objectives, total violation)
-        self.collected: dict[int, tuple] = {}
+        self.members: dict[bytes, tuple[int, np.ndarray]] = {}
         self.num_objectives = task.num_objectives
 
-    def receive(self, key: bytes, obs: Observation) -> None:
-        entry = self.open.pop(key, None)
-        if entry is None:
-            return
-        slot, genome = entry
-        if obs.is_success:
-            violation = evolution.total_violation(obs.constraints)
-            self.collected[slot] = (genome, obs.objectives, violation)
-        else:
-            failed = (_FAILED_SENTINEL,) * self.num_objectives
-            self.collected[slot] = (genome, failed, _FAILED_SENTINEL)
-
-    def generation_complete(self) -> bool:
-        return not self.queue and not self.open and len(self.collected) == self.pop_size
-
-    def advance(self) -> None:
-        """Fold the collected evaluations into the next set of trial genomes."""
-        columns = zip(*(self.collected.pop(i) for i in range(self.pop_size)))
-        pop = evolution.Population(*map(np.array, columns))
+    def advance(self, told: list, observations: list) -> None:
+        """Fold each member's first observation among ``observations`` (in
+        tell order, with their code rows ``told``), in slot order, into the
+        next trial genomes; a failed member scores the failure sentinel."""
+        first: dict[bytes, Observation] = {}
+        for row, obs in zip(told, observations):
+            first.setdefault(row.tobytes(), obs)
+        failed = (_FAILED_SENTINEL,) * self.num_objectives
+        rows = [None] * self.pop_size
+        for key, (slot, genome) in self.members.items():
+            obs = first[key]
+            if obs.is_success:
+                rows[slot] = (genome, obs.objectives, evolution.total_violation(obs.constraints))
+            else:
+                rows[slot] = (genome, failed, _FAILED_SENTINEL)
+        pop = evolution.Population(*map(np.array, zip(*rows)))
         if self.kind == DE:
             if self.parents is not None:
                 pop = evolution.de_select(self.parents, pop)
@@ -226,6 +223,7 @@ class _EAState:
             genomes = evolution.nsga2_propose(pop, self.rng)
         self.parents = pop
         self.queue = list(enumerate(genomes))
+        self.members = {}
 
 
 class Advisor:
@@ -330,8 +328,6 @@ class Advisor:
         self._pending.pop(key, None)
         self._seen.setdefault(key, row)
         self._models_current = False
-        if self._ea is not None:
-            self._ea.receive(key, obs)
 
     # --- internals ---
 
@@ -346,7 +342,7 @@ class Advisor:
         # decoded to config differs from its key; mark it seen too
         self._seen.setdefault(codes.tobytes(), codes[0])
         if self._ea is not None and self._ea.proposed is not None:
-            self._ea.open[key], self._ea.proposed = self._ea.proposed, None
+            self._ea.members[key], self._ea.proposed = self._ea.proposed, None
         self.last_ask_info["config"] = config
         return config
 
@@ -486,14 +482,13 @@ class Advisor:
         score_fn = self._score_function(*models)
         if strategy == LOCAL_PENALIZATION:
             score_fn = self._penalized(score_fn, models[0][0])
-        multi = self.task.num_objectives > 1
+        space, multi = self.task.space, self.task.num_objectives > 1
         codes = maximize_acquisition(
-            score_fn,
-            self.task.space,
+            lambda rows: score_fn(encode_codes(space, rows, self._encoding)),
+            space,
             self._rng,
             n_candidates=_N_CANDIDATES_MO if multi else _N_CANDIDATES,
             n_local_starts=_N_LOCAL_STARTS_MO if multi else _N_LOCAL_STARTS,
-            encoding=self._encoding,
             known=np.array(list(self._seen.values())),
         )
         self.last_ask_info = {"phase": "model", "score_fn": score_fn}
@@ -502,9 +497,7 @@ class Advisor:
     def _penalized(self, base, model):
         """Local penalization of ``base`` around the pending points."""
         pending = self._encode(list(self._pending.values()))
-        lipschitz = estimate_lipschitz(
-            model, self.task.space.encoded_width(self._encoding), self._rng
-        )
+        lipschitz = estimate_lipschitz(model, pending.shape[1], self._rng)
         observed = self._history.success_objectives()
         best_value = float(observed.min()) if observed is not None else 0.0
 
@@ -519,8 +512,9 @@ class Advisor:
         """The next genome's row, or None while a generation is in flight
         (``_produce`` bridges it with a random row outside the generation)."""
         ea = self._ea
-        if ea.generation_complete():
-            ea.advance()
+        # every slot claimed and every member told: the generation is complete
+        if len(ea.members) == ea.pop_size and ea.members.keys().isdisjoint(self._pending):
+            ea.advance(self._told, self._history.observations)
         if not ea.queue:
             return None
         slot_index, genome = ea.queue.pop(0)

@@ -35,7 +35,8 @@ class Observation:
     """One evaluation result (minimization convention, constraints feasible iff <= 0).
 
     FAILED/TIMEOUT trials carry no usable objective or constraint values
-    (both are None).
+    (both are None). Objective and constraint values, where given, must be
+    finite in every trial state.
     """
 
     config: Configuration
@@ -46,21 +47,17 @@ class Observation:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.objectives is not None:
-            object.__setattr__(self, "objectives", tuple(float(v) for v in self.objectives))
-        if self.constraints is not None:
-            object.__setattr__(self, "constraints", tuple(float(v) for v in self.constraints))
+        for name in ("objectives", "constraints"):
+            values = getattr(self, name)
+            if values is not None:
+                values = tuple(float(v) for v in values)
+                if not all(map(math.isfinite, values)):
+                    raise ObservationShapeError(f"{name} must be finite, got {values!r}")
+                object.__setattr__(self, name, values)
         if not (math.isfinite(self.elapsed_time) and self.elapsed_time >= 0):
             raise ObservationShapeError(f"elapsed_time must be finite and >= 0, got {self.elapsed_time!r}")
-        if self.trial_state == TrialState.SUCCESS:
-            if self.objectives is None:
-                raise ObservationShapeError("SUCCESS observations need objective values")
-            if not all(math.isfinite(v) for v in self.objectives):
-                raise ObservationShapeError("SUCCESS objectives must be finite")
-            if self.constraints is not None and not all(
-                math.isfinite(v) for v in self.constraints
-            ):
-                raise ObservationShapeError("SUCCESS constraints must be finite")
+        if self.trial_state == TrialState.SUCCESS and self.objectives is None:
+            raise ObservationShapeError("SUCCESS observations need objective values")
 
     @property
     def is_success(self) -> bool:

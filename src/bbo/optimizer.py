@@ -60,10 +60,12 @@ def _is_number(value) -> bool:
 def _parse_result(result) -> tuple[list[float], list[float]]:
     if _is_number(result):
         return [float(result)], []
+    objectives, constraints = result, []
     if isinstance(result, tuple) and len(result) == 2 and not _is_number(result[0]):
         objectives, constraints = result
-        return [float(v) for v in objectives], [float(v) for v in constraints]
-    return [float(v) for v in result], []
+    if any(isinstance(values, (str, bytes)) for values in (objectives, constraints)):
+        raise TypeError(f"a string is not a sequence of numbers: {result!r}")
+    return [float(v) for v in objectives], [float(v) for v in constraints]
 
 
 def _failure(config: Configuration, state: TrialState, elapsed: float, error: str) -> Observation:

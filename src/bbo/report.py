@@ -222,7 +222,7 @@ def export_json(history: History) -> str:
             for obs in history.observations
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=True)
+    return json.dumps(doc, indent=2, ensure_ascii=True, allow_nan=False)
 
 
 def _is_number(value, kind=(int, float)) -> bool:
@@ -236,8 +236,8 @@ def _is_number_list(value) -> bool:
 
 def _check_observation(entry, names: Optional[set], where: str) -> None:
     """Raise HistoryParseError unless entry's config is an object with
-    scalar values (and the keys ``names``, when given) and its objectives
-    and constraints are null or lists of numbers."""
+    scalar values (and the keys ``names``, when given), its objectives and
+    constraints are null or lists of numbers, and any extra is an object."""
     if not isinstance(entry, dict):
         raise HistoryParseError("must be an object", field=where)
     config = entry.get("config")
@@ -258,6 +258,8 @@ def _check_observation(entry, names: Optional[set], where: str) -> None:
         if not _is_number_list(entry.get(key)):
             message = f"must be null or a list of numbers, got {entry[key]!r}"
             raise HistoryParseError(message, field=f"{where}.{key}")
+    if not isinstance(entry.get("extra", {}), dict):
+        raise HistoryParseError(f"must be an object, got {entry['extra']!r}", field=f"{where}.extra")
 
 
 def import_json(text: str) -> History:

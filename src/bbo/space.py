@@ -171,9 +171,6 @@ class SearchSpace:
         sizes = [spec.n_values() for spec in self.parameters]
         return None if None in sizes else math.prod(sizes)
 
-    def encoded_width(self, encoding: str) -> int:
-        return sum(width for _, _, width in _layout(self, encoding))
-
 
 # Float unit coordinates live on a grid of 2**-40, which a decode to a value
 # and an encode back return exactly wherever a double resolves the range to
@@ -234,7 +231,7 @@ def snap_codes(space: SearchSpace, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_codes(space: SearchSpace, codes: np.ndarray, encoding: str = ONE_HOT) -> np.ndarray:
+def encode_codes(space: SearchSpace, codes: np.ndarray, encoding: str) -> np.ndarray:
     """Unit-cube rows of snapped codes: floats as they are, ints linearly or
     in log10, ranks over (levels - 1) or as one-hot blocks."""
     layout = _layout(space, encoding)
@@ -343,9 +340,7 @@ def latin_hypercube(space: SearchSpace, n: int, rng: np.random.Generator) -> np.
     return snap_codes(space, codes)
 
 
-def encode_matrix(
-    space: SearchSpace, configs: Sequence[Configuration], encoding: str = ONE_HOT
-) -> np.ndarray:
+def encode_matrix(space: SearchSpace, configs: Sequence[Configuration], encoding: str) -> np.ndarray:
     """Stack unit-vector encodings of many configurations into an (n, d) matrix."""
     return encode_codes(space, to_codes(space, configs), encoding)
 

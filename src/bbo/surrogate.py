@@ -201,6 +201,14 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     raise NumericError("kernel matrix is not positive definite even at jitter 1e-4")
 
 
+def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Targets less their mean over their standard deviation (over 1 where
+    that is under 1e-12, as for constant targets), with the mean and scale."""
+    mean, std = float(y.mean()), float(y.std())
+    scale = std if std > 1e-12 else 1.0
+    return (y - mean) / scale, mean, scale
+
+
 class GPModel:
     """Gaussian process regressor with a Matern-5/2 ARD kernel, zero mean
     after target standardization, and a cached Cholesky factor."""
@@ -222,10 +230,7 @@ class GPModel:
         _check_finite(X, y)
         _load_gp_libraries()
         self.X = X
-        self.y_mean = float(y.mean())
-        std = float(y.std())
-        self.y_std = std if std > 1e-12 else 1.0
-        self.y = (y - self.y_mean) / self.y_std
+        self.y, self.y_mean, self.y_std = _standardize(y)
         self.lengthscales = np.asarray(lengthscales, dtype=float)
         self.signal_var = float(signal_var)
         self.noise_var = float(noise_var)
@@ -355,10 +360,7 @@ def fit_gp(
         rng = np.random.default_rng(0)
     n, d = X.shape
 
-    y_mean = y.mean()
-    y_scale = y.std()
-    y_scale = y_scale if y_scale > 1e-12 else 1.0
-    y_std = (y - y_mean) / y_scale
+    y_std, _, _ = _standardize(y)
     d2 = _sq_dists_per_dim(X)
 
     first = []  # (start, value): the start's own evaluation, handed to minimize once

@@ -574,6 +574,11 @@ class TestLocalPenalization:
         assert L == pytest.approx(1e-3)
 
 
+def one_hot_width(space):
+    """The number of columns of the space's one-hot rows."""
+    return encode_codes(space, np.zeros((0, len(space))), "one_hot").shape[1]
+
+
 class TestMaximizeAcquisition:
     def space_2floats(self):
         return SearchSpace(
@@ -671,12 +676,13 @@ class TestMaximizeAcquisition:
         )
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            peak = rng.uniform(size=space.encoded_width("one_hot"))
+            peak = rng.uniform(size=one_hot_width(space))
             scored = []
 
-            def score(X, peak=peak, scored=scored):
-                scored.append(np.atleast_2d(X))
-                return -np.sum((np.atleast_2d(X) - peak) ** 2, axis=1)
+            def score(codes, peak=peak, scored=scored):
+                X = encode_codes(space, codes, "one_hot")
+                scored.append(X)
+                return -np.sum((X - peak) ** 2, axis=1)
 
             # tell or pend the whole neighbourhood of the peak, plus random points
             # the peak's configuration: its one-hot block for c decodes to the argmax
@@ -707,7 +713,7 @@ class TestMaximizeAcquisition:
             known = encode_matrix(space, told + pending, "one_hot")
             assert not {r.tobytes() for r in rows} & {r.tobytes() for r in known}
             values = -np.sum((rows - peak) ** 2, axis=1)
-            assert rows[np.argmax(values)].tobytes() == encode_codes(space, result).tobytes()
+            assert rows[np.argmax(values)].tobytes() == encode_codes(space, result, "one_hot").tobytes()
 
     def test_prf_batch_on_mixed_space_is_distinct_and_unseen(self):
         space = SearchSpace(
@@ -898,10 +904,11 @@ class TestSelectionContract:
         """One search under a quantized score with NaN (and, on some seeds,
         +inf or NaN everywhere), and the (rows, scores) of every scored block."""
         rng = np.random.default_rng(seed)
-        peak = rng.uniform(size=space.encoded_width("one_hot"))
+        peak = rng.uniform(size=one_hot_width(space))
         blocks = []
 
-        def score(X):
+        def score(codes):
+            X = encode_codes(space, codes, "one_hot")
             s = np.round(-8.0 * np.sum((X - peak) ** 2, axis=1), 1)  # -0.0 near the peak
             s[X[:, 0] > 0.8] = np.nan
             if seed % 5 == 1:
@@ -924,7 +931,7 @@ class TestSelectionContract:
                 rows = np.vstack([X for X, _ in blocks])
                 scores = np.concatenate([s for _, s in blocks])
                 want = rows[np.argsort(-scores, kind="stable")[0]]
-                assert encode_codes(space, result)[0].tobytes() == want.tobytes(), seed
+                assert encode_codes(space, result, "one_hot")[0].tobytes() == want.tobytes(), seed
 
     def test_local_search_starts_from_the_stable_ranking(self):
         # floats encode as their codes, so the scored rows are code rows

@@ -798,6 +798,40 @@ class TestEvolutionaryMode:
             x, y = (v - 9000.0 for v in config.values.values())
             advisor.tell(success(config, [x, 1.0 - x + y][:num_objectives]))
 
+    @pytest.mark.parametrize("num_objectives", [1, 2])
+    def test_generation_does_not_depend_on_tell_order(self, num_objectives):
+        # the first generation told in reverse claim order, with an external
+        # tell of an unrelated configuration and a second, much better tell
+        # of a member between its tells, must give the two generations after
+        # it that the same generation told in claim order gives
+        def objective(config):
+            x, y = config.values.values()
+            return [x + 0.1 * y, 1.0 - x + 0.1 * y][:num_objectives]
+
+        def later_generations(shuffled):
+            task = TaskSpec(
+                space=float_space(2), num_objectives=num_objectives, algorithm="ea",
+                max_runs=100, seed=7,
+            )
+            advisor = Advisor(task)
+            first = [advisor.ask() for _ in range(advisor._ea.pop_size)]
+            for i, config in enumerate(first[::-1] if shuffled else first):
+                advisor.tell(success(config, objective(config)))
+                if shuffled and i == 1:
+                    unrelated = Configuration({"x0": 0.123456, "x1": 0.654321})
+                    advisor.tell(success(unrelated, [-50.0] * num_objectives), external=True)
+                    advisor.tell(success(first[-1], [-100.0] * num_objectives), external=True)
+            generations = []
+            for _ in range(2):
+                generation = [advisor.ask() for _ in range(advisor._ea.pop_size)]
+                assert advisor.last_ask_info["phase"] == "ea"
+                for config in generation:
+                    advisor.tell(success(config, objective(config)))
+                generations.append(generation)
+            return generations
+
+        assert later_generations(shuffled=True) == later_generations(shuffled=False)
+
     def test_de_improves_over_initial(self):
         task = TaskSpec(space=float_space(3), algorithm="ea", max_runs=200, seed=0)
         advisor = Advisor(task)

@@ -70,6 +70,15 @@ DROPS_CONSTRAINT_STUB = """
     print(json.dumps({"objectives": [1.0], "constraints": constraints}))
 """
 
+STRING_RESULT_STUB = """
+    import json, os, sys
+    sys.stdin.readline()
+    if int(os.environ["BBO_TRIAL_INDEX"]) % 2:
+        print(json.dumps({"objectives": [1.0], "constraints": "0"}))
+    else:
+        print(json.dumps({"objectives": "12"}))
+"""
+
 DTLZ2_STUB = """
     import json, math, sys
     request = json.loads(sys.stdin.readline())
@@ -171,6 +180,17 @@ class TestRunCommand:
         for obs in history.observations[3:]:
             assert obs.extra["error"] == "observation has 0 constraints, task expects 1"
         assert (out / "report.html").exists()
+
+    def test_string_objectives_and_constraints_become_failed_rows(self, tmp_path):
+        task = write_task(tmp_path, num_constraints=1, max_runs=4)
+        cmd = write_stub(tmp_path, "obj.py", STRING_RESULT_STUB)
+        out = tmp_path / "out"
+        assert main(["run", "--task", task, "--cmd", cmd, "--out", str(out)]) == 0
+        history = import_json((out / "history.json").read_text())
+        assert len(history) == 4
+        for obs in history.observations:
+            assert obs.trial_state == TrialState.FAILED and obs.objectives is None
+            assert obs.extra["error"].startswith("unusable objective return value")
 
     def test_timeout_rows(self, tmp_path):
         task = write_task(tmp_path, max_runs=2)

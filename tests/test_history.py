@@ -46,6 +46,14 @@ class TestRecord:
         with pytest.raises(ObservationShapeError):
             obs(0.1, [math.nan])
 
+    @pytest.mark.parametrize("state", [TrialState.SUCCESS, TrialState.FAILED, TrialState.TIMEOUT])
+    @pytest.mark.parametrize("key", ["objectives", "constraints"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_values_must_be_finite_in_every_state(self, state, key, value):
+        values = {"objectives": (1.0,), key: (0.5, value)}
+        with pytest.raises(ObservationShapeError):
+            Observation(Configuration({"x": 0.1}), trial_state=state, **values)
+
     def test_failed_carries_no_values(self):
         o = obs(0.1, None, state=TrialState.FAILED)
         assert o.objectives is None and not o.is_success

@@ -86,6 +86,17 @@ class TestEvaluateSafe:
         assert obs.trial_state == TrialState.FAILED
 
     @pytest.mark.parametrize(
+        "value",
+        ["12", b"12", ("12", []), ([1.0], "0"), ([1.0], b"0")],
+        ids=["str", "bytes", "str-objectives", "str-constraints", "bytes-constraints"],
+    )
+    def test_strings_are_unusable_not_one_value_per_character(self, value):
+        obs = evaluate_safe(lambda c: value, Configuration({}))
+        assert obs.trial_state == TrialState.FAILED
+        assert obs.objectives is None
+        assert obs.extra["error"].startswith("unusable objective return value")
+
+    @pytest.mark.parametrize(
         "value, expected",
         [(np.float32(1.5), 1.5), (np.int64(3), 3.0), (np.array(2.0), 2.0)],
     )

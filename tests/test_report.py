@@ -1,6 +1,7 @@
 """Tests for analysis series, Shapley importance, HTML and JSON artifacts."""
 
 import json
+import math
 from html.parser import HTMLParser
 
 import numpy as np
@@ -421,6 +422,11 @@ class TestJsonRoundTrip:
             (3, None, [], "observations[3]"),
             (4, "elapsed_time", float("nan"), "observations[4]"),  # json reads NaN and Infinity
             (4, "elapsed_time", float("inf"), "observations[4]"),
+            (0, "objectives", [float("nan"), 0.0], "observations[0]"),  # a FAILED row
+            (0, "constraints", [float("-inf")], "observations[0]"),
+            (2, "extra", [["a", "b"]], "observations[2].extra"),
+            (2, "extra", "ab", "observations[2].extra"),
+            (2, "extra", None, "observations[2].extra"),
         ],
     )
     def test_bad_observation_is_parse_error(self, index, key, value, field):
@@ -432,6 +438,14 @@ class TestJsonRoundTrip:
         with pytest.raises(HistoryParseError) as err:
             import_json(json.dumps(doc))
         assert err.value.field == field
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_export_is_strict_json(self, value):
+        # a bare NaN or Infinity token is not JSON; the export raises instead
+        h = single_history([1.0])
+        h.record(Observation(Configuration({"x": 0.5}), (2.0,), extra={"loss": value}))
+        with pytest.raises(ValueError):
+            export_json(h)
 
     @pytest.mark.parametrize("value", [{"name": "demo"}, 7, None, ["demo"]])
     def test_task_id_must_be_a_string(self, value):

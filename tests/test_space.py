@@ -251,7 +251,7 @@ class TestEncodings:
         )
         rng = np.random.default_rng(9)
         for encoding in ("one_hot", "index"):
-            width = space.encoded_width(encoding)
+            width = encode_codes(space, np.zeros((0, len(space))), encoding).shape[1]
             for _ in range(100):
                 v = rng.uniform(size=width)
                 c1 = decode(space, v, encoding)
@@ -280,7 +280,8 @@ class TestCodec:
     def test_snapped_rows_are_encodings_of_their_configurations(self, encoding):
         space = self.every_kind()
         rng = np.random.default_rng(13)
-        X = rng.uniform(-0.1, 1.1, size=(1000, space.encoded_width(encoding)))
+        width = encode_codes(space, np.zeros((0, len(space))), encoding).shape[1]
+        X = rng.uniform(-0.1, 1.1, size=(1000, width))
         snapped = encode_codes(space, decode_codes(space, index_rows(space, X, encoding)), encoding)
         again = encode_codes(space, decode_codes(space, index_rows(space, snapped, encoding)), encoding)
         assert again.tobytes() == snapped.tobytes()

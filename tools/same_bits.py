@@ -28,11 +28,16 @@ told rows alone exists and every constant-liar ask fits told and pending
 rows afresh. An ``hv`` line
 digests the hypervolume series ``report.default_analyses`` computes for the
 two bi-objective task histories, and an ``hv-m3`` line the one for the
-three-objective history, which takes the box-decomposition hypervolume. A
-final line, ``importance``, digests the parameter importances it computes
-(a random forest fitted and queried for Shapley values) for three of the
-task histories, so a change to the forest or the analyses behind the
-report shows up even when no suggestion moves.
+three-objective history, which takes the box-decomposition hypervolume.
+An ``importance`` line digests the parameter importances it computes (a
+random forest fitted and queried for Shapley values) for three of the task
+histories, so a change to the forest or the analyses behind the report
+shows up even when no suggestion moves. A final line, ``html``, digests the
+bytes of the HTML report ``bbo run`` would write,
+``render_html(history, default_analyses(history))``, for every history
+above (the tasks' and the three asynchronous ones), so a change to the
+report's charts, tables or analyses shows up even when every history and
+series stays.
 
 The ``hv`` line differs by design between trees whose two-objective
 hypervolume is a sweep and trees that take it from the box decomposition,
@@ -76,7 +81,7 @@ import math
 
 from bbo import Advisor, Observation, TaskSpec, run
 from bbo.bench import branin_evaluate, branin_problem, constr_evaluate, constr_problem
-from bbo.report import default_analyses, export_json
+from bbo.report import default_analyses, export_json, render_html
 from bbo.space import ParameterSpec, SearchSpace
 
 
@@ -239,12 +244,13 @@ def main() -> None:
     importance = []
     hv = []
     hv_m3 = []
+    pages = []
     for name, task, objective, parallelism in tasks():
         result = run(task, objective, parallelism=parallelism, clock=lambda: 0.0)
         digest = hashlib.sha256(export_json(result.history).encode("utf-8")).hexdigest()
         print(f"{name:26s} {digest[:16]} ({len(result.history)} trials, {result.stop_reason})")
-        if name in IMPORTANCE_TASKS or name in HV_TASKS or name == HV_M3_TASK:
-            analyses = default_analyses(result.history)
+        analyses = default_analyses(result.history)
+        pages.append(render_html(result.history, analyses))
         if name in IMPORTANCE_TASKS:
             values = analyses.get("importance", {})
             importance.append({key: float(value) for key, value in values.items()})
@@ -278,6 +284,7 @@ def main() -> None:
     )
     digest = hashlib.sha256(export_json(history).encode("utf-8")).hexdigest()
     print(f"{'async-ehvi':26s} {digest[:16]} ({len(history)} trials, max_runs)")
+    pages += [render_html(h, default_analyses(h)) for h in histories + [history]]
     digest = hashlib.sha256(repr(hv).encode("utf-8")).hexdigest()
     counts = "+".join(str(len(series)) for series in hv)
     print(f"{'hv':26s} {digest[:16]} ({counts} points)")
@@ -286,6 +293,8 @@ def main() -> None:
     digest = hashlib.sha256(repr(importance).encode("utf-8")).hexdigest()
     counts = "+".join(str(len(values)) for values in importance)
     print(f"{'importance':26s} {digest[:16]} ({counts} parameters)")
+    digest = hashlib.sha256("".join(pages).encode("utf-8")).hexdigest()
+    print(f"{'html':26s} {digest[:16]} ({len(pages)} reports)")
 
 
 if __name__ == "__main__":
