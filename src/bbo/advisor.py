@@ -416,19 +416,25 @@ class Advisor:
         X = self._encode(self._told + lies)
         last = self._models or ([None] * Y.shape[1], [None] * C.shape[1])
         models = tuple(
-            [self._fit_one(X, t, told, bool(lies)) for t, told in zip(T.T, told_models)]
+            [self._fit_one(X, t, told, len(lies)) for t, told in zip(T.T, told_models)]
             for T, told_models in zip((Y, C), last)
         )
         if not lies:
             self._models, self._models_current = models, True
         return models
 
-    def _fit_one(self, X: np.ndarray, y: np.ndarray, told, lies: bool):
-        """A forest, or a GP: with lies, the ``told`` fit's model conditioned
-        on them at its hyperparameters (constant liar); else fit, warm from
-        ``told``. A fit with no ``told`` and every 10th refit run the full
-        multi-start search to escape hyperparameter local optima (README)."""
+    def _fit_one(self, X: np.ndarray, y: np.ndarray, told, lies: int):
+        """A model on (X, y), whose last ``lies`` rows are lies (constant
+        liar). A forest: with lies and a ``told`` forest fit since the last
+        tell, that forest conditioned on the lies without regrowing; else
+        fit afresh, as a stale forest lacks the rows told since. A GP: with
+        lies, the ``told`` fit's model conditioned on them at its
+        hyperparameters; else fit, warm from ``told``. A GP fit with no
+        ``told`` and every 10th refit run the full multi-start search to
+        escape hyperparameter local optima (README)."""
         if self.plan.surrogate_kind != GP:
+            if told is not None and lies and self._models_current:
+                return told._conditioned(X[-lies:], y[-lies:])
             return fit_prf(X, y, rng=self._rng)
         if told is not None and lies:
             return GPModel(X, y, told.lengthscales, told.signal_var, told.noise_var)

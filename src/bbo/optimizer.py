@@ -51,13 +51,17 @@ class OptResult:
 
 def _is_number(value) -> bool:
     """Whether an objective's return value is a bare number: a Python or
-    numpy real scalar, or a 0-d integer or float array."""
+    numpy real scalar other than a bool, or a 0-d integer or float array."""
     if isinstance(value, numbers.Real):
-        return True
+        return not isinstance(value, bool)
     return isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind in "iuf"
 
 
 def _parse_result(result) -> tuple[list[float], list[float]]:
+    """(objectives, constraints) of a return value: a bare number, a
+    sequence of them, or an (objectives, constraints) pair of sequences.
+    Anything else, a bool, a string or a sequence holding either, raises
+    TypeError."""
     if _is_number(result):
         return [float(result)], []
     objectives, constraints = result, []
@@ -65,6 +69,10 @@ def _parse_result(result) -> tuple[list[float], list[float]]:
         objectives, constraints = result
     if any(isinstance(values, (str, bytes)) for values in (objectives, constraints)):
         raise TypeError(f"a string is not a sequence of numbers: {result!r}")
+    objectives, constraints = list(objectives), list(constraints)
+    for value in objectives + constraints:
+        if not _is_number(value):
+            raise TypeError(f"not a number: {value!r}")
     return [float(v) for v in objectives], [float(v) for v in constraints]
 
 

@@ -7,7 +7,9 @@ table of ``[feature, threshold, left, right, mean, var]`` rows, grown and
 split as arrays. It predicts by stepping one walker per (tree, query row)
 through walk tables built once per forest, a fixed number of passes (the
 forest's depth), and by adding the trees' leaf values in tree order, so a
-row's prediction is the same bits whatever other rows share the call.
+row's prediction is the same bits whatever other rows share the call. A
+fitted forest can be told more rows without regrowing: each joins the leaf
+it reaches in every tree, which updates that leaf's mean and variance.
 
 Only the GP needs ``scipy.optimize`` (its L-BFGS hyperparameter fit) and
 ``scipy.linalg`` (its LAPACK Cholesky routines), and the two take about
@@ -435,7 +437,14 @@ class PRFModel:
     walker that reaches a leaf stays there. ``depth`` is the longest
     root-to-leaf path from the given roots, the number of passes ``predict``
     makes.
+
+    The training rows each node holds are counted beside the table, in
+    ``_counts``: ``fit_prf`` sets them, and ``_conditioned`` updates its
+    copy. A forest built from a table alone has none and cannot be
+    conditioned.
     """
+
+    _counts: np.ndarray | None = None
 
     def __init__(self, nodes: np.ndarray, roots: np.ndarray):
         if len(roots) == 0:
@@ -459,12 +468,19 @@ class PRFModel:
     def predict(self, X_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ensemble mean and law-of-total-variance variance per query row.
 
-        One walker per (tree, query row) steps one level a pass, ``depth``
-        passes in all. A walker goes right exactly when ``x <= threshold``
-        is false, so a NaN feature value goes right at every split. The
-        trees' leaf values are added in tree order, so a row's result does
-        not depend on the other rows of the call."""
-        Xq = np.atleast_2d(np.asarray(X_query, dtype=float))
+        The trees' leaf values are added in tree order, so a row's result
+        does not depend on the other rows of the call."""
+        node = self._leaves(np.atleast_2d(np.asarray(X_query, dtype=float)))
+        means = self.nodes[node, 4]
+        mean = _tree_mean(means)
+        var = _tree_mean(self.nodes[node, 5] + means**2) - mean**2
+        return mean, np.maximum(var, 1e-12)
+
+    def _leaves(self, Xq: np.ndarray) -> np.ndarray:
+        """The (trees, rows) leaf rows the query rows reach. One walker per
+        (tree, query row) steps one level a pass, ``depth`` passes in all,
+        and goes right exactly when ``x <= threshold`` is false, so a NaN
+        feature value goes right at every split."""
         n, d = Xq.shape
         node = np.repeat(self.roots, n)
         offset = np.tile(np.arange(n) * d, len(self.roots))
@@ -472,11 +488,26 @@ class PRFModel:
         for _ in range(self.depth):
             go_left = flat[offset + self._feature[node]] <= self._threshold[node]
             node = self._children[2 * node + go_left]
-        shape = (len(self.roots), n)
-        means = self.nodes[node, 4].reshape(shape)
-        mean = _tree_mean(means)
-        var = _tree_mean(self.nodes[node, 5].reshape(shape) + means**2) - mean**2
-        return mean, np.maximum(var, 1e-12)
+        return node.reshape(len(self.roots), n)
+
+    def _conditioned(self, X: np.ndarray, y: np.ndarray) -> PRFModel:
+        """This forest told the rows (X, y) without regrowing: each row joins
+        the leaf it reaches in every tree, whose row count, mean and variance
+        are updated one row at a time by Welford's running rule. No split
+        moves and no random draw is made; this forest's arrays stay as they
+        are. Needs the row counts ``fit_prf`` keeps."""
+        leaves = self._leaves(np.atleast_2d(np.asarray(X, dtype=float)))
+        nodes, counts = self.nodes.copy(), self._counts.copy()
+        # within one row every tree reaches its own leaf, so no index repeats
+        for rows, value in zip(leaves.T, np.asarray(y, dtype=float)):
+            n, mean = counts[rows], nodes[rows, 4]
+            delta = value - mean
+            new_mean = mean + delta / (n + 1)
+            nodes[rows, 5] = (nodes[rows, 5] * n + delta * (value - new_mean)) / (n + 1)
+            nodes[rows, 4], counts[rows] = new_mean, n + 1
+        model = PRFModel(nodes, self.roots)
+        model._counts = counts
+        return model
 
 
 def _tree_mean(values: np.ndarray) -> np.ndarray:
@@ -500,11 +531,15 @@ def _grow_tree(
     max_features: int,
 ) -> int:
     """Append a tree on (X, y) to the node rows, parents before children and
-    the left subtree first, and return its root's row index."""
+    the left subtree first, and return its root's row index. Each row is a
+    node table row followed by the node's training row count."""
     row = len(nodes)
-    y_var = float(y.var())
-    nodes.append([-1, 0.0, -1, -1, float(y.mean()), y_var])
     n = y.shape[0]
+    # the sums ndarray.mean and ndarray.var reduce by, without their wrappers
+    mean = np.add.reduce(y) / n
+    dev = y - mean
+    y_var = float(np.add.reduce(dev * dev) / n)
+    nodes.append([-1, 0.0, -1, -1, float(mean), y_var, n])
     if n < 2 * min_samples_leaf or y_var <= 0.0:
         return row
 
@@ -513,7 +548,7 @@ def _grow_tree(
     feats = rng.permutation(X.shape[1])[:max_features]
     cols = X[:, feats]
     order = np.argsort(cols, axis=0, kind="stable")
-    sv = np.take_along_axis(cols, order, axis=0)
+    sv = cols[order, np.arange(len(feats))]
     sy = y[order]
     csum, csum2 = np.cumsum(sy, axis=0), np.cumsum(sy**2, axis=0)
     s = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
@@ -558,4 +593,7 @@ def fit_prf(X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None
     for _ in range(_N_TREES):
         idx = rng.integers(n, size=n)
         roots.append(_grow_tree(nodes, X[idx], y[idx], rng, _MIN_SAMPLES_LEAF, max_features))
-    return PRFModel(np.array(nodes), np.array(roots))
+    table = np.array(nodes)
+    model = PRFModel(table[:, :6], np.array(roots))
+    model._counts = table[:, 6]
+    return model

@@ -703,14 +703,53 @@ class TestPendingSet:
             return fit(X, y, **kwargs)
 
         monkeypatch.setattr(bbo.advisor, "fit_prf", spy)
-        for _ in range(3):
+        for i in range(3):
             config = advisor.ask()
-            assert rows == [advisor.num_told + 1]  # told rows plus the lie
+            # the first follower conditions the forest fit since the last
+            # tell; after a tell, the forest refits on told rows plus the lie
+            assert rows == ([] if i == 0 else [advisor.num_told + 1])
             advisor.tell(success(config, *quadratic(config)))
             rows.clear()
         advisor.tell(Observation(config=abandoned, trial_state=TrialState.FAILED))
         advisor.ask()
         assert rows == [advisor.num_told]
+
+    def test_prf_batch_fits_the_forest_once(self, monkeypatch):
+        task = TaskSpec(space=mixed_space(), init_count=6, max_runs=40, algorithm="prf", seed=7)
+        advisor = told_advisor(task, mixed, 6)
+        rows = []
+        fit = bbo.advisor.fit_prf
+
+        def spy(X, y, **kwargs):
+            rows.append(len(X))
+            return fit(X, y, **kwargs)
+
+        monkeypatch.setattr(bbo.advisor, "fit_prf", spy)
+        for _ in range(2):
+            batch = advisor.ask_batch(4)
+            assert len(set(batch)) == 4 and rows == [advisor.num_told]
+            for config in batch:
+                advisor.tell(success(config, mixed(config)))
+            rows.clear()
+
+    def test_follower_leaves_the_told_forest_unchanged(self, monkeypatch):
+        task = TaskSpec(space=mixed_space(), init_count=6, max_runs=40, algorithm="prf", seed=8)
+        advisor = told_advisor(task, mixed, 6)
+        advisor.ask()
+        (forest,), _ = advisor._models
+        nodes, counts, roots = forest.nodes.copy(), forest._counts.copy(), forest.roots.copy()
+        scored = scored_models(monkeypatch, advisor)
+        lie = advisor._encode(list(advisor._pending.values()))
+        advisor.ask()
+        assert advisor._models[0][0] is forest and advisor._models_current
+        assert np.array_equal(forest.nodes, nodes) and np.array_equal(forest._counts, counts)
+        assert np.array_equal(forest.roots, roots)
+        # the follower's forest holds the lie in the leaf it reaches in each tree
+        [(follower,)] = scored
+        added = np.zeros_like(counts)
+        added[forest._leaves(lie)] = 1
+        assert np.array_equal(follower._counts, counts + added)
+        assert np.array_equal(follower.nodes[:, :4], nodes[:, :4])
 
     def test_training_rows_are_the_told_configurations_in_tell_order(self, monkeypatch):
         task = TaskSpec(space=mixed_space(), init_count=6, max_runs=40, algorithm="gp", seed=4)

@@ -73,10 +73,13 @@ DROPS_CONSTRAINT_STUB = """
 STRING_RESULT_STUB = """
     import json, os, sys
     sys.stdin.readline()
-    if int(os.environ["BBO_TRIAL_INDEX"]) % 2:
-        print(json.dumps({"objectives": [1.0], "constraints": "0"}))
-    else:
-        print(json.dumps({"objectives": "12"}))
+    results = [
+        {"objectives": "12"},
+        {"objectives": [1.0], "constraints": "0"},
+        {"objectives": [True], "constraints": [0.0]},
+        {"objectives": ["1.5"], "constraints": [" 2 "]},
+    ]
+    print(json.dumps(results[int(os.environ["BBO_TRIAL_INDEX"]) % 4]))
 """
 
 DTLZ2_STUB = """

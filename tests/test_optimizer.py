@@ -97,6 +97,17 @@ class TestEvaluateSafe:
         assert obs.extra["error"].startswith("unusable objective return value")
 
     @pytest.mark.parametrize(
+        "value",
+        [True, np.True_, [True, False], ([1.0], [False]), ["1.5"], ([1.0], [" 2 "]), [None]],
+        ids=["bool", "numpy-bool", "bools", "bool-constraint", "str-item", "str-constraint", "none-item"],
+    )
+    def test_bools_and_strings_are_not_numbers(self, value):
+        obs = evaluate_safe(lambda c: value, Configuration({}))
+        assert obs.trial_state == TrialState.FAILED
+        assert obs.objectives is None
+        assert obs.extra["error"].startswith("unusable objective return value")
+
+    @pytest.mark.parametrize(
         "value, expected",
         [(np.float32(1.5), 1.5), (np.int64(3), 3.0), (np.array(2.0), 2.0)],
     )

@@ -644,6 +644,53 @@ class TestForestWalk:
         assert np.all(leaf.predict(queries)[0] == 7.0)
 
 
+class TestConditionedForest:
+    """A forest told more rows without regrowing, as a constant-liar
+    follower tells its lies."""
+
+    def test_leaves_equal_two_pass_moments_of_bag_and_lies(self):
+        # tree 0 splits x0 at 0.5; tree 1 is one leaf holding every bag row
+        bags = {1: [1.0, 2.0, 4.5], 2: [10.0, 12.5], 3: [1.0, 2.0, 4.5, 10.0, 12.5]}
+        nodes = [[0, 0.5, 1, 2, 0.0, 0.0]] + [[-1, 0.0, -1, -1, np.mean(b), np.var(b)] for b in bags.values()]
+        forest = PRFModel(np.array(nodes), [0, 3])
+        forest._counts = np.array([5.0, 3.0, 2.0, 5.0])
+        lies_X, lies_y = np.array([[0.2], [0.4]]), np.array([3.25, -7.0])  # both reach leaf 1
+        conditioned = forest._conditioned(lies_X, lies_y)
+        for leaf, bag in bags.items():
+            told = bag + (list(lies_y) if leaf in (1, 3) else [])
+            assert conditioned._counts[leaf] == len(told)
+            assert abs(conditioned.nodes[leaf, 4] - np.mean(told)) <= 1e-12
+            assert abs(conditioned.nodes[leaf, 5] - np.var(told)) <= 1e-12
+        assert np.array_equal(conditioned.nodes[2], forest.nodes[2])
+        assert np.array_equal(conditioned.nodes[:, :4], forest.nodes[:, :4])
+
+    def test_told_forest_is_unchanged(self):
+        rng = np.random.default_rng(9)
+        X, y = rng.uniform(size=(30, 3)), rng.normal(size=30)
+        forest = fit_prf(X, y, rng=rng)
+        nodes, counts, roots = forest.nodes.copy(), forest._counts.copy(), forest.roots.copy()
+        queries = rng.uniform(size=(20, 3))
+        before = forest.predict(queries)
+        conditioned = forest._conditioned(rng.uniform(size=(3, 3)), np.full(3, np.median(y)))
+        assert np.array_equal(forest.nodes, nodes) and np.array_equal(forest._counts, counts)
+        assert np.array_equal(forest.roots, roots) and conditioned.roots.tolist() == roots.tolist()
+        assert_same_bits(forest.predict(queries), before)
+        # each of the three rows joins one leaf of every tree
+        assert conditioned._counts.sum() == counts.sum() + 3 * len(roots)
+
+    def test_fit_counts_each_nodes_bag_rows(self):
+        rng = np.random.default_rng(10)
+        X, y = rng.uniform(size=(25, 2)), rng.normal(size=25)
+        forest = fit_prf(X, y, rng=rng)
+        leaf = forest.nodes[:, 0] < 0
+        # a root holds its tree's whole bootstrap sample, a parent its children's rows
+        assert forest._counts[forest.roots].tolist() == [25.0] * len(forest.roots)
+        inner = np.flatnonzero(~leaf)
+        children = forest.nodes[inner][:, 2:4].astype(int)
+        assert np.array_equal(forest._counts[inner], forest._counts[children].sum(axis=1))
+        assert forest._counts[leaf].min() >= surrogate._MIN_SAMPLES_LEAF
+
+
 # --- oracles: the GP linear algebra through scipy's checked wrappers and an
 # (n, n, d) distance tensor, as the kernels were before they called LAPACK
 # directly on a dimension-major tensor ---

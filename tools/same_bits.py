@@ -62,6 +62,14 @@ whose constant-liar GP followers refit their hyperparameters and trees
 whose followers condition the last fit on the told rows at its
 hyperparameters; the ``async-ehvi`` line takes neither path and stays.
 
+The ``prf-mixed-q3``, ``importance`` and ``html`` lines differ by design
+between trees whose constant-liar forest followers regrow every tree on the
+told rows plus lies and trees whose followers condition the forest fit since
+the last tell, adding each lie to the leaf it reaches. ``prf-mixed-q3``
+runs in batches of three, and the ``importance`` and ``html`` lines digest
+its history's analyses and report. The ``async-workers`` line stays: each of
+its followers comes after a tell, so it refits as before.
+
 Two source trees whose advisors suggest the same configurations print the
 same lines, so a refactor that claims identical suggestions can be checked
 by running this script once per tree:
