@@ -235,6 +235,13 @@ def _unseen_rows(codes: np.ndarray, known_keys: set) -> np.ndarray:
     return np.frombuffer(b"".join(kept), dtype=float).reshape(-1, codes.shape[1])
 
 
+def _rows_in(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether the bytes of each row of ``codes`` equal those of a row of
+    ``rows``, compared as 64-bit words (for the few rows a step adds)."""
+    words = [np.ascontiguousarray(a, dtype=float).view(np.int64) for a in (codes, rows)]
+    return (words[0][:, None, :] == words[1][None, :, :]).all(axis=2).any(axis=1)
+
+
 def _jittered(space: SearchSpace, codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One random neighbour of each row: a Gaussian step on every float, and
     a move to another value of each discrete parameter with probability
@@ -304,6 +311,38 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
     return chosen[np.argsort(-scores[chosen], kind="stable")[:k]]
 
 
+def _enumerable(space: SearchSpace, n_candidates: int) -> bool:
+    """Whether an ask's pool is every configuration of the space."""
+    total = space.n_configurations()
+    return total is not None and total <= max(n_candidates, _ENUMERATION_CAP)
+
+
+def _candidate_pool(
+    space: SearchSpace,
+    rng: np.random.Generator,
+    n_candidates: int,
+    known_codes: np.ndarray,
+    known_keys,
+) -> tuple[np.ndarray, str]:
+    """The rows an ask scores before its local search, and where they came
+    from: every configuration the known rows leave free (``"enumerated"``,
+    see :func:`_enumerable`), or else ``n_candidates`` random samples
+    followed by two random neighbours of each known row, the neighbours
+    drawn first (``"sampled"``). Rows equal to a known row are dropped and
+    the others kept once, at their first occurrence."""
+    if _enumerable(space, n_candidates):
+        pool = _unseen_rows(all_codes(space), known_keys)
+        if not len(pool):
+            raise ExhaustedSpaceError("all configurations have been suggested")
+        return pool, "enumerated"
+    seeds = _jittered(space, np.vstack([known_codes, known_codes]), rng)
+    candidates = np.vstack([sample_codes(space, n_candidates, rng), seeds])
+    pool = _unseen_rows(candidates, known_keys)
+    while not len(pool):  # pathological: resample until an unseen row appears
+        pool = _unseen_rows(sample_codes(space, n_candidates, rng), known_keys)
+    return pool, "sampled"
+
+
 def maximize_acquisition(
     score_fn: Callable[[np.ndarray], np.ndarray],
     space: SearchSpace,
@@ -311,6 +350,7 @@ def maximize_acquisition(
     n_candidates: int = 5000,
     n_local_starts: int = 10,
     known: np.ndarray = (),
+    pool: tuple | None = None,
 ) -> np.ndarray:
     """Maximize a batched score function of code rows over the rows the
     ``known`` code rows (told and pending configurations, see
@@ -324,6 +364,12 @@ def maximize_acquisition(
     first one scored on ties). Scores rank as in :func:`_top`, so a NaN
     score ranks below every number.
 
+    A caller may pass that first pool, drawn as above, as ``pool``: its
+    non-empty (rows, scores), whose rows are distinct and unseen. The
+    advisor does so under a forest, whose samples are drawn once per told
+    forest: a constant-liar follower carries the last ask's pool on (README
+    "Forest followers").
+
     No scored row equals a known row, and the pool holds each row once. Rows
     compare by their bytes (:func:`_row_keys`), so -0.0 and 0.0 differ.
     """
@@ -335,19 +381,12 @@ def maximize_acquisition(
     def score(codes: np.ndarray) -> np.ndarray:
         return np.asarray(score_fn(codes), dtype=float).ravel()
 
-    total = space.n_configurations()
-    exhaustive = total is not None and total <= max(n_candidates, _ENUMERATION_CAP)
-    if exhaustive:
-        pool = _unseen_rows(all_codes(space), known_keys)
-        if not len(pool):
-            raise ExhaustedSpaceError("all configurations have been suggested")
+    exhaustive = _enumerable(space, n_candidates)
+    if pool is None:
+        pool, _ = _candidate_pool(space, rng, n_candidates, known_codes, known_keys)
+        pool_scores = score(pool)
     else:
-        seeds = _jittered(space, np.vstack([known_codes, known_codes]), rng)
-        candidates = np.vstack([sample_codes(space, n_candidates, rng), seeds])
-        pool = _unseen_rows(candidates, known_keys)
-        while not len(pool):  # pathological: resample until an unseen row appears
-            pool = _unseen_rows(sample_codes(space, n_candidates, rng), known_keys)
-    pool_scores = score(pool)
+        pool, pool_scores = pool
     found, found_scores = [pool], [pool_scores]
 
     if not exhaustive and n_local_starts > 0:

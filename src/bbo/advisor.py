@@ -27,7 +27,11 @@ import numpy as np
 
 from . import evolution, moo
 from .acquisition import (
+    _candidate_pool,
+    _jittered,
     _load_special,
+    _rows_in,
+    _unseen_rows,
     ehvi,
     ehvi_tables,
     estimate_lipschitz,
@@ -226,6 +230,19 @@ class _EAState:
         self.members = {}
 
 
+class _PooledForest:
+    """A forest with the (trees, rows) leaves its ask's candidate pool
+    reaches in it: ``predict`` walks encoded rows, and reads the pool's
+    rows, passed as a zero-width (pool rows, 0) array, from those leaves."""
+
+    def __init__(self, forest, leaves: np.ndarray):
+        self.forest, self.leaves = forest, leaves
+
+    def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return self.forest.predict(X) if X.shape[1] else self.forest._moments(self.leaves)
+
+
 class Advisor:
     """Stateful ask-and-tell suggestion engine for one task.
 
@@ -257,6 +274,10 @@ class Advisor:
         # whether no tell has come since; later fits start from it
         self._models: Optional[tuple[list, list]] = None
         self._models_current = False
+        # while they stay current, the candidate pool of the last forest ask:
+        # its code rows, the leaves each reaches in every told forest, how
+        # it was drawn, and how many seen rows it leaves out
+        self._pool: Optional[tuple] = None
         self._refit_count = 0
         self._encoding = ONE_HOT if self.plan.surrogate_kind == GP else INDEX
         # import scipy's normal CDF (and for a GP its optimizer and LAPACK)
@@ -328,6 +349,7 @@ class Advisor:
         self._pending.pop(key, None)
         self._seen.setdefault(key, row)
         self._models_current = False
+        self._pool = None
 
     # --- internals ---
 
@@ -485,20 +507,67 @@ class Advisor:
                 models = self._models if self._models_current else self._fit([])
         except InsufficientDataError:
             return None
+        space, multi = self.task.space, self.task.num_objectives > 1
+        n_candidates = _N_CANDIDATES_MO if multi else _N_CANDIDATES
+        known = np.array(list(self._seen.values()))
+        forest, pool, info = self.plan.surrogate_kind == PRF, None, {}
+        if forest:
+            rows, models, info = self._forest_pool(models, n_candidates, known)
         score_fn = self._score_function(*models)
         if strategy == LOCAL_PENALIZATION:
             score_fn = self._penalized(score_fn, models[0][0])
-        space, multi = self.task.space, self.task.num_objectives > 1
+        if forest:
+            pool = (rows, np.asarray(score_fn(np.empty((len(rows), 0))), dtype=float).ravel())
         codes = maximize_acquisition(
             lambda rows: score_fn(encode_codes(space, rows, self._encoding)),
             space,
             self._rng,
-            n_candidates=_N_CANDIDATES_MO if multi else _N_CANDIDATES,
+            n_candidates=n_candidates,
             n_local_starts=_N_LOCAL_STARTS_MO if multi else _N_LOCAL_STARTS,
-            known=np.array(list(self._seen.values())),
+            known=known,
+            pool=pool,
         )
-        self.last_ask_info = {"phase": "model", "score_fn": score_fn}
+        self.last_ask_info = {"phase": "model", "score_fn": score_fn, **info}
         return codes
+
+    def _forest_pool(self, models: tuple, n_candidates: int, known: np.ndarray):
+        """A forest ask's candidate pool, its (objective, constraint) forests
+        as ``_PooledForest``s holding the leaves the pool reaches in each,
+        and a record of where the pool came from and how many rows were
+        walked. While the told forests stay current the pool is kept, and
+        the next ask, a conditioned follower whose forests share their
+        structure, carries it on: the rows seen since are dropped and, on a
+        sampled space, two random neighbours of each are appended, the only
+        rows walked. Otherwise, or when that leaves no row, it is drawn as
+        ``maximize_acquisition`` would draw it (``_candidate_pool``) and
+        every row is walked."""
+        space, forests = self.task.space, models[0] + models[1]
+        rows = None
+        if self._pool is not None:
+            rows, leaves, drawn, seen = self._pool
+            new = known[seen:]
+            added = np.empty((0, len(space)))
+            if drawn == "sampled":
+                added = _unseen_rows(_jittered(space, np.vstack([new, new]), self._rng), self._seen)
+                added = added[~_rows_in(added, rows)]
+            kept = ~_rows_in(rows, new)
+            rows = np.vstack([rows[kept], added])
+            leaves = [np.hstack([old[:, kept], walk]) for old, walk in zip(leaves, self._walk(forests, added))]
+            source, walked = "shared", len(added)
+        if rows is None or not len(rows):
+            rows, drawn = _candidate_pool(space, self._rng, n_candidates, known, self._seen)
+            leaves = self._walk(forests, rows)
+            source, walked = drawn, len(rows)
+        if self._models_current:
+            self._pool = (rows, leaves, drawn, len(self._seen))
+        pooled = [_PooledForest(forest, walk) for forest, walk in zip(forests, leaves)]
+        split = len(models[0])
+        return rows, (pooled[:split], pooled[split:]), {"pool": source, "walked": walked}
+
+    def _walk(self, forests: list, rows: np.ndarray) -> list:
+        """The leaves the code ``rows`` reach in each forest."""
+        X = encode_codes(self.task.space, rows, self._encoding)
+        return [forest._leaves(X) for forest in forests]
 
     def _penalized(self, base, model):
         """Local penalization of ``base`` around the pending points."""

@@ -161,8 +161,8 @@ def importance_shapley(
     bg_idx = rng.permutation(n)[:_N_BACKGROUND]
     ex_idx = rng.permutation(n)[:_N_EXPLICANDS]
     background = X[bg_idx]
-    bg_pred, _ = model.predict(background)
-    ex_pred, _ = model.predict(X[ex_idx])
+    bg_pred = model._mean(background)
+    ex_pred = model._mean(X[ex_idx])
     baseline = float(bg_pred.mean())
 
     ranks = np.tile(np.arange(d), (n_permutations, 1))
@@ -182,7 +182,7 @@ def importance_shapley(
         # predicted; the forest's predictions do not depend on the call's rows
         hybrids = np.where(rank[:, None, :] < steps, X[i], background[z_idx][:, None, :])
         preds[:, 0] = bg_pred[z_idx]
-        preds[:, 1:d] = model.predict(hybrids.reshape(-1, d))[0].reshape(n_permutations, d - 1)
+        preds[:, 1:d] = model._mean(hybrids.reshape(-1, d)).reshape(n_permutations, d - 1)
         preds[:, d] = ex_pred[row]
         # marginal of feature f in sample s: the step that added it
         marginals = np.take_along_axis(np.diff(preds, axis=1), rank, axis=1)

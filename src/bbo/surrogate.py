@@ -470,10 +470,19 @@ class PRFModel:
 
         The trees' leaf values are added in tree order, so a row's result
         does not depend on the other rows of the call."""
-        node = self._leaves(np.atleast_2d(np.asarray(X_query, dtype=float)))
-        means = self.nodes[node, 4]
+        return self._moments(self._leaves(np.atleast_2d(np.asarray(X_query, dtype=float))))
+
+    def _mean(self, X_query: np.ndarray) -> np.ndarray:
+        """The ensemble mean of :meth:`predict` alone."""
+        return _tree_mean(self.nodes[self._leaves(np.atleast_2d(np.asarray(X_query, dtype=float))), 4])
+
+    def _moments(self, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`predict` at rows that reach the (trees, rows) ``leaves``.
+        A forest conditioned from this one shares its structure, so the
+        leaves found in either index both node tables."""
+        means = self.nodes[leaves, 4]
         mean = _tree_mean(means)
-        var = _tree_mean(self.nodes[node, 5] + means**2) - mean**2
+        var = _tree_mean(self.nodes[leaves, 5] + means**2) - mean**2
         return mean, np.maximum(var, 1e-12)
 
     def _leaves(self, Xq: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from bbo import acquisition, moo
 from bbo.acquisition import (
     _neighbours,
     _row_keys,
+    _rows_in,
     _top,
     _unseen_mask,
     _unseen_rows,
@@ -835,6 +836,17 @@ class TestHashedExclusion:
         assert _unseen_rows(none, set(_row_keys(pool))).shape == (0, len(space))
         assert _unseen_mask(none, set(_row_keys(pool))).shape == (0,)
 
+    def test_rows_in_matches_byte_keys(self):
+        rng = np.random.default_rng(57)
+        for _ in range(20):
+            codes = rng.integers(0, 3, size=(40, 3)).astype(float)
+            codes[rng.uniform(size=codes.shape) < 0.2] = -0.0
+            rows = np.vstack([codes[rng.integers(0, 40, size=2)], rng.integers(0, 3, size=(2, 3))])
+            keys = set(_row_keys(rows))
+            want = np.array([key in keys for key in _row_keys(codes)])
+            assert np.array_equal(_rows_in(codes, rows), want)
+            assert not _rows_in(codes, rows[:0]).any() and _rows_in(codes[:0], rows).shape == (0,)
+
     def test_row_keys_are_the_rows_bytes(self):
         rng = np.random.default_rng(56)
         codes = rng.uniform(size=(6, 4))
@@ -847,6 +859,12 @@ class TestHashedExclusion:
             np.asfortranarray(codes),
             codes[[4, 1, 4, 2]],
         ]
+        # the shapes a carried-on pool takes: a read-only view of joined
+        # bytes, its masked rows, and those with new rows appended
+        pool = _unseen_rows(codes, set())
+        assert not pool.flags.writeable
+        kept = pool[np.arange(6) % 2 == 0]
+        cases += [pool, kept, np.vstack([kept, codes[:2]])]
         for rows in cases:
             keys = _row_keys(rows)
             assert keys == [row.tobytes() for row in rows]

@@ -1,5 +1,6 @@
 """Tests for algorithm auto-selection and the ask-and-tell advisor."""
 
+import copy
 import math
 import time
 
@@ -8,7 +9,7 @@ import pytest
 
 import bbo.advisor
 from bbo import moo
-from bbo.acquisition import ehvi, ehvi_tables
+from bbo.acquisition import _candidate_pool, _jittered, _unseen_rows, ehvi, ehvi_tables
 from bbo.advisor import EHVI, Advisor, AlgorithmPlan, TaskSpec, auto_select
 from bbo.errors import (
     ExhaustedSpaceError,
@@ -21,9 +22,12 @@ from bbo.space import (
     Configuration,
     ParameterSpec,
     SearchSpace,
+    all_codes,
+    encode_codes,
     encode_matrix,
     from_codes,
     latin_hypercube,
+    to_codes,
 )
 
 
@@ -744,8 +748,10 @@ class TestPendingSet:
         assert advisor._models[0][0] is forest and advisor._models_current
         assert np.array_equal(forest.nodes, nodes) and np.array_equal(forest._counts, counts)
         assert np.array_equal(forest.roots, roots)
-        # the follower's forest holds the lie in the leaf it reaches in each tree
-        [(follower,)] = scored
+        # the follower's forest (scored with the leaves of its ask's pool)
+        # holds the lie in the leaf it reaches in each tree
+        [(pooled,)] = scored
+        follower = pooled.forest
         added = np.zeros_like(counts)
         added[forest._leaves(lie)] = 1
         assert np.array_equal(follower._counts, counts + added)
@@ -772,6 +778,170 @@ class TestPendingSet:
         configs = [o.config for o in advisor.get_history().observations]
         assert len(inputs) == 1
         assert inputs[0].tobytes() == encode_matrix(task.space, configs, "one_hot").tobytes()
+
+
+def pools_passed(monkeypatch):
+    """A list that collects the ``pool`` every later acquisition search of
+    the advisor module is handed."""
+    pools = []
+    maximize = bbo.advisor.maximize_acquisition
+
+    def recording(*args, **kwargs):
+        pools.append(kwargs["pool"])
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(bbo.advisor, "maximize_acquisition", recording)
+    return pools
+
+
+def far_space():
+    """A float on [9000, 9001], where a double does not resolve every
+    grid step (README), so some code rows decode to a neighbour's value."""
+    return SearchSpace(
+        [
+            ParameterSpec("x", "float", low=9000.0, high=9001.0),
+            ParameterSpec("k", "int", low=0, high=20),
+        ]
+    )
+
+
+def far(config):
+    return [(config["x"] - 9000.4) ** 2 + abs(config["k"] - 7)]
+
+
+class TestSharedPool:
+    """A constant-liar forest follower whose told forest is current carries
+    the last ask's candidate pool on instead of drawing its own."""
+
+    @pytest.mark.parametrize("unresolved", [False, True], ids=["mixed", "unresolved-grid"])
+    def test_follower_pool_is_the_last_pool_less_the_rows_seen_plus_two_neighbours_each(
+        self, monkeypatch, unresolved
+    ):
+        if unresolved:
+            task = TaskSpec(space=far_space(), init_count=6, max_runs=40, algorithm="prf", seed=5)
+            advisor = told_advisor(task, far, 6)
+
+            # the leader claims a pool row that does not survive its round
+            # trip, so the claim marks two rows seen
+            def unresolved_row(score_fn, space, rng, **kwargs):
+                rows = kwargs["pool"][0]
+                trips = to_codes(space, from_codes(space, rows))
+                return rows[np.flatnonzero((trips != rows).any(axis=1))[:1]].copy()
+
+            monkeypatch.setattr(bbo.advisor, "maximize_acquisition", unresolved_row)
+        else:
+            task = TaskSpec(space=mixed_space(), init_count=6, max_runs=40, algorithm="prf", seed=8)
+            advisor = told_advisor(task, mixed, 6)
+        advisor.ask()
+        monkeypatch.undo()
+        assert advisor.last_ask_info["pool"] == "sampled"
+        last, _, _, seen = advisor._pool
+        assert advisor.last_ask_info["walked"] == len(last)
+        new = np.array(list(advisor._seen.values())[seen:])
+        assert len(new) == (2 if unresolved else 1)
+
+        pools = pools_passed(monkeypatch)
+        known = dict(advisor._seen)
+        rng = copy.deepcopy(advisor._rng)
+        advisor.ask()
+        neighbours = _jittered(task.space, np.vstack([new, new]), rng)
+        want = _unseen_rows(np.vstack([last, neighbours]), known)
+        [(rows, _)] = pools
+        assert rows.tobytes() == want.tobytes()
+        assert advisor._pool[0] is rows
+        for row in new:
+            assert not (rows == row).all(axis=1).any()
+        dropped = sum((last == row).all(axis=1).any() for row in new)
+        if unresolved:
+            assert dropped == 1  # the claimed pool row; the row it decodes to was not in it
+        assert advisor.last_ask_info["pool"] == "shared"
+        assert advisor.last_ask_info["walked"] == len(rows) - (len(last) - dropped)
+
+    @pytest.mark.parametrize(
+        "num_objectives, num_constraints, acquisition",
+        [(1, 0, "EI"), (1, 1, "EIC"), (2, 1, "EHVI_C")],
+    )
+    def test_shared_pool_scores_are_those_of_a_fresh_predict(
+        self, monkeypatch, num_objectives, num_constraints, acquisition
+    ):
+        task = TaskSpec(
+            space=mixed_space(),
+            num_objectives=num_objectives,
+            num_constraints=num_constraints,
+            init_count=6,
+            max_runs=40,
+            algorithm="prf",
+            seed=9,
+        )
+
+        def objective(config):
+            value = mixed(config)[0]
+            return success(config, [value, 3.0 - value][:num_objectives], [config["x"] - 1.0][:num_constraints])
+
+        advisor = Advisor(task)
+        assert advisor.plan.acquisition_kind == acquisition
+        for _ in range(6):
+            advisor.tell(objective(advisor.ask()))
+        pools = pools_passed(monkeypatch)
+        advisor.ask_batch(3)
+        assert len(pools) == 3 and advisor.last_ask_info["pool"] == "shared"
+        # the follower's score walks the rows afresh through its forests
+        (rows, scores), score_fn = pools[-1], advisor.last_ask_info["score_fn"]
+        fresh = np.asarray(score_fn(encode_codes(task.space, rows, "index")), dtype=float)
+        assert scores.tobytes() == fresh.tobytes()
+
+    def test_tell_drops_the_pool(self):
+        task = TaskSpec(space=mixed_space(), init_count=6, max_runs=40, algorithm="prf", seed=10)
+        advisor = told_advisor(task, mixed, 6)
+        batch = advisor.ask_batch(2)
+        assert advisor.last_ask_info["pool"] == "shared" and advisor._pool is not None
+        advisor.tell(success(batch[0], mixed(batch[0])))
+        assert advisor._pool is None
+        config = advisor.ask()  # refits told rows plus the lie, whose pool is not kept
+        assert advisor.last_ask_info["pool"] == "sampled" and advisor._pool is None
+        for config in (batch[1], config):
+            advisor.tell(success(config, mixed(config)))
+        advisor.ask()  # nothing is pending: the told fit, whose pool is kept
+        assert advisor.last_ask_info["pool"] == "sampled"
+        assert advisor.last_ask_info["walked"] == len(advisor._pool[0])
+
+    def test_enumerated_pool_is_the_unseen_configurations_until_none_is_left(self, monkeypatch):
+        task = TaskSpec(space=grid12_space(), init_count=4, max_runs=40, algorithm="prf", seed=11)
+        advisor = told_advisor(task, lambda c: [c["a"] + "pqrs".index(c["c"])], 4)
+        pools = pools_passed(monkeypatch)
+        records = []
+        for _ in range(8):
+            known = dict(advisor._seen)
+            advisor.ask()
+            records.append((advisor.last_ask_info["pool"], advisor.last_ask_info["walked"]))
+            want = _unseen_rows(all_codes(task.space), known)
+            assert pools[-1][0].tobytes() == want.tobytes()
+        assert records == [("enumerated", 8)] + [("shared", 0)] * 7
+        with pytest.raises(ExhaustedSpaceError):
+            advisor.ask()
+        assert len(advisor._pending) == 8
+
+    def test_empty_shared_pool_on_a_sampled_space_draws_afresh(self, monkeypatch):
+        task = TaskSpec(space=mixed_space(), init_count=6, max_runs=40, algorithm="prf", seed=12)
+        advisor = told_advisor(task, mixed, 6)
+        # the leader's pool is one row, which it claims
+        candidate_pool = bbo.advisor._candidate_pool
+        monkeypatch.setattr(
+            bbo.advisor, "_candidate_pool", lambda *args: (candidate_pool(*args)[0][:1], "sampled")
+        )
+        monkeypatch.setattr(bbo.advisor, "maximize_acquisition", lambda *a, **k: k["pool"][0].copy())
+        advisor.ask()
+        monkeypatch.undo()
+        # every neighbour the follower draws is a row already seen
+        monkeypatch.setattr(bbo.advisor, "_jittered", lambda space, rows, rng: rows)
+        known = dict(advisor._seen)
+        rng = copy.deepcopy(advisor._rng)
+        pools = pools_passed(monkeypatch)
+        advisor.ask()
+        want, _ = candidate_pool(task.space, rng, 5000, np.array(list(known.values())), known)
+        assert advisor.last_ask_info["pool"] == "sampled"
+        assert advisor.last_ask_info["walked"] == len(want)
+        assert pools[-1][0].tobytes() == want.tobytes()
 
 
 class TestDefaults:

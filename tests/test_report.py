@@ -309,15 +309,18 @@ class TestImportanceShapley:
 
     def test_predicts_each_hybrid_once(self, monkeypatch):
         # the background (32 rows) and the explicands (64) are predicted
-        # once each; per explicand only hybrids 1 .. d - 1 of its samples
-        predict = PRFModel.predict
+        # once each; per explicand only hybrids 1 .. d - 1 of its samples.
+        # Counted where every prediction walks the forest, since the
+        # importances read the mean alone and never call predict
+        leaves = PRFModel._leaves
         rows = []
 
-        def counting_predict(self, X_query):
-            rows.append(len(np.atleast_2d(X_query)))
-            return predict(self, X_query)
+        def counting_leaves(self, X_query):
+            rows.append(len(X_query))
+            return leaves(self, X_query)
 
-        monkeypatch.setattr(PRFModel, "predict", counting_predict)
+        monkeypatch.setattr(PRFModel, "_leaves", counting_leaves)
+        monkeypatch.setattr(PRFModel, "predict", None)
         h = self.make_history(lambda a, b: float(a + 0.3 * b + a * b), n=80, seed=4)
         importance_shapley(h, n_permutations=64, rng=np.random.default_rng(9))
         assert sum(rows) == 32 + 64 + 64 * 64 * 1

@@ -70,6 +70,17 @@ runs in batches of three, and the ``importance`` and ``html`` lines digest
 its history's analyses and report. The ``async-workers`` line stays: each of
 its followers comes after a tell, so it refits as before.
 
+The same three lines differ by design between trees whose conditioned
+forest followers draw a candidate pool of their own and trees whose
+followers carry on the last ask's pool, dropping the rows seen since and
+appending two random neighbours of each: ``prf-mixed-q3`` reads
+02a1f4d9934434de on the former and 06cda9a89ab51ab0 on the latter,
+``importance`` 36828f4b61f6909c and 0828afe0ac4f0458, and ``html``
+59611093045762d4 and 7e0309d3f53d374d. Every other line stays, including
+``async-workers`` (its followers follow a tell, so they draw their own
+pool), ``prf-grid12-exhaust`` and ``prf-ints6`` (asked one at a time, so
+every ask follows a tell).
+
 Two source trees whose advisors suggest the same configurations print the
 same lines, so a refactor that claims identical suggestions can be checked
 by running this script once per tree:
