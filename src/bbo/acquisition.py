@@ -1,22 +1,24 @@
 """Acquisition functions and their inner optimization over the search space.
 
 Score functions are vectorized: they take one encoded row or an (n, d) batch
-and return a float or an (n,) array. The advisor scores a candidate by its
+and return a float or an (n,) array. The parts of a score are an
 improvement (:func:`expected_improvement` for one objective, :func:`ehvi`
-for several) times :func:`feasibility_product`, the product of the
-constraints' probabilities of feasibility. EHVI is exact: over the disjoint
-boxes [l, u] the front leaves undominated (:func:`bbo.moo.nondominated_boxes`)
-it is the sum over boxes of prod_j (G_j(u_j) - G_j(l_j)), with
-G_j(a) = E[(a - y_j)+] the expected improvement of objective j below a.
-The inner optimizer (:func:`maximize_acquisition`) scores random candidates
-and random neighbours of known configurations, then runs coordinate-wise
-local search.
-It works on code matrices only (see :mod:`bbo.space`): the known
-configurations arrive as snapped code rows, candidates are sampled,
-perturbed, snapped, and deduplicated and excluded through sets of the bytes
-of their rows, the score function it is handed takes code rows (so the
-caller, which chose the surrogates' encoding, encodes them), and the one
-best row is returned for the caller to decode.
+for several), :func:`feasibility_product`, the product of the
+constraints' probabilities of feasibility, and :func:`local_penalization`
+around pending points. EHVI is exact: over the disjoint boxes [l, u] the
+front leaves undominated (:func:`bbo.moo.nondominated_boxes`) it is the sum
+over boxes of prod_j (G_j(u_j) - G_j(l_j)), with G_j(a) = E[(a - y_j)+] the
+expected improvement of objective j below a.
+
+The inner optimizer (:func:`maximize_acquisition`) scores the candidate pool
+it is handed (:func:`_candidate_pool` draws one: random samples plus random
+neighbours of known configurations, or every configuration of a small
+space), then runs coordinate-wise local search from its best rows. Both
+work on code matrices (see :mod:`bbo.space`), deduplicating and excluding
+rows through sets of the bytes of their rows. Every row the search ranks
+goes through the one score function it is handed, the pool as the inputs
+given for its rows and each local-search step as ``encode(rows)``, and the
+one best row is returned for the caller to decode.
 """
 
 from __future__ import annotations
@@ -311,12 +313,6 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
     return chosen[np.argsort(-scores[chosen], kind="stable")[:k]]
 
 
-def _enumerable(space: SearchSpace, n_candidates: int) -> bool:
-    """Whether an ask's pool is every configuration of the space."""
-    total = space.n_configurations()
-    return total is not None and total <= max(n_candidates, _ENUMERATION_CAP)
-
-
 def _candidate_pool(
     space: SearchSpace,
     rng: np.random.Generator,
@@ -324,13 +320,15 @@ def _candidate_pool(
     known_codes: np.ndarray,
     known_keys,
 ) -> tuple[np.ndarray, str]:
-    """The rows an ask scores before its local search, and where they came
-    from: every configuration the known rows leave free (``"enumerated"``,
-    see :func:`_enumerable`), or else ``n_candidates`` random samples
-    followed by two random neighbours of each known row, the neighbours
-    drawn first (``"sampled"``). Rows equal to a known row are dropped and
-    the others kept once, at their first occurrence."""
-    if _enumerable(space, n_candidates):
+    """The rows an ask scores before its local search, and how they were
+    drawn: every configuration the known rows leave free
+    (``"enumerated"``), when the space has at most
+    ``max(n_candidates, 100000)`` of them, or else ``n_candidates`` random
+    samples followed by two random neighbours of each known row, the
+    neighbours drawn first (``"sampled"``). Rows equal to a known row are
+    dropped and the others kept once, at their first occurrence."""
+    total = space.n_configurations()
+    if total is not None and total <= max(n_candidates, _ENUMERATION_CAP):
         pool = _unseen_rows(all_codes(space), known_keys)
         if not len(pool):
             raise ExhaustedSpaceError("all configurations have been suggested")
@@ -346,54 +344,40 @@ def _candidate_pool(
 def maximize_acquisition(
     score_fn: Callable[[np.ndarray], np.ndarray],
     space: SearchSpace,
-    rng: np.random.Generator,
-    n_candidates: int = 5000,
-    n_local_starts: int = 10,
+    pool: tuple,
+    encode: Callable[[np.ndarray], np.ndarray],
     known: np.ndarray = (),
-    pool: tuple | None = None,
+    n_local_starts: int = 10,
 ) -> np.ndarray:
-    """Maximize a batched score function of code rows over the rows the
-    ``known`` code rows (told and pending configurations, see
-    :func:`bbo.space.to_codes`) leave free.
+    """Maximize a batched score function over the rows the ``known`` code
+    rows (told and pending configurations, see :func:`bbo.space.to_codes`)
+    leave free.
 
-    Scores ``n_candidates`` random samples plus two random neighbours of
-    each known row (or, when the space has at most
-    ``max(n_candidates, 100000)`` configurations, all of them), runs
-    coordinate-wise local search from the best ``n_local_starts``, and
-    returns the best-scoring row as a (1, #parameters) code matrix (the
-    first one scored on ties). Scores rank as in :func:`_top`, so a NaN
-    score ranks below every number.
+    ``pool`` is the non-empty (rows, inputs) of the candidates: distinct
+    code rows that are not known, and what ``score_fn`` takes for them.
+    Scores the pool, runs coordinate-wise local search from its best
+    ``n_local_starts`` rows, scoring each step's unseen neighbours as
+    ``score_fn(encode(neighbours))``, and returns the best-scoring row as a
+    (1, #parameters) code matrix (the first one scored on ties). Scores rank
+    as in :func:`_top`, so a NaN score ranks below every number.
 
-    A caller may pass that first pool, drawn as above, as ``pool``: its
-    non-empty (rows, scores), whose rows are distinct and unseen. The
-    advisor does so under a forest, whose samples are drawn once per told
-    forest: a constant-liar follower carries the last ask's pool on (README
-    "Forest followers").
-
-    No scored row equals a known row, and the pool holds each row once. Rows
-    compare by their bytes (:func:`_row_keys`), so -0.0 and 0.0 differ.
+    No scored row equals a known row. Rows compare by their bytes
+    (:func:`_row_keys`), so -0.0 and 0.0 differ.
     """
-    if n_candidates < 1:
-        raise ValueError("n_candidates must be >= 1")
-    known_codes = np.reshape(np.asarray(known, dtype=float), (-1, len(space)))
-    known_keys = set(_row_keys(known_codes))
 
-    def score(codes: np.ndarray) -> np.ndarray:
-        return np.asarray(score_fn(codes), dtype=float).ravel()
+    def score(X: np.ndarray) -> np.ndarray:
+        return np.asarray(score_fn(X), dtype=float).ravel()
 
-    exhaustive = _enumerable(space, n_candidates)
-    if pool is None:
-        pool, _ = _candidate_pool(space, rng, n_candidates, known_codes, known_keys)
-        pool_scores = score(pool)
-    else:
-        pool, pool_scores = pool
-    found, found_scores = [pool], [pool_scores]
+    candidates, inputs = pool
+    pool_scores = score(inputs)
+    found, found_scores = [candidates], [pool_scores]
 
-    if not exhaustive and n_local_starts > 0:
+    if n_local_starts > 0:
+        known_keys = set(_row_keys(np.reshape(np.asarray(known, dtype=float), (-1, len(space)))))
         # the starts still improving: their rows, scores and step sizes
         # (every parameter's step starts at _STEP_INIT and halves together)
         starts = _top(pool_scores, n_local_starts)
-        current, current_score = pool[starts], pool_scores[starts]
+        current, current_score = candidates[starts], pool_scores[starts]
         deltas = np.full(len(starts), _STEP_INIT)
         for _ in range(_LOCAL_STEPS):
             if not len(current):
@@ -402,7 +386,7 @@ def maximize_acquisition(
             keep = _unseen_mask(moved, known_keys)
             if not keep.all():
                 moved, origin = moved[keep], origin[keep]
-            scores = score(moved) if len(moved) else np.empty(0)
+            scores = score(encode(moved)) if len(moved) else np.empty(0)
             found.append(moved)
             found_scores.append(scores)
             # best neighbour of each start, the first generated on ties

@@ -19,6 +19,7 @@ the surrogates' inputs.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -91,6 +92,15 @@ _N_LOCAL_STARTS_MO = 5
 _FAILED_SENTINEL = 1e18
 
 
+# the least value of each integer field of a task (init_count may be None)
+_LEAST = {"num_objectives": 1, "num_constraints": 0, "max_runs": 1, "batch_size": 1, "init_count": 1, "seed": 0}
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class TaskSpec:
     """Declarative description of one optimization task."""
@@ -108,23 +118,20 @@ class TaskSpec:
     task_id: str = "task"
 
     def __post_init__(self):
-        if self.num_objectives < 1:
-            raise SetupError("num_objectives must be >= 1")
-        if self.num_constraints < 0:
-            raise SetupError("num_constraints must be >= 0")
-        if self.max_runs < 1:
-            raise SetupError("max_runs must be >= 1")
-        if self.batch_size < 1:
-            raise SetupError("batch_size must be >= 1")
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if value is None and name == "init_count":
+                continue
+            if not _is_integer(value):
+                raise SetupError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise SetupError(f"{name} must be >= {least}, got {value}")
         if self.algorithm not in _ALGORITHMS:
             raise SetupError(f"unknown algorithm {self.algorithm!r}; expected one of {_ALGORITHMS}")
         if self.init_design not in _INIT_DESIGNS:
             raise SetupError(f"unknown init_design {self.init_design!r}")
         if self.init_count is None:
-            default = max(2 * len(self.space), 8)
-            self.init_count = max(1, min(default, self.max_runs // 3))
-        if self.init_count < 1:
-            raise SetupError("init_count must be >= 1")
+            self.init_count = max(1, min(max(2 * len(self.space), 8), self.max_runs // 3))
         if self.ref_point is not None and len(self.ref_point) != self.num_objectives:
             raise SetupError("ref_point length must equal num_objectives")
         if self.ref_point is not None and not np.isfinite(self.ref_point).all():
@@ -232,11 +239,12 @@ class _EAState:
 
 class _PooledForest:
     """A forest with the (trees, rows) leaves its ask's candidate pool
-    reaches in it: ``predict`` walks encoded rows, and reads the pool's
-    rows, passed as a zero-width (pool rows, 0) array, from those leaves."""
+    reaches in it, which the ask's pool step sets: ``predict`` walks encoded
+    rows, and reads the pool's rows, passed as a zero-width (pool rows, 0)
+    array, from those leaves."""
 
-    def __init__(self, forest, leaves: np.ndarray):
-        self.forest, self.leaves = forest, leaves
+    def __init__(self, forest):
+        self.forest, self.leaves = forest, None
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -418,8 +426,8 @@ class Advisor:
                 return codes
         return None
 
-    def _encode(self, rows: list) -> np.ndarray:
-        return encode_codes(self.task.space, np.array(rows), self._encoding)
+    def _encode(self, rows) -> np.ndarray:
+        return encode_codes(self.task.space, np.asarray(rows), self._encoding)
 
     def _fit(self, lies: list) -> tuple[list, list]:
         """One model per objective column, then one per constraint column, on
@@ -467,17 +475,19 @@ class Advisor:
     def _score_function(self, objective_models: list, constraint_models: list):
         """The score of a model-based ask, built from the history: the
         improvement (EI below the incumbent for one objective; for several,
-        EHVI over the boxes left undominated by the feasible front's points
-        that weakly dominate the reference point, tabulated once per ask)
+        EHVI over the boxes left undominated by the feasible points that
+        weakly dominate the reference point, tabulated once per ask: no point
+        outside the reference dominates one inside, so these boxes are the
+        feasible front's)
         times the product of the constraints' probabilities of feasibility.
         With one objective and no feasible point yet, the score is that
         product alone."""
         if self.task.num_objectives > 1:
             ref = self._history.reference_point()
-            front = np.array([o.objectives for o in self._history.pareto_front()])
-            front = front.reshape(-1, len(ref))
-            inside = np.all(front <= ref, axis=1) & np.any(front < ref, axis=1)
-            tables = ehvi_tables(moo.nondominated_boxes(front[inside], ref))
+            feasible = np.array([o.objectives for o in self._history.feasible_successes()])
+            feasible = feasible.reshape(-1, len(ref))
+            inside = np.all(feasible <= ref, axis=1) & np.any(feasible < ref, axis=1)
+            tables = ehvi_tables(moo.nondominated_boxes(feasible[inside], ref))
 
             def improvement(X):
                 return ehvi(X, objective_models, tables)
@@ -507,40 +517,30 @@ class Advisor:
                 models = self._models if self._models_current else self._fit([])
         except InsufficientDataError:
             return None
-        space, multi = self.task.space, self.task.num_objectives > 1
-        n_candidates = _N_CANDIDATES_MO if multi else _N_CANDIDATES
-        known = np.array(list(self._seen.values()))
-        forest, pool, info = self.plan.surrogate_kind == PRF, None, {}
-        if forest:
-            rows, models, info = self._forest_pool(models, n_candidates, known)
+        if self.plan.surrogate_kind == PRF:
+            models = tuple([_PooledForest(forest) for forest in group] for group in models)
         score_fn = self._score_function(*models)
         if strategy == LOCAL_PENALIZATION:
             score_fn = self._penalized(score_fn, models[0][0])
-        if forest:
-            pool = (rows, np.asarray(score_fn(np.empty((len(rows), 0))), dtype=float).ravel())
-        codes = maximize_acquisition(
-            lambda rows: score_fn(encode_codes(space, rows, self._encoding)),
-            space,
-            self._rng,
-            n_candidates=n_candidates,
-            n_local_starts=_N_LOCAL_STARTS_MO if multi else _N_LOCAL_STARTS,
-            known=known,
-            pool=pool,
-        )
+        multi = self.task.num_objectives > 1
+        known = np.array(list(self._seen.values()))
+        pool, drawn, info = self._candidates(models, _N_CANDIDATES_MO if multi else _N_CANDIDATES, known)
+        starts = 0 if drawn == "enumerated" else _N_LOCAL_STARTS_MO if multi else _N_LOCAL_STARTS
+        codes = maximize_acquisition(score_fn, self.task.space, pool, self._encode, known=known, n_local_starts=starts)
         self.last_ask_info = {"phase": "model", "score_fn": score_fn, **info}
         return codes
 
-    def _forest_pool(self, models: tuple, n_candidates: int, known: np.ndarray):
-        """A forest ask's candidate pool, its (objective, constraint) forests
-        as ``_PooledForest``s holding the leaves the pool reaches in each,
-        and a record of where the pool came from and how many rows were
-        walked. While the told forests stay current the pool is kept, and
-        the next ask, a conditioned follower whose forests share their
-        structure, carries it on: the rows seen since are dropped and, on a
-        sampled space, two random neighbours of each are appended, the only
-        rows walked. Otherwise, or when that leaves no row, it is drawn as
-        ``maximize_acquisition`` would draw it (``_candidate_pool``) and
-        every row is walked."""
+    def _candidates(self, models: tuple, n_candidates: int, known: np.ndarray):
+        """An ask's candidate pool as the (rows, inputs) the search scores,
+        how it was drawn (``_candidate_pool``) and, under a forest, where it
+        came from and how many rows were walked. A GP's inputs are the
+        encoded rows; a forest's, a zero-width array its ``_PooledForest``s
+        read from the leaves this step hands them. While the told forests
+        stay current the pool and its leaves are kept, and the next ask, a
+        conditioned follower sharing their structure, carries them on: the
+        rows seen since are dropped and, on a sampled space, two random
+        neighbours of each appended, the only rows walked. Every other ask,
+        or a follower left with no row, draws the pool afresh."""
         space, forests = self.task.space, models[0] + models[1]
         rows = None
         if self._pool is not None:
@@ -553,21 +553,23 @@ class Advisor:
             kept = ~_rows_in(rows, new)
             rows = np.vstack([rows[kept], added])
             leaves = [np.hstack([old[:, kept], walk]) for old, walk in zip(leaves, self._walk(forests, added))]
-            source, walked = "shared", len(added)
+            info = {"pool": "shared", "walked": len(added)}
         if rows is None or not len(rows):
             rows, drawn = _candidate_pool(space, self._rng, n_candidates, known, self._seen)
+            if self.plan.surrogate_kind == GP:
+                return (rows, self._encode(rows)), drawn, {}
             leaves = self._walk(forests, rows)
-            source, walked = drawn, len(rows)
+            info = {"pool": drawn, "walked": len(rows)}
         if self._models_current:
             self._pool = (rows, leaves, drawn, len(self._seen))
-        pooled = [_PooledForest(forest, walk) for forest, walk in zip(forests, leaves)]
-        split = len(models[0])
-        return rows, (pooled[:split], pooled[split:]), {"pool": source, "walked": walked}
+        for forest, walk in zip(forests, leaves):
+            forest.leaves = walk
+        return (rows, np.empty((len(rows), 0))), drawn, info
 
     def _walk(self, forests: list, rows: np.ndarray) -> list:
         """The leaves the code ``rows`` reach in each forest."""
-        X = encode_codes(self.task.space, rows, self._encoding)
-        return [forest._leaves(X) for forest in forests]
+        X = self._encode(rows)
+        return [pooled.forest._leaves(X) for pooled in forests]
 
     def _penalized(self, base, model):
         """Local penalization of ``base`` around the pending points."""

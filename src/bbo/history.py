@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,13 +31,37 @@ class TrialState(enum.Enum):
     TIMEOUT = "TIMEOUT"
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a bare number: a Python or numpy real scalar
+    other than a bool, or a 0-d integer or float array."""
+    if isinstance(value, numbers.Real):
+        return not isinstance(value, bool)
+    return isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind in "iuf"
+
+
+def _numbers(name: str, values) -> tuple:
+    """``values``, a sequence of numbers (see :func:`_is_number`), as a tuple
+    of finite floats; else ObservationShapeError."""
+    try:
+        items = None if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:  # not iterable
+        items = None
+    if items is None or not all(map(_is_number, items)):
+        raise ObservationShapeError(f"{name} must be a sequence of numbers, got {values!r}")
+    items = tuple(map(float, items))
+    if not all(map(math.isfinite, items)):
+        raise ObservationShapeError(f"{name} must be finite, got {items!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class Observation:
     """One evaluation result (minimization convention, constraints feasible iff <= 0).
 
     FAILED/TIMEOUT trials carry no usable objective or constraint values
     (both are None). Objective and constraint values, where given, must be
-    finite in every trial state.
+    sequences of finite numbers (not strings, bytes or bools) in every trial
+    state.
     """
 
     config: Configuration
@@ -50,10 +75,7 @@ class Observation:
         for name in ("objectives", "constraints"):
             values = getattr(self, name)
             if values is not None:
-                values = tuple(float(v) for v in values)
-                if not all(map(math.isfinite, values)):
-                    raise ObservationShapeError(f"{name} must be finite, got {values!r}")
-                object.__setattr__(self, name, values)
+                object.__setattr__(self, name, _numbers(name, values))
         if not (math.isfinite(self.elapsed_time) and self.elapsed_time >= 0):
             raise ObservationShapeError(f"elapsed_time must be finite and >= 0, got {self.elapsed_time!r}")
         if self.trial_state == TrialState.SUCCESS and self.objectives is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -22,7 +21,7 @@ import numpy as np
 
 from .advisor import Advisor, TaskSpec
 from .errors import ExhaustedSpaceError, ObservationShapeError, SetupError
-from .history import History, Observation, TrialState
+from .history import History, Observation, TrialState, _is_number
 from .space import Configuration
 
 STOP_MAX_RUNS = "max_runs"
@@ -47,14 +46,6 @@ class OptResult:
     total_elapsed: float
     stop_reason: str
     abandoned: int
-
-
-def _is_number(value) -> bool:
-    """Whether an objective's return value is a bare number: a Python or
-    numpy real scalar other than a bool, or a 0-d integer or float array."""
-    if isinstance(value, numbers.Real):
-        return not isinstance(value, bool)
-    return isinstance(value, np.ndarray) and value.ndim == 0 and value.dtype.kind in "iuf"
 
 
 def _parse_result(result) -> tuple[list[float], list[float]]:

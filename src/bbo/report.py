@@ -392,7 +392,7 @@ def _svg_scatter(points, width=420, height=340, title=""):
     return _svg_xy_chart(points, width, height, title, dots)
 
 
-def _svg_bar_chart(items, width=640, height=240, title=""):
+def _svg_bar_chart(items, width=640, title=""):
     """Horizontal bars for (label, value) pairs."""
     top = 30
     row_h = 26

@@ -14,6 +14,7 @@ from scipy.stats import norm
 import bbo
 from bbo import acquisition, moo
 from bbo.acquisition import (
+    _candidate_pool,
     _neighbours,
     _row_keys,
     _rows_in,
@@ -580,6 +581,22 @@ def one_hot_width(space):
     return encode_codes(space, np.zeros((0, len(space))), "one_hot").shape[1]
 
 
+def drawn_search(score_fn, space, rng, n_candidates, known=(), n_local_starts=10, encode=lambda rows: rows):
+    """maximize_acquisition over a candidate pool drawn as an ask draws it,
+    with no local search from an enumerated pool. The default ``encode``
+    hands the score function code rows."""
+    known = np.reshape(np.asarray(known, dtype=float), (-1, len(space)))
+    rows, drawn = _candidate_pool(space, rng, n_candidates, known, set(_row_keys(known)))
+    return maximize_acquisition(
+        score_fn,
+        space,
+        (rows, encode(rows)),
+        encode,
+        known=known,
+        n_local_starts=0 if drawn == "enumerated" else n_local_starts,
+    )
+
+
 class TestMaximizeAcquisition:
     def space_2floats(self):
         return SearchSpace(
@@ -591,7 +608,7 @@ class TestMaximizeAcquisition:
 
     def test_constant_score_returns_valid_configs(self):
         space = self.space_2floats()
-        result = maximize_acquisition(
+        result = drawn_search(
             lambda X: np.ones(np.atleast_2d(X).shape[0]),
             space,
             np.random.default_rng(0),
@@ -612,9 +629,7 @@ class TestMaximizeAcquisition:
 
         (best,) = from_codes(
             space,
-            maximize_acquisition(
-                score, space, np.random.default_rng(1), n_candidates=500, n_local_starts=5
-            ),
+            drawn_search(score, space, np.random.default_rng(1), n_candidates=500, n_local_starts=5),
         )
         assert abs(best["x"] - 0.5) <= 0.05
         assert abs(best["y"] - 0.5) <= 0.05
@@ -631,7 +646,7 @@ class TestMaximizeAcquisition:
             Configuration({"a": "u", "b": "q"}),
             Configuration({"a": "v", "b": "p"}),
         ]
-        result = maximize_acquisition(
+        result = drawn_search(
             lambda X: np.zeros(np.atleast_2d(X).shape[0]),
             space,
             np.random.default_rng(2),
@@ -644,7 +659,7 @@ class TestMaximizeAcquisition:
         space = SearchSpace([ParameterSpec("a", "categorical", choices=("u", "v"))])
         told = [Configuration({"a": "u"}), Configuration({"a": "v"})]
         with pytest.raises(ExhaustedSpaceError):
-            maximize_acquisition(
+            drawn_search(
                 lambda X: np.zeros(np.atleast_2d(X).shape[0]),
                 space,
                 np.random.default_rng(3),
@@ -657,7 +672,7 @@ class TestMaximizeAcquisition:
         space = SearchSpace([ParameterSpec("k", "int", low=0, high=9)])
         told = [Configuration({"k": i}) for i in (0, 1, 2, 3, 4, 9)]
         pending = [Configuration({"k": 8})]
-        result = maximize_acquisition(
+        result = drawn_search(
             lambda X: np.atleast_2d(X)[:, 0],
             space,
             np.random.default_rng(4),
@@ -680,8 +695,7 @@ class TestMaximizeAcquisition:
             peak = rng.uniform(size=one_hot_width(space))
             scored = []
 
-            def score(codes, peak=peak, scored=scored):
-                X = encode_codes(space, codes, "one_hot")
+            def score(X, peak=peak, scored=scored):
                 scored.append(X)
                 return -np.sum((X - peak) ** 2, axis=1)
 
@@ -696,13 +710,14 @@ class TestMaximizeAcquisition:
             ]
             told = near[:-20] + sample_random(space, 50, rng)
             pending = near[-20:]
-            result = maximize_acquisition(
+            result = drawn_search(
                 score,
                 space,
                 rng,
                 n_candidates=300,
                 n_local_starts=5,
                 known=to_codes(space, told + pending),
+                encode=lambda codes: encode_codes(space, codes, "one_hot"),
             )
             assert result.shape == (1, 3)
             (config,) = from_codes(space, result)
@@ -925,8 +940,7 @@ class TestSelectionContract:
         peak = rng.uniform(size=one_hot_width(space))
         blocks = []
 
-        def score(codes):
-            X = encode_codes(space, codes, "one_hot")
+        def score(X):
             s = np.round(-8.0 * np.sum((X - peak) ** 2, axis=1), 1)  # -0.0 near the peak
             s[X[:, 0] > 0.8] = np.nan
             if seed % 5 == 1:
@@ -937,8 +951,14 @@ class TestSelectionContract:
             return s
 
         known = sample_codes(space, 5, rng)
-        result = maximize_acquisition(
-            score, space, rng, n_candidates=200, n_local_starts=n_local_starts, known=known
+        result = drawn_search(
+            score,
+            space,
+            rng,
+            n_candidates=200,
+            known=known,
+            n_local_starts=n_local_starts,
+            encode=lambda codes: encode_codes(space, codes, "one_hot"),
         )
         return result, blocks, known
 

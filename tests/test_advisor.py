@@ -167,6 +167,39 @@ class TestAutoSelect:
         with pytest.raises(SetupError):
             TaskSpec(space=float_space(2), algorithm="annealing")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_objectives", 1.0),
+            ("num_constraints", True),
+            ("max_runs", 7.5),
+            ("max_runs", True),
+            ("batch_size", 2.5),
+            ("init_count", 3.0),
+            ("seed", 1.5),
+            ("seed", "1"),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(SetupError, match=f"{field} must be an integer"):
+            TaskSpec(space=float_space(2), **{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SetupError, match="seed must be >= 0"):
+            TaskSpec(space=float_space(2), seed=-1)
+
+    def test_numpy_integers_accepted(self):
+        task = TaskSpec(space=float_space(2), max_runs=np.int64(20), batch_size=np.int32(2), seed=np.uint8(3))
+        assert Advisor(task).ask_batch() and task.init_count == 6
+
+    def test_tell_rejects_non_numbers(self):
+        advisor = Advisor(TaskSpec(space=float_space(2), seed=1))
+        config = advisor.ask()
+        for values in ("12", b"12", [True], ["1.5"]):
+            with pytest.raises(ObservationShapeError):
+                advisor.tell(Observation(config, objectives=values))
+        assert advisor.num_told == 0
+
     @pytest.mark.parametrize("ref_point", [(math.nan, 10.0), (math.inf, 10.0), (10.0, -math.inf)])
     def test_non_finite_ref_point_rejected(self, ref_point):
         with pytest.raises(SetupError, match="ref_point must be finite"):
@@ -781,13 +814,13 @@ class TestPendingSet:
 
 
 def pools_passed(monkeypatch):
-    """A list that collects the ``pool`` every later acquisition search of
-    the advisor module is handed."""
+    """A list that collects the (rows, inputs) ``pool`` every later
+    acquisition search of the advisor module is handed."""
     pools = []
     maximize = bbo.advisor.maximize_acquisition
 
     def recording(*args, **kwargs):
-        pools.append(kwargs["pool"])
+        pools.append(args[2])
         return maximize(*args, **kwargs)
 
     monkeypatch.setattr(bbo.advisor, "maximize_acquisition", recording)
@@ -823,8 +856,8 @@ class TestSharedPool:
 
             # the leader claims a pool row that does not survive its round
             # trip, so the claim marks two rows seen
-            def unresolved_row(score_fn, space, rng, **kwargs):
-                rows = kwargs["pool"][0]
+            def unresolved_row(score_fn, space, pool, encode, **kwargs):
+                rows = pool[0]
                 trips = to_codes(space, from_codes(space, rows))
                 return rows[np.flatnonzero((trips != rows).any(axis=1))[:1]].copy()
 
@@ -885,10 +918,13 @@ class TestSharedPool:
         pools = pools_passed(monkeypatch)
         advisor.ask_batch(3)
         assert len(pools) == 3 and advisor.last_ask_info["pool"] == "shared"
-        # the follower's score walks the rows afresh through its forests
-        (rows, scores), score_fn = pools[-1], advisor.last_ask_info["score_fn"]
+        # the pool's inputs read the carried leaves; encoded rows walk the
+        # follower's forests afresh
+        (rows, inputs), score_fn = pools[-1], advisor.last_ask_info["score_fn"]
+        assert inputs.shape == (len(rows), 0)
+        carried = np.asarray(score_fn(inputs), dtype=float)
         fresh = np.asarray(score_fn(encode_codes(task.space, rows, "index")), dtype=float)
-        assert scores.tobytes() == fresh.tobytes()
+        assert carried.tobytes() == fresh.tobytes()
 
     def test_tell_drops_the_pool(self):
         task = TaskSpec(space=mixed_space(), init_count=6, max_runs=40, algorithm="prf", seed=10)
@@ -929,7 +965,7 @@ class TestSharedPool:
         monkeypatch.setattr(
             bbo.advisor, "_candidate_pool", lambda *args: (candidate_pool(*args)[0][:1], "sampled")
         )
-        monkeypatch.setattr(bbo.advisor, "maximize_acquisition", lambda *a, **k: k["pool"][0].copy())
+        monkeypatch.setattr(bbo.advisor, "maximize_acquisition", lambda *a, **k: a[2][0].copy())
         advisor.ask()
         monkeypatch.undo()
         # every neighbour the follower draws is a row already seen
@@ -942,6 +978,80 @@ class TestSharedPool:
         assert advisor.last_ask_info["pool"] == "sampled"
         assert advisor.last_ask_info["walked"] == len(want)
         assert pools[-1][0].tobytes() == want.tobytes()
+
+
+class TestScoredRows:
+    """Every row the acquisition search ranks, the candidate pool's and
+    each local-search step's, reaches the score function the advisor hands
+    it, once."""
+
+    def counted_ask(self, monkeypatch, advisor, q=1):
+        """Ask for a batch of q, returning per acquisition search the rows
+        reaching the handed score function, the pool's rows (the first
+        ranking of the search: its local-search starts, or with no local
+        search its result) and the rows its local search kept."""
+        searches = []
+        maximize, top, unseen_mask = (
+            bbo.advisor.maximize_acquisition,
+            bbo.acquisition._top,
+            bbo.acquisition._unseen_mask,
+        )
+
+        def counting_maximize(score_fn, *args, **kwargs):
+            searches.append({"scored": 0, "ranked": [], "local": 0})
+
+            def counting_score(X):
+                searches[-1]["scored"] += np.atleast_2d(X).shape[0]
+                return score_fn(X)
+
+            return maximize(counting_score, *args, **kwargs)
+
+        def counting_top(scores, k):
+            searches[-1]["ranked"].append(len(scores))
+            return top(scores, k)
+
+        def counting_unseen_mask(codes, known_keys):
+            keep = unseen_mask(codes, known_keys)
+            searches[-1]["local"] += int(keep.sum())
+            return keep
+
+        monkeypatch.setattr(bbo.advisor, "maximize_acquisition", counting_maximize)
+        monkeypatch.setattr(bbo.acquisition, "_top", counting_top)
+        monkeypatch.setattr(bbo.acquisition, "_unseen_mask", counting_unseen_mask)
+        sources = []
+        for _ in range(q):
+            advisor.ask()
+            sources.append(advisor.last_ask_info.get("pool"))
+        monkeypatch.undo()
+        return [(s["scored"], s["ranked"][0], s["local"]) for s in searches], sources
+
+    def assert_every_row_scored(self, searches):
+        for scored, pool, local in searches:
+            assert pool > 0
+            assert scored == pool + local
+
+    def test_gp_ask(self, monkeypatch):
+        task = TaskSpec(space=float_space(2), init_count=6, max_runs=40, algorithm="gp", seed=13)
+        advisor = told_advisor(task, lambda c: quadratic(c)[0], 6)
+        searches, _ = self.counted_ask(monkeypatch, advisor)
+        assert len(searches) == 1 and searches[0][2] > 0
+        self.assert_every_row_scored(searches)
+
+    def test_forest_sampled_and_shared_pools(self, monkeypatch):
+        task = TaskSpec(space=mixed_space(), init_count=6, max_runs=40, algorithm="prf", seed=14)
+        advisor = told_advisor(task, mixed, 6)
+        searches, sources = self.counted_ask(monkeypatch, advisor, q=3)
+        assert sources == ["sampled", "shared", "shared"]
+        assert all(local > 0 for _, _, local in searches)
+        self.assert_every_row_scored(searches)
+
+    def test_forest_enumerated_pool(self, monkeypatch):
+        task = TaskSpec(space=grid12_space(), init_count=4, max_runs=40, algorithm="prf", seed=15)
+        advisor = told_advisor(task, lambda c: [c["a"] + "pqrs".index(c["c"])], 4)
+        searches, sources = self.counted_ask(monkeypatch, advisor, q=2)
+        assert sources == ["enumerated", "shared"]
+        assert [(pool, local) for _, pool, local in searches] == [(8, 0), (7, 0)]
+        self.assert_every_row_scored(searches)
 
 
 class TestDefaults:

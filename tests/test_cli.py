@@ -286,6 +286,16 @@ class TestRunCommand:
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("max_runs", 0), ("batch_size", 0)])
+    def test_out_of_range_task_field_rejected(self, tmp_path, capsys, field, value):
+        task = write_task(tmp_path, **{field: value})
+        cmd = write_stub(tmp_path, "obj.py", SUM_STUB)
+        code = main(["run", "--task", task, "--cmd", cmd, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "parameters",
         [

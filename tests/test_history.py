@@ -54,6 +54,26 @@ class TestRecord:
         with pytest.raises(ObservationShapeError):
             Observation(Configuration({"x": 0.1}), trial_state=state, **values)
 
+    @pytest.mark.parametrize("key", ["objectives", "constraints"])
+    @pytest.mark.parametrize(
+        "values",
+        ["12", b"12", "0", [True, False], [np.True_], ["1.5", "2"], [b"1"], 5.0, np.array(5.0), [[1.0]]],
+        ids=["str", "bytes", "str-0", "bools", "numpy-bool", "strs", "bytes-item", "float", "0-d-array", "nested"],
+    )
+    def test_values_must_be_sequences_of_numbers(self, key, values):
+        given = {"objectives": (1.0,), key: values}
+        with pytest.raises(ObservationShapeError, match=f"{key} must be a sequence of numbers"):
+            Observation(Configuration({"x": 0.1}), **given)
+
+    def test_numpy_numbers_are_numbers(self):
+        o = Observation(
+            Configuration({"x": 0.1}),
+            objectives=np.array([1.5, 2.0], dtype=np.float32),
+            constraints=[np.int64(-1), np.array(0.25)],
+        )
+        assert o.objectives == (1.5, 2.0) and o.constraints == (-1.0, 0.25)
+        assert all(type(v) is float for v in o.objectives + o.constraints)
+
     def test_failed_carries_no_values(self):
         o = obs(0.1, None, state=TrialState.FAILED)
         assert o.objectives is None and not o.is_success
